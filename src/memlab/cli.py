@@ -280,10 +280,14 @@ def run(config: dict, workers_flag: int | None = None) -> tuple[str, str]:
     if workers is None:
         workers = config.get("workers")
     if workers is None:
-        workers = int(os.environ.get("MEMLAB_WORKERS", "1"))
-    workers = int(workers)
-    if workers < 1:
-        raise ConfigError("key 'workers' must be positive")
+        env = os.environ.get("MEMLAB_WORKERS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(f"key 'workers' (MEMLAB_WORKERS={env!r}) "
+                              "must be a positive integer") from None
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError("key 'workers' must be a positive integer")
 
     start = time.monotonic()
     try:

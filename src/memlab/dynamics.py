@@ -1,12 +1,21 @@
 """Continuous-time Monte Carlo for the lattice models.
 
-Exact (rejection-free) Gillespie sampling: waiting times are exponential in
-the total escape rate and events are drawn proportionally to their rates.
-Sites are grouped into rate classes -- an Ising spin's class is its local
-field, a toric-code edge's class is the occupation of its two plaquettes --
-so each event costs O(1) bookkeeping regardless of system size.  That is what
-makes the low-temperature runs feasible: a wait of order e^{2 beta} is one
-exponential draw, not e^{2 beta} rejected sweeps.
+Exact rejection-free sampling by the Bortz-Kalos-Lebowitz n-fold way
+(J. Comput. Phys. 17, 10 (1975)): waiting times are exponential in the total
+escape rate and events are drawn proportionally to their rates.  One sampler
+serves every model kind.  It keeps the sites in rate-class buckets -- an
+Ising spin's class is its local field, a toric-code edge's class is the
+occupation of its two plaquettes -- so each event costs O(1) bookkeeping
+regardless of system size.  That is what makes the low-temperature runs
+feasible: a wait of order e^{2 beta} is one exponential draw, not e^{2 beta}
+rejected sweeps.  A kind supplies only its data: the ordered class keys, the
+key of a site computed from the state, the sites whose key a flip can change,
+the flip itself with its tracked observable (magnetization or anyon count),
+and the per-beta rate table (recomputed from M for the mean-field kind only).
+
+One event loop drives every trajectory.  Recorded runs, first-passage runs
+and toric-code memory runs differ only in the hooks they pass to it: one per
+probe, one per event before the flip, and a stop test after the flip.
 
 Ensembles derive every trajectory's generator from (master seed, trajectory
 index) alone, so results never depend on how many workers ran them.
@@ -16,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 import numpy as np
 
-from .lattice import LatticeModel, SpinConfiguration, Syndrome, build_model
+from ._shared import heat_bath, run_chunks
+from .lattice import (LatticeModel, SpinConfiguration, Syndrome, _as_error_set,
+                      _as_spins, build_model)
 from . import decoder as _decoder_mod
 
 
@@ -80,220 +90,227 @@ class LifetimeResult:
     times: np.ndarray = field(repr=False, default=None)
 
 
-def _heat_bath(x: float) -> float:
-    """1 / (1 + e^x), safe for large |x|."""
-    if x > 500.0:
-        return math.exp(-x)
-    return 1.0 / (1.0 + math.exp(x))
-
-
 # ---------------------------------------------------------------------------
-# rate classes
+# the n-fold-way sampler
 
 
-class _IsingCore:
-    """Class-indexed Gillespie state for the Ising kinds."""
+class _Sampler:
+    """Rate-class buckets and the draw, shared by every model kind.
 
-    def __init__(self, model: LatticeModel, beta: float, spins: np.ndarray):
-        self.model = model
-        self.kind = model.kind
-        self.beta = beta
-        self.J = model.J
-        self.N = model.N
-        self.spins = spins.astype(np.int8).copy()
-        self.M = int(self.spins.sum())
-        if self.kind == "Ising1D":
-            self.keys = [-2, 0, 2]
-        elif self.kind == "Ising2D":
-            self.keys = [-4, -2, 0, 2, 4]
-        else:
-            self.keys = [-1, 1]
+    A kind's subclass sets, before calling ``__init__``:
+
+    - ``keys``: class keys in draw order;
+    - ``tags``: event tag of each key;
+    - ``affected``: per site, the sites whose key its flip can change, in the
+      order their buckets are updated;
+    - ``rates`` (key -> rate), unless it overrides :meth:`rate_table`;
+    - ``obs``: the tracked observable;
+
+    and implements ``key(i)`` (class of site i in the current state) and
+    ``flip_state(i)`` (flip site i and update ``obs``).
+    """
+
+    def __init__(self):
         self.members = {k: [] for k in self.keys}
-        self.pos = np.empty(self.N, dtype=np.int64)
-        self.key_of = np.empty(self.N, dtype=np.int64)
-        for i in range(self.N):
-            k = self._site_key(i)
+        n = len(self.affected)
+        self.pos = [0] * n
+        self.key_of = [0] * n
+        for i in range(n):
+            k = self.key(i)
             self.key_of[i] = k
             self.pos[i] = len(self.members[k])
             self.members[k].append(i)
 
-    def _site_key(self, i: int) -> int:
-        s = self.spins
-        if self.kind == "Ising1D":
-            return int(s[i]) * (int(s[i - 1]) + int(s[(i + 1) % self.N]))
-        if self.kind == "Ising2D":
-            nb = self.model.neighbours[i]
-            return int(s[i]) * int(s[nb[0]] + s[nb[1]] + s[nb[2]] + s[nb[3]])
-        return int(s[i])
+    def rate_table(self) -> dict:
+        return self.rates
 
-    def delta_e(self, key: int) -> float:
-        if self.kind == "IsingMeanField":
-            return (2.0 * self.J / self.N) * (key * self.M - 1.0)
-        return 2.0 * self.J * key
-
-    def rate(self, key: int) -> float:
-        return _heat_bath(self.beta * self.delta_e(key))
-
-    def total_and_rates(self):
-        rates = {k: self.rate(k) for k in self.keys}
-        total = sum(len(self.members[k]) * rates[k] for k in self.keys)
-        return total, rates
-
-    def _move(self, i: int, new_key: int):
-        old = self.key_of[i]
-        if old == new_key:
-            return
-        lst = self.members[old]
-        p = self.pos[i]
-        last = lst[-1]
-        lst[p] = last
-        self.pos[last] = p
-        lst.pop()
-        self.key_of[i] = new_key
-        self.pos[i] = len(self.members[new_key])
-        self.members[new_key].append(i)
-
-    def apply_flip(self, i: int):
-        self.spins[i] = -self.spins[i]
-        self.M += 2 * int(self.spins[i])
-        self._move(i, self._site_key(i))
-        if self.kind == "Ising1D":
-            for j in ((i - 1) % self.N, (i + 1) % self.N):
-                if j != i:
-                    self._move(j, self._site_key(j))
-        elif self.kind == "Ising2D":
-            for j in self.model.neighbours[i]:
-                self._move(int(j), self._site_key(int(j)))
-        # mean-field neighbours are everyone, but keys depend only on the
-        # spin itself; rates pick up the new M through delta_e at draw time.
-
-    def draw(self, rng) -> tuple | None:
-        total, rates = self.total_and_rates()
+    def draw(self, rng):
+        """(waiting time, site, rate) of the next event, or None when frozen."""
+        rates = self.rate_table()
+        members = self.members
+        total = sum(len(members[k]) * rates[k] for k in self.keys)
         if total <= 0.0:
             return None
         dt = rng.exponential() / total
         u = rng.random() * total
-        live = [k for k in self.keys if self.members[k] and rates[k] > 0.0]
+        live = [k for k in self.keys if members[k] and rates[k] > 0.0]
         for k in live[:-1]:
-            w = len(self.members[k]) * rates[k]
+            w = len(members[k]) * rates[k]
             if u < w:
                 break
             u -= w
         else:
             k = live[-1]
-        lst = self.members[k]
-        i = lst[int(rng.integers(len(lst)))]
-        return dt, i, rates[k]
+        lst = members[k]
+        return dt, lst[int(rng.integers(len(lst)))], rates[k]
 
-    def observable(self) -> float:
-        return float(self.M)
+    def flip(self, i: int):
+        """Flip site i and swap-remove every affected site into its new bucket."""
+        self.flip_state(i)
+        members, pos, key_of = self.members, self.pos, self.key_of
+        for j in self.affected[i]:
+            new = self.key(j)
+            old = key_of[j]
+            if new == old:
+                continue
+            lst = members[old]
+            p = pos[j]
+            last = lst[-1]
+            lst[p] = last
+            pos[last] = p
+            lst.pop()
+            key_of[j] = new
+            pos[j] = len(members[new])
+            members[new].append(j)
 
-    def state_view(self):
-        return self.spins
+
+class _IsingSampler(_Sampler):
+    """Spins as a list of +-1; the observable is the magnetization M."""
+
+    def __init__(self, model: LatticeModel, initial):
+        spins = (SpinConfiguration.all_up(model.N) if initial is None
+                 else _as_spins(model, initial))
+        self.s = spins.spins.tolist()
+        self.obs = sum(self.s)
+        self.tags = dict.fromkeys(self.keys, "ising-flip")
+        super().__init__()
+
+    def flip_state(self, i: int):
+        s = self.s
+        s[i] = -s[i]
+        self.obs += 2 * s[i]
+
+    def state_view(self) -> np.ndarray:
+        return np.array(self.s, dtype=np.int8)
+
+    def final_state(self) -> SpinConfiguration:
+        return SpinConfiguration(self.state_view())
 
 
-class _KitaevCore:
-    """Class-indexed Gillespie state for the one-sector toric code.
+class _LocalFieldSampler(_IsingSampler):
+    """Ring and square-lattice Ising: class = s_i * (sum of neighbour spins)."""
+
+    def __init__(self, model: LatticeModel, beta: float, initial, neighbours):
+        self.nbrs = neighbours
+        self.keys = tuple(range(-len(neighbours[0]), len(neighbours[0]) + 1, 2))
+        self.affected = [(i, *nb) for i, nb in enumerate(neighbours)]
+        self.rates = {k: heat_bath(beta * (2.0 * model.J * k)) for k in self.keys}
+        super().__init__(model, initial)
+
+    def key(self, i: int) -> int:
+        s = self.s
+        h = 0
+        for j in self.nbrs[i]:
+            h += s[j]
+        return s[i] * h
+
+
+class _MeanFieldSampler(_IsingSampler):
+    """Curie-Weiss Ising: class = s_i; the rates follow M after every flip."""
+
+    keys = (-1, 1)
+
+    def __init__(self, model: LatticeModel, beta: float, initial):
+        self.beta = beta
+        self.coupling = 2.0 * model.J / model.N
+        self.affected = [(i,) for i in range(model.N)]
+        super().__init__(model, initial)
+
+    def key(self, i: int) -> int:
+        return self.s[i]
+
+    def rate_table(self) -> dict:
+        M = self.obs
+        return {k: heat_bath(self.beta * (self.coupling * (k * M - 1.0)))
+                for k in self.keys}
+
+
+class _KitaevSampler(_Sampler):
+    """One-sector toric code; the observable is the anyon count.
 
     Edge classes by adjacent-plaquette occupation: 0 occupied -> pair
     creation at rate e^{-2 beta}, 1 occupied -> anyon hop, 2 occupied ->
     pair annihilation at rate 1.
     """
 
-    TAGS = {0: "create-pair", 1: "move-anyon", 2: "annihilate-pair"}
+    keys = (0, 1, 2)
+    tags = {0: "create-pair", 1: "move-anyon", 2: "annihilate-pair"}
 
-    def __init__(self, model: LatticeModel, beta: float,
-                 error: frozenset = frozenset()):
-        self.model = model
-        L = model.L
-        self.L = L
-        self.n_edges = 2 * L * L
-        self.occ = np.zeros(L * L, dtype=np.int8)
-        self.err = np.zeros(self.n_edges, dtype=bool)
+    def __init__(self, model: LatticeModel, beta: float, initial):
+        self.errors = set() if initial is None else set(_as_error_set(model, initial))
+        self.ep = model.edge_plaquettes.tolist()
+        self.anyons = set()
+        for e in self.errors:
+            self.anyons ^= set(self.ep[e])
+        self.obs = len(self.anyons)
+        pe = model.plaquette_edges.tolist()
+        self.affected = [tuple(dict.fromkeys(pe[p] + pe[q])) for p, q in self.ep]
         self.rates = {0: math.exp(-2.0 * beta), 1: model.move_rate, 2: 1.0}
-        self.ep = model.edge_plaquettes
-        self.pe = model.plaquette_edges
-        for e in error:
-            self.err[e] = True
-            self.occ[self.ep[e, 0]] ^= 1
-            self.occ[self.ep[e, 1]] ^= 1
-        self.n_anyons = int(self.occ.sum())
-        self.members = {0: [], 1: [], 2: []}
-        self.pos = np.empty(self.n_edges, dtype=np.int64)
-        self.key_of = np.empty(self.n_edges, dtype=np.int64)
-        for e in range(self.n_edges):
-            k = self._edge_key(e)
-            self.key_of[e] = k
-            self.pos[e] = len(self.members[k])
-            self.members[k].append(e)
+        super().__init__()
 
-    def _edge_key(self, e: int) -> int:
-        return int(self.occ[self.ep[e, 0]]) + int(self.occ[self.ep[e, 1]])
+    def key(self, e: int) -> int:
+        p, q = self.ep[e]
+        return (p in self.anyons) + (q in self.anyons)
 
-    def _move(self, e: int, new_key: int):
-        old = self.key_of[e]
-        if old == new_key:
-            return
-        lst = self.members[old]
-        p = self.pos[e]
-        last = lst[-1]
-        lst[p] = last
-        self.pos[last] = p
-        lst.pop()
-        self.key_of[e] = new_key
-        self.pos[e] = len(self.members[new_key])
-        self.members[new_key].append(e)
+    def flip_state(self, e: int):
+        self.errors ^= {e}
+        self.anyons ^= set(self.ep[e])
+        self.obs = len(self.anyons)
 
-    def apply_flip(self, e: int):
-        self.err[e] = not self.err[e]
-        p1, p2 = self.ep[e]
-        delta = 0
-        for p in (p1, p2):
-            self.occ[p] ^= 1
-            delta += 1 if self.occ[p] else -1
-        self.n_anyons += delta
-        for p in (p1, p2):
-            for f in self.pe[p]:
-                self._move(int(f), self._edge_key(int(f)))
+    def state_view(self) -> frozenset:
+        return frozenset(sorted(self.errors))
 
-    def draw(self, rng) -> tuple | None:
-        r = self.rates
-        m = self.members
-        total = len(m[0]) * r[0] + len(m[1]) * r[1] + len(m[2]) * r[2]
-        if total <= 0.0:
-            return None
-        dt = rng.exponential() / total
-        u = rng.random() * total
-        live = [k for k in (0, 1, 2) if m[k] and r[k] > 0.0]
-        for k in live[:-1]:
-            w = len(m[k]) * r[k]
-            if u < w:
-                break
-            u -= w
-        else:
-            k = live[-1]
-        lst = m[k]
-        e = lst[int(rng.integers(len(lst)))]
-        return dt, e, r[k]
-
-    def observable(self) -> float:
-        return float(self.n_anyons)
-
-    def state_view(self):
-        return frozenset(np.flatnonzero(self.err).tolist())
+    final_state = state_view
 
 
-def _make_core(model: LatticeModel, beta: float, initial=None):
+def _ring(n: int) -> list:
+    return [((i - 1) % n, (i + 1) % n) for i in range(n)]
+
+
+def _sampler(model: LatticeModel, beta: float, initial=None) -> _Sampler:
+    """Sampler of the model's kind, started from ``initial`` (default: all up /
+    no errors).  Raises ValueError for a state that does not fit the model."""
     if model.kind == "Kitaev2D":
-        err = frozenset() if initial is None else frozenset(int(e) for e in initial)
-        return _KitaevCore(model, beta, err)
-    if initial is None:
-        spins = np.ones(model.N, dtype=np.int8)
-    elif isinstance(initial, SpinConfiguration):
-        spins = initial.spins
-    else:
-        spins = np.asarray(initial, dtype=np.int8)
-    return _IsingCore(model, beta, spins)
+        return _KitaevSampler(model, beta, initial)
+    if model.kind == "IsingMeanField":
+        return _MeanFieldSampler(model, beta, initial)
+    neighbours = _ring(model.N) if model.kind == "Ising1D" else model.neighbours.tolist()
+    return _LocalFieldSampler(model, beta, initial, neighbours)
+
+
+def _evolve(sampler: _Sampler, rng, t_max: float, cadence=None, on_probe=None,
+            on_event=None, stop=None) -> float:
+    """Run one trajectory from t = 0; returns the time it ended.
+
+    ``on_probe(t)`` fires at each cadence point up to the next event and
+    ``t_max``; a true return ends the run at that probe time.  ``on_event(t,
+    site, rate)`` sees each event before its flip, and a true ``stop()``
+    after the flip ends the run at the event time.  Otherwise the run ends
+    at ``t_max``.
+    """
+    t = 0.0
+    next_probe = cadence if cadence else math.inf
+    while True:
+        drawn = sampler.draw(rng)
+        if drawn is None:
+            if math.isinf(t_max):
+                raise RuntimeError("absorbing state: total rate is zero and t_max is infinite")
+            t_next = math.inf
+        else:
+            dt, site, rate = drawn
+            t_next = t + dt
+        while next_probe <= min(t_next, t_max):
+            if on_probe(next_probe):
+                return next_probe
+            next_probe += cadence
+        if t_next > t_max:
+            return t_max
+        t = t_next
+        if on_event is not None:
+            on_event(t, site, rate)
+        sampler.flip(site)
+        if stop is not None and stop():
+            return t
 
 
 # ---------------------------------------------------------------------------
@@ -309,32 +326,12 @@ def classify_flip(model: LatticeModel, state, site: int) -> EventClass:
     inverse temperature is taken from the model (see ``with_beta``).
     """
     beta = model.require_beta()
-    if model.kind == "Kitaev2D":
-        if not 0 <= site < model.N:
-            raise ValueError(f"invalid edge index: {site}")
-        if isinstance(state, SpinConfiguration):
-            error = frozenset(np.flatnonzero(state.spins < 0).tolist())
-        else:
-            error = frozenset(int(e) for e in state)
-        occ = 0
-        for p in model.edge_plaquettes[site]:
-            occ += sum(int(e) in error for e in model.plaquette_edges[p]) % 2
-        if occ == 0:
-            return EventClass("create-pair", site, math.exp(-2.0 * beta))
-        if occ == 2:
-            return EventClass("annihilate-pair", site, 1.0)
-        return EventClass("move-anyon", site, model.move_rate)
-    if not isinstance(state, SpinConfiguration):
-        state = SpinConfiguration(np.asarray(state))
     if not 0 <= site < model.N:
-        raise ValueError(f"invalid site index: {site}")
-    core = _IsingCore(model, beta, state.spins)
-    rate = core.rate(core._site_key(site))
-    return EventClass("ising-flip", site, rate)
-
-
-def _seed_sequence(master_seed, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master_seed, spawn_key=(index,))
+        noun = "edge" if model.kind == "Kitaev2D" else "site"
+        raise ValueError(f"invalid {noun} index: {site}")
+    sampler = _sampler(model, beta, state)
+    k = sampler.key_of[site]
+    return EventClass(sampler.tags[k], site, sampler.rate_table()[k])
 
 
 def simulate_trajectory(model: LatticeModel, params: SimulationParams,
@@ -346,11 +343,16 @@ def simulate_trajectory(model: LatticeModel, params: SimulationParams,
         params: simulation parameters.
         seed: integer token or SeedSequence; identical inputs give
             bit-identical records.
-        initial: optional starting state (default: all-up / no errors).
+        initial: optional starting state (default: all-up / no errors): a
+            SpinConfiguration or a +-1 sequence of the model's size for Ising
+            kinds, an edge iterable or SpinConfiguration for Kitaev2D.
 
     Returns:
         A :class:`TrajectoryRecord`; probes hold magnetization (Ising) or
         anyon count (Kitaev) on the cadence grid.
+
+    Raises:
+        ValueError: if ``initial`` does not fit the model.
     """
     if isinstance(seed, np.random.SeedSequence):
         ss = seed
@@ -359,35 +361,18 @@ def simulate_trajectory(model: LatticeModel, params: SimulationParams,
         ss = np.random.SeedSequence(seed)
         token = int(seed) if np.isscalar(seed) else int(ss.generate_state(1, np.uint64)[0])
     rng = np.random.default_rng(ss)
-    core = _make_core(model, params.beta, initial)
+    sampler = _sampler(model, params.beta, initial)
     record = TrajectoryRecord(seed=token)
-    cadence = params.probe_cadence
-    next_probe = cadence if cadence else math.inf
-    t = 0.0
-    kitaev = model.kind == "Kitaev2D"
-    while True:
-        drawn = core.draw(rng)
-        if drawn is None:
-            if math.isinf(params.t_max):
-                raise RuntimeError("absorbing state: total rate is zero and t_max is infinite")
-            t_next = math.inf
-        else:
-            dt, site, rate = drawn
-            t_next = t + dt
-        while next_probe <= min(t_next, params.t_max):
-            record.probes.append((next_probe, core.observable()))
-            next_probe += cadence
-        if t_next > params.t_max:
-            break
-        t = t_next
-        if kitaev:
-            tag = _KitaevCore.TAGS[int(core.key_of[site])]
-        else:
-            tag = "ising-flip"
-        record.events.append((t, EventClass(tag, int(site), rate)))
-        core.apply_flip(site)
-    record.final_state = (core.state_view() if kitaev
-                          else SpinConfiguration(core.state_view().copy()))
+
+    def probe(t):
+        record.probes.append((t, float(sampler.obs)))
+
+    def event(t, site, rate):
+        tag = sampler.tags[sampler.key_of[site]]
+        record.events.append((t, EventClass(tag, site, rate)))
+
+    _evolve(sampler, rng, params.t_max, params.probe_cadence, probe, event)
+    record.final_state = sampler.final_state()
     return record
 
 
@@ -397,32 +382,17 @@ def magnetization_nonpositive(state) -> bool:
 
 
 def _first_passage_once(model, params, predicate, ss) -> float:
-    rng = np.random.default_rng(ss)
-    core = _make_core(model, params.beta, None)
-    if predicate(core.state_view()):
+    sampler = _sampler(model, params.beta)
+    if predicate is None:
+        # magnetization_nonpositive, read from the tracked magnetization
+        def stop():
+            return sampler.obs <= 0
+    else:
+        def stop():
+            return predicate(sampler.state_view())
+    if stop():
         raise ValueError("predicate already true in the initial state")
-    t = 0.0
-    while True:
-        drawn = core.draw(rng)
-        if drawn is None:
-            if math.isinf(params.t_max):
-                raise RuntimeError("absorbing state: total rate is zero and t_max is infinite")
-            return params.t_max
-        dt, site, _ = drawn
-        t += dt
-        if t > params.t_max:
-            return params.t_max
-        core.apply_flip(site)
-        if predicate(core.state_view()):
-            return t
-
-
-def _fp_chunk(args):
-    model, params, predicate, master_seed, lo, hi = args
-    return [
-        _first_passage_once(model, params, predicate, _seed_sequence(master_seed, i))
-        for i in range(lo, hi)
-    ]
+    return _evolve(sampler, np.random.default_rng(ss), params.t_max, stop=stop)
 
 
 def _summarize(times: np.ndarray, t_max: float) -> LifetimeResult:
@@ -432,26 +402,16 @@ def _summarize(times: np.ndarray, t_max: float) -> LifetimeResult:
     return LifetimeResult(mean, stderr, len(times), censored, times)
 
 
-def _run_chunks(worker, common, n_traj: int, workers: int):
-    if workers <= 1:
-        return worker(common + (0, n_traj))
-    bounds = np.linspace(0, n_traj, workers + 1).astype(int)
-    jobs = [common + (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo]
-    with Pool(processes=workers) as pool:
-        parts = pool.map(worker, jobs)
-    return [t for part in parts for t in part]
-
-
 def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
                   seed=0, workers: int = 1) -> LifetimeResult:
     """Mean first time an ensemble of trajectories satisfies a predicate.
 
     Trajectories start from the ordered state (all spins up / no errors).
-    The default predicate is the magnetization sign change, the classical
-    memory-failure criterion.  Runs reaching t_max enter the mean censored
-    at t_max, so the reported lifetime is a lower bound; the censored count
-    is part of the result.
+    The default predicate is the magnetization sign change
+    (:func:`magnetization_nonpositive`), the classical memory-failure
+    criterion.  Runs reaching t_max enter the mean censored at t_max, so the
+    reported lifetime is a lower bound; the censored count is part of the
+    result.
 
     Args:
         model: lattice model.
@@ -460,10 +420,8 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
         seed: master seed; trajectory i uses (seed, i) regardless of workers.
         workers: process count (results are identical for any value).
     """
-    if predicate is None:
-        predicate = magnetization_nonpositive
-    times = np.asarray(_run_chunks(
-        _fp_chunk, (model, params, predicate, seed), params.n_traj, workers))
+    times = np.asarray(run_chunks(
+        _first_passage_once, (model, params, predicate), seed, params.n_traj, workers))
     return _summarize(times, params.t_max)
 
 
@@ -477,62 +435,41 @@ def _resolve_decoder(decoder):
 
 def _kitaev_lifetime_once(model, params, decoder, op_support, ss) -> float:
     """First probe time at which the (possibly dressed) logical reads -1."""
-    rng = np.random.default_rng(ss)
-    core = _KitaevCore(model, params.beta, frozenset())
+    sampler = _KitaevSampler(model, params.beta, None)
     L = model.L
     cadence = params.probe_cadence
     if cadence is None:
         cadence = 0.5 * math.exp(2.0 * params.beta) / (2 * L * L)
-    in_support = np.zeros(core.n_edges, dtype=bool)
-    in_support[list(op_support)] = True
     bare = 1
     sign_cache = {}
-    t = 0.0
-    next_probe = cadence
-    while True:
-        drawn = core.draw(rng)
-        if drawn is None and math.isinf(params.t_max):
-            raise RuntimeError("absorbing state: total rate is zero and t_max is infinite")
-        t_next = t + drawn[0] if drawn is not None else math.inf
-        while next_probe <= min(t_next, params.t_max):
-            if decoder == "bare":
-                value = bare
-            else:
-                key = tuple(np.flatnonzero(core.occ).tolist())
-                sign = sign_cache.get(key)
-                if sign is None:
-                    syn = Syndrome(frozenset(int(p) for p in key), "plaquette")
-                    if decoder == "matching" or decoder is None:
-                        corr = _decoder_mod.decode_matching(syn, L)
-                    else:
-                        try:
-                            corr = decoder(syn, L)
-                        except Exception as exc:
-                            raise RuntimeError(
-                                f"decoder failed at t={next_probe:g} "
-                                f"on syndrome {sorted(syn.anyons)}") from exc
-                    sign = 1 if len(corr.edges & op_support) % 2 == 0 else -1
-                    sign_cache[key] = sign
-                value = bare * sign
-            if value == -1:
-                return next_probe
-            next_probe += cadence
-        if t_next > params.t_max:
-            return params.t_max
-        t = t_next
-        edge = drawn[1]
-        if in_support[edge]:
+
+    def event(t, edge, rate):
+        nonlocal bare
+        if edge in op_support:
             bare = -bare
-        core.apply_flip(edge)
 
+    def probe(t):
+        if decoder == "bare":
+            return bare == -1
+        key = tuple(sorted(sampler.anyons))
+        sign = sign_cache.get(key)
+        if sign is None:
+            syn = Syndrome(frozenset(key), "plaquette")
+            if decoder == "matching" or decoder is None:
+                corr = _decoder_mod.decode_matching(syn, L)
+            else:
+                try:
+                    corr = decoder(syn, L)
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"decoder failed at t={t:g} "
+                        f"on syndrome {sorted(syn.anyons)}") from exc
+            sign = 1 if len(corr.edges & op_support) % 2 == 0 else -1
+            sign_cache[key] = sign
+        return bare * sign == -1
 
-def _kl_chunk(args):
-    model, params, decoder, op_support, master_seed, lo, hi = args
-    return [
-        _kitaev_lifetime_once(model, params, decoder, op_support,
-                              _seed_sequence(master_seed, i))
-        for i in range(lo, hi)
-    ]
+    return _evolve(sampler, np.random.default_rng(ss), params.t_max, cadence,
+                   probe, event)
 
 
 def kitaev_memory_lifetime(L: int, params: SimulationParams, decoder="matching",
@@ -561,6 +498,7 @@ def kitaev_memory_lifetime(L: int, params: SimulationParams, decoder="matching",
     model = build_model("Kitaev2D", L=L, move_rate=move_rate)
     op = logical_operator(model, mu, "Z-type")
     dec = _resolve_decoder(decoder)
-    times = np.asarray(_run_chunks(
-        _kl_chunk, (model, params, dec, op.support, seed), params.n_traj, workers))
+    times = np.asarray(run_chunks(
+        _kitaev_lifetime_once, (model, params, dec, op.support), seed,
+        params.n_traj, workers))
     return _summarize(times, params.t_max)

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from .dynamics import _heat_bath
+from ._shared import heat_bath
 from .lattice import LatticeModel
 
 MAX_STATES = 1 << 20
@@ -312,7 +312,7 @@ def two_level_rates(delta: float, gamma: float, beta: float,
     """
     x = beta * delta
     if convention == "heat-bath":
-        return gamma * _heat_bath(x), gamma * _heat_bath(-x)
+        return gamma * heat_bath(x), gamma * heat_bath(-x)
     if convention == "metropolis":
         return gamma * min(1.0, math.exp(-x)), gamma * min(1.0, math.exp(x))
     raise ValueError(f"unknown rate convention: {convention!r}")

@@ -236,6 +236,15 @@ def _as_error_set(model: LatticeModel, config) -> frozenset:
     return edges
 
 
+def _as_spins(model: LatticeModel, config) -> SpinConfiguration:
+    """Normalize an Ising state (SpinConfiguration or +-1 sequence) of the model's size."""
+    if not isinstance(config, SpinConfiguration):
+        config = SpinConfiguration(np.asarray(config))
+    if config.n != model.N:
+        raise ValueError(f"configuration has {config.n} spins, model has {model.N}")
+    return config
+
+
 def syndrome(model: LatticeModel, error, sector: str = "plaquette") -> Syndrome:
     """Stabilizers of ``sector`` sharing an odd number of edges with ``error``.
 
@@ -269,11 +278,7 @@ def energy(model: LatticeModel, config) -> float:
         edges = _as_error_set(model, config)
         return float(len(syndrome(model, edges, "star").anyons)
                      + len(syndrome(model, edges, "plaquette").anyons))
-    if not isinstance(config, SpinConfiguration):
-        config = SpinConfiguration(np.asarray(config))
-    if config.n != model.N:
-        raise ValueError(f"configuration has {config.n} spins, model has {model.N}")
-    s = config.spins.astype(np.float64)
+    s = _as_spins(model, config).spins.astype(np.float64)
     if model.kind == "Ising1D":
         return float(-model.J * np.dot(s, np.roll(s, -1)))
     if model.kind == "IsingMeanField":

@@ -11,12 +11,11 @@ system; extracted work is its negative.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _heat_bath, _seed_sequence
+from ._shared import heat_bath, run_chunks
 from .exact import (Jump, MasterSolution, ProtocolSchedule, Segment,
                     integrate_master, two_level_rates)
 
@@ -213,7 +212,8 @@ def _initial_energies(schedule: ProtocolSchedule):
     return seg.eps0[0], seg.eps1[0]
 
 
-def _sigma_one(schedule: ProtocolSchedule, p_init, p_fin, rates, rng) -> float:
+def _sigma_one(schedule: ProtocolSchedule, p_init, p_fin, rates, ss) -> float:
+    rng = np.random.default_rng(ss)
     gamma, beta = schedule.gamma, schedule.beta
     x = 0 if rng.random() < p_init[0] else 1
     sigma = math.log(p_init[x])
@@ -242,15 +242,6 @@ def _sigma_one(schedule: ProtocolSchedule, p_init, p_fin, rates, rng) -> float:
                 x = 1 - x
     sigma -= math.log(p_fin[x])
     return sigma
-
-
-def _sigma_chunk(args):
-    schedule, p_init, p_fin, rates, seed, lo, hi = args
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        rng = np.random.default_rng(_seed_sequence(seed, i))
-        out[i - lo] = _sigma_one(schedule, p_init, p_fin, rates, rng)
-    return out
 
 
 @dataclass(frozen=True)
@@ -283,19 +274,12 @@ def entropy_production_samples(schedule: ProtocolSchedule, n_traj: int,
         raise ValueError("n_traj must be positive")
     if p0 is None:
         e0, e1 = _initial_energies(schedule)
-        p1 = _heat_bath(schedule.beta * (e1 - e0))
+        p1 = heat_bath(schedule.beta * (e1 - e0))
         p0 = (1.0 - p1, p1)
     p0 = tuple(float(v) for v in p0)
     p_fin = tuple(integrate_master(schedule, p0, rates=rates).p_final)
-    if workers > 1:
-        bounds = np.linspace(0, n_traj, workers + 1).astype(int)
-        jobs = [(schedule, p0, p_fin, rates, seed, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_sigma_chunk, jobs)
-        samples = np.concatenate(parts)
-    else:
-        samples = _sigma_chunk((schedule, p0, p_fin, rates, seed, 0, n_traj))
+    samples = np.asarray(run_chunks(_sigma_one, (schedule, p0, p_fin, rates), seed,
+                                    n_traj, workers))
     ift = np.exp(-samples)
     n = len(samples)
     return EntropyProductionResult(

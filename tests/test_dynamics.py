@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memlab import (
     SimulationParams,
@@ -15,6 +16,7 @@ from memlab import (
     kitaev_memory_lifetime,
     magnetization_nonpositive,
     simulate_trajectory,
+    syndrome,
 )
 
 from _oracles import heat_bath
@@ -49,6 +51,8 @@ def test_classify_flip_rejects_bad_site():
     kit = build_model("Kitaev2D", L=3, beta=1.0)
     with pytest.raises(ValueError, match="invalid edge index"):
         classify_flip(kit, frozenset(), 18)
+    with pytest.raises(ValueError, match="invalid edge index"):
+        classify_flip(kit, frozenset({30}), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +197,77 @@ def test_kitaev_event_replay_and_tags():
         occ[p1] ^= 1
         occ[p2] ^= 1
     assert rec.final_state == frozenset(err)
+
+
+@pytest.mark.parametrize("kind,size_kw,initial", [
+    ("Kitaev2D", dict(L=3), [-1]),
+    ("Kitaev2D", dict(L=3), [18]),
+    ("Kitaev2D", dict(L=3), SpinConfiguration.all_up(17)),
+    ("Ising1D", dict(N=8), [1] * 12),
+    ("Ising1D", dict(N=8), [1] * 7 + [0]),
+    ("Ising1D", dict(N=8), [1] * 7 + [2]),
+    ("IsingMeanField", dict(N=4), SpinConfiguration.all_up(5)),
+])
+def test_initial_state_must_fit_the_model(kind, size_kw, initial):
+    model = build_model(kind, **size_kw)
+    with pytest.raises(ValueError):
+        simulate_trajectory(model, SimulationParams(beta=0.5, t_max=1.0),
+                            initial=initial)
+
+
+def test_kitaev_start_from_spin_configuration():
+    # a SpinConfiguration start means the edges whose spin is down
+    model = build_model("Kitaev2D", L=3)
+    params = SimulationParams(beta=0.6, t_max=4.0, probe_cadence=0.5)
+    spins = np.ones(18, dtype=np.int8)
+    spins[[2, 11]] = -1
+    a = simulate_trajectory(model, params, seed=3, initial=SpinConfiguration(spins))
+    b = simulate_trajectory(model, params, seed=3, initial={2, 11})
+    assert a.events == b.events and a.probes == b.probes
+    assert a.final_state == b.final_state
+
+
+_SIZES = {"Ising1D": ("N", 2, 10), "IsingMeanField": ("N", 1, 10),
+          "Ising2D": ("L", 2, 4), "Kitaev2D": ("L", 2, 4)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(_SIZES)).flatmap(
+           lambda k: st.tuples(st.just(k), st.integers(*_SIZES[k][1:]))),
+       beta=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_event_replay_matches_classify_flip_and_probes(case, beta, seed):
+    """Replaying a record re-derives every event class and every probe.
+
+    Each event must be what classify_flip gives for its pre-flip state, and
+    each probe the magnetization / anyon count of the replayed state, so a
+    stale bucket or a stale mean-field rate shows up as a mismatch.
+    """
+    kind, size = case
+    model = build_model(kind, **{_SIZES[kind][0]: size})
+    params = SimulationParams(beta=beta, t_max=3.0, probe_cadence=0.25)
+    rec = simulate_trajectory(model, params, seed=seed)
+    hot = model.with_beta(beta)
+    kitaev = kind == "Kitaev2D"
+    state = frozenset() if kitaev else SpinConfiguration.all_up(model.N)
+    states = [(0.0, state)]
+    for t, ev in rec.events:
+        assert classify_flip(hot, state, ev.site) == ev
+        if kitaev:
+            state = state ^ {ev.site}
+        else:
+            spins = state.spins.copy()
+            spins[ev.site] = -spins[ev.site]
+            state = SpinConfiguration(spins)
+        states.append((t, state))
+    for t_probe, value in rec.probes:
+        seen = [s for t, s in states if t < t_probe][-1]
+        expected = (len(syndrome(model, seen).anyons) if kitaev
+                    else int(seen.spins.sum()))
+        assert value == expected
+    if kitaev:
+        assert rec.final_state == state
+    else:
+        assert np.array_equal(rec.final_state.spins, state.spins)
 
 
 def test_probe_cadence_grid():
