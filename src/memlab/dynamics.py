@@ -50,6 +50,10 @@ class SimulationParams:
             raise ValueError("t_max must be positive")
         if self.n_traj < 1:
             raise ValueError("n_traj must be at least 1")
+        if self.probe_cadence is not None and not (
+                math.isfinite(self.probe_cadence) and self.probe_cadence > 0):
+            raise ValueError("probe_cadence must be None or a finite value > 0, "
+                             f"got {self.probe_cadence!r}")
 
 
 @dataclass(frozen=True)

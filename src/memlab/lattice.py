@@ -36,12 +36,13 @@ class SpinConfiguration:
     spins: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.spins, dtype=np.int8)
+        arr = np.asarray(self.spins)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("spins must be a non-empty 1-d sequence")
-        if not np.all(np.abs(arr) == 1):
+        # check before the cast, which would truncate 1.5 or wrap 257 to +-1
+        if arr.dtype.kind not in "biuf" or not np.all(np.abs(arr) == 1):
             raise ValueError("spins must take values +1 or -1")
-        object.__setattr__(self, "spins", arr)
+        object.__setattr__(self, "spins", arr.astype(np.int8))
 
     @property
     def n(self) -> int:

@@ -66,10 +66,10 @@ def test_correction_always_reproduces_the_syndrome(L):
 
 
 def test_exact_pairing_matches_brute_force_minimum():
-    """Subset DP equals the (2k-1)!! enumeration for up to 8 anyons."""
+    """Subset DP equals the (2k-1)!! enumeration up to the exact limit, 12 anyons."""
     rng = np.random.default_rng(5)
     L = 6
-    for k in (2, 4, 6, 8):
+    for k in (2, 4, 6, 8, 10, 12):
         for _ in range(20):
             anyons = sorted(rng.choice(L * L, size=k, replace=False).tolist())
             dist = np.array([[torus_dist((a % L, a // L), (b % L, b // L), L)
@@ -107,6 +107,9 @@ def test_geodesic_path_is_deterministic_and_lex_smallest():
     assert _geodesic_path(0, 2 * L, L) == [0, 3 * L]
     # the walk starts from the lower index regardless of argument order
     assert _geodesic_path(2, 0, L) == _geodesic_path(0, 2, L)
+    # paths are cached: a caller's edit must not reach the next caller
+    _geodesic_path(0, 2, L).append(99)
+    assert _geodesic_path(0, 2, L) == [L * L, L * L + 3]
 
 
 def test_path_endpoints_are_the_only_excitations():

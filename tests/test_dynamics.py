@@ -37,6 +37,13 @@ def test_params_validation(kwargs):
         SimulationParams(**kwargs)
 
 
+@pytest.mark.parametrize("cadence", [-0.5, 0.0, math.nan, math.inf])
+def test_probe_cadence_must_be_finite_and_positive(cadence):
+    # a negative cadence never reaches t_max and 0 silently disables probes
+    with pytest.raises(ValueError, match="probe_cadence"):
+        SimulationParams(beta=0.5, t_max=5.0, probe_cadence=cadence)
+
+
 def test_classify_flip_requires_beta():
     model = build_model("Ising1D", N=6)
     state = SpinConfiguration.all_up(6)
@@ -206,6 +213,7 @@ def test_kitaev_event_replay_and_tags():
     ("Ising1D", dict(N=8), [1] * 12),
     ("Ising1D", dict(N=8), [1] * 7 + [0]),
     ("Ising1D", dict(N=8), [1] * 7 + [2]),
+    ("Ising1D", dict(N=8), [1] * 7 + [-1.5]),
     ("IsingMeanField", dict(N=4), SpinConfiguration.all_up(5)),
 ])
 def test_initial_state_must_fit_the_model(kind, size_kw, initial):

@@ -35,6 +35,17 @@ def test_spin_configuration_validation():
         SpinConfiguration(np.array([]))
 
 
+def test_spin_configuration_rejects_non_integer_spins():
+    # values are checked before the int8 cast, which would truncate them
+    for bad in ([1.5, -1.9], [0.999, -1]):
+        with pytest.raises(ValueError, match="spins"):
+            SpinConfiguration(bad)
+    for good in ([1.0, -1.0], np.array([1, -1], dtype=np.int8)):
+        cfg = SpinConfiguration(good)
+        assert cfg.spins.dtype == np.int8
+        assert cfg.spins.tolist() == [1, -1]
+
+
 def test_spin_configuration_pack_roundtrip():
     rng = np.random.default_rng(7)
     for n in (1, 3, 8, 9, 17, 50):
