@@ -213,8 +213,8 @@ def test_kitaev_event_replay_and_tags():
     ("Ising1D", dict(N=8), [1] * 12),
     ("Ising1D", dict(N=8), [1] * 7 + [0]),
     ("Ising1D", dict(N=8), [1] * 7 + [2]),
-    ("Ising1D", dict(N=8), [1] * 7 + [-1.5]),
     ("IsingMeanField", dict(N=4), SpinConfiguration.all_up(5)),
+    ("Ising1D", dict(N=8), [1] * 7 + [-1.5]),
 ])
 def test_initial_state_must_fit_the_model(kind, size_kw, initial):
     model = build_model(kind, **size_kw)
