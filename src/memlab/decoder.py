@@ -239,10 +239,9 @@ def dressed_logical(outcomes, op: LogicalOperator, L: int) -> int:
     """
     if op.sector != "Z-type":
         raise ValueError("dressed readout tracks Z-type loops in this frame")
-    if isinstance(outcomes, SpinConfiguration):
-        values = outcomes.spins
-    else:
-        values = np.asarray(outcomes, dtype=np.int64)
+    if not isinstance(outcomes, SpinConfiguration):
+        outcomes = SpinConfiguration(outcomes)  # rejects anything but +-1
+    values = outcomes.spins
     if values.size != 2 * L * L:
         raise ValueError(f"need outcomes for all {2 * L * L} qubits, got {values.size}")
     model = _cached_model(L)

@@ -4,10 +4,18 @@ Markov generators over the full configuration space (column convention:
 ``G[y, x]`` is the rate x -> y, columns sum to zero), their stationary laws
 and spectral gaps via Gibbs symmetrization, and a driven two-level master
 equation with work/heat integration for protocol ledgers.
+
+The toric-code gap never needs the 2^(2L^2) matrix.  Its rates depend only
+on the plaquette syndrome, so the symmetrized generator commutes with every
+star flip and splits into one block of dimension 2^(L^2+1) per character of
+the star group; lattice translations map blocks onto blocks with the same
+spectrum (Alicki, Fannes, Horodecki, arXiv:0810.4584).  At L = 3 the gap
+takes 32 sparse solves of size 1024 instead of one of size 262144.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +63,41 @@ class GeneratorMatrix:
         return w / w.sum()
 
 
+class _KitaevGenerator(GeneratorMatrix):
+    """Kitaev2D generator whose energies and matrix are built on first read.
+
+    :func:`spectral_gap` works from :class:`StarBlocks` and reads neither,
+    so the gap costs no 2^(2L^2)-state arrays.
+    """
+
+    def __init__(self, model: LatticeModel, beta: float):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "beta", float(beta))
+        object.__setattr__(self, "kind", model.kind)
+        object.__setattr__(self, "size", int(model.L))
+
+    @functools.cached_property
+    def energies(self) -> np.ndarray:
+        x = np.arange(self.dimension, dtype=np.int64)
+        return _plaquette_parity(self.model, x).sum(axis=1).astype(np.float64)
+
+    @functools.cached_property
+    def matrix(self):
+        return _assemble(*_kitaev_generator(self.model, self.beta), self.dimension)
+
+    @property
+    def dimension(self) -> int:
+        return 1 << self.model.N
+
+    @property
+    def is_sparse(self) -> bool:
+        return self.dimension >= DENSE_LIMIT
+
+    def __repr__(self) -> str:
+        # the dataclass repr would print, and so build, the whole matrix
+        return f"{type(self).__name__}(kind={self.kind!r}, size={self.size}, beta={self.beta})"
+
+
 def _spin_matrix(n_states: int, n: int) -> np.ndarray:
     x = np.arange(n_states, dtype=np.int64)
     bits = (x[:, None] >> np.arange(n)) & 1
@@ -95,31 +138,41 @@ def _ising_generator(model: LatticeModel, beta: float):
     return rows, cols, vals, energies
 
 
+def _plaquette_parity(model: LatticeModel, x: np.ndarray) -> np.ndarray:
+    """(len(x), L^2) plaquette syndrome bits of the edge sets ``x`` (bitmasks)."""
+    L2 = model.L * model.L
+    parity = np.empty((x.size, L2), dtype=np.int8)
+    for p in range(L2):
+        mask = 0
+        for e in model.plaquette_edges[p]:
+            mask |= 1 << int(e)
+        parity[:, p] = np.bitwise_count(x & mask) & 1
+    return parity
+
+
+def _kitaev_rates(model: LatticeModel, beta: float, parity: np.ndarray, e: int):
+    """Flip rate of edge ``e`` from states with the given plaquette parity."""
+    p1, p2 = model.edge_plaquettes[e]
+    rate_by_key = np.array([math.exp(-2.0 * beta), model.move_rate, 1.0])
+    return rate_by_key[parity[:, p1] + parity[:, p2]]
+
+
 def _kitaev_generator(model: LatticeModel, beta: float):
     """One-sector toric code: states are X-error sets, energies count plaquette anyons."""
-    L = model.L
-    n_e = 2 * L * L
-    dim = 1 << n_e
-    plaq_mask = np.zeros(L * L, dtype=np.int64)
-    for p in range(L * L):
-        for e in model.plaquette_edges[p]:
-            plaq_mask[p] |= 1 << int(e)
-    x = np.arange(dim, dtype=np.int64)
-    parity = np.empty((dim, L * L), dtype=np.int8)
-    for p in range(L * L):
-        parity[:, p] = np.bitwise_count(x & plaq_mask[p]) & 1
-    energies = parity.sum(axis=1).astype(np.float64)
-    rate_by_key = np.array([math.exp(-2.0 * beta), model.move_rate, 1.0])
-    rows_parts, vals_parts = [], []
-    for e in range(n_e):
-        p1, p2 = model.edge_plaquettes[e]
-        key = parity[:, p1] + parity[:, p2]
-        rows_parts.append(x ^ (1 << e))
-        vals_parts.append(rate_by_key[key])
-    rows = np.concatenate(rows_parts)
+    n_e = model.N
+    x = np.arange(1 << n_e, dtype=np.int64)
+    parity = _plaquette_parity(model, x)
+    rows = np.concatenate([x ^ (1 << e) for e in range(n_e)])
     cols = np.tile(x, n_e)
-    vals = np.concatenate(vals_parts)
-    return rows, cols, vals, energies
+    vals = np.concatenate([_kitaev_rates(model, beta, parity, e) for e in range(n_e)])
+    return rows, cols, vals
+
+
+def _assemble(rows, cols, vals, dim: int):
+    """Generator from off-diagonal rates: columns sum to zero, dense below the limit."""
+    G = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    G.setdiag(-np.asarray(G.sum(axis=0)).ravel())
+    return G.toarray() if dim < DENSE_LIMIT else G
 
 
 def build_generator(model: LatticeModel, beta: float) -> GeneratorMatrix:
@@ -129,43 +182,165 @@ def build_generator(model: LatticeModel, beta: float) -> GeneratorMatrix:
     sector (2^(2L^2) edge sets).  Off-diagonal entry (y, x) is the rate of the
     single flip taking x to y; diagonals make columns sum to zero.
 
+    The Kitaev2D matrix and energies are built on first read of ``.matrix``
+    or ``.energies``; :func:`spectral_gap` reads neither.
+
     Raises:
         ValueError: state space above 2^20 states.
     """
-    if model.kind == "Kitaev2D":
-        dim = 1 << (2 * model.L * model.L)
-        size = model.L
-    else:
-        dim = 1 << model.N
-        size = model.N
+    dim = 1 << model.N
     if dim > MAX_STATES:
         raise ValueError(f"state space of {dim} states is above the 2^20 limit")
     if model.kind == "Kitaev2D":
-        rows, cols, vals, energies = _kitaev_generator(model, beta)
-    else:
-        rows, cols, vals, energies = _ising_generator(model, beta)
-    G = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    G.setdiag(-np.asarray(G.sum(axis=0)).ravel())
-    if dim < DENSE_LIMIT:
-        G = G.toarray()
-    return GeneratorMatrix(G, energies, float(beta), model.kind, int(size))
+        return _KitaevGenerator(model, beta)
+    rows, cols, vals, energies = _ising_generator(model, beta)
+    return GeneratorMatrix(_assemble(rows, cols, vals, dim), energies, float(beta),
+                           model.kind, int(model.N))
+
+
+def _symmetric_part(S, scale: float):
+    """(S + S^T) / 2 of a Gibbs-symmetrized generator, which must be symmetric already."""
+    asym = abs(S - S.T).max()
+    if asym > 1e-9 * scale:
+        raise RuntimeError(f"generator is not reversible: symmetrization residual {asym:g}")
+    return (S + S.T) * 0.5
 
 
 def _symmetrized(G: GeneratorMatrix):
-    pi = G.gibbs()
-    d = np.sqrt(pi)
+    d = np.sqrt(G.gibbs())
     if G.is_sparse:
         S = sp.diags(1.0 / d) @ G.matrix @ sp.diags(d)
-        asym = abs(S - S.T).max()
-        S = (S + S.T) * 0.5
     else:
         S = G.matrix * (d[None, :] / d[:, None])
-        asym = np.abs(S - S.T).max()
-        S = (S + S.T) * 0.5
-    scale = np.abs(G.matrix.diagonal()).max() or 1.0
-    if asym > 1e-9 * scale:
-        raise RuntimeError(f"generator is not reversible: symmetrization residual {asym:g}")
-    return S, d
+    return _symmetric_part(S, np.abs(G.matrix.diagonal()).max() or 1.0), d
+
+
+def _top_eigenvalues(S, k: int) -> np.ndarray:
+    """The k largest eigenvalues of a sparse symmetric S, ascending.
+
+    The start vector is fixed, so repeated calls give the same digits.
+    """
+    v0 = np.random.default_rng(0).standard_normal(S.shape[0])
+    return np.sort(spla.eigsh(S, k=k, which="LA", v0=v0, return_eigenvectors=False))
+
+
+class StarBlocks:
+    """Star-character blocks of the Gibbs-symmetrized Kitaev2D generator.
+
+    Flipping the four edges of a star leaves every plaquette syndrome, and so
+    every rate and energy, unchanged.  The edge sets therefore split into
+    cosets of the star group (2^(L^2-1) elements, since the product of all
+    stars is the identity), and the symmetrized generator splits into one
+    block per group character.  A character is an even star subset chi and
+    takes the value (-1)^|c & chi| on the star combination c.
+
+    Coset representatives are the edge sets that avoid the pivot edges of the
+    star masks in reduced echelon form.  Flipping edge e maps representative
+    r to r ^ ``flip[e]`` up to the star combination ``combo[e]`` (nonzero
+    only for pivot edges), so block chi has entry
+    rate * sqrt(pi_r / pi_r') * (-1)^|combo[e] & chi| at (r', r) and minus
+    the exit rate of r on the diagonal.
+
+    Attributes:
+        model: the Kitaev2D lattice.
+        beta: inverse temperature.
+        reps: coset representatives as edge bitmasks, one per block row.
+        energies: anyon count of each representative.
+        characters: the even star subsets as star bitmasks, one per block.
+        flip: per edge, the mask that takes each representative to the
+            representative of its edge-flipped coset.
+        combo: per edge, the star combination that this step drops.
+    """
+
+    def __init__(self, model: LatticeModel, beta: float):
+        if model.kind != "Kitaev2D":
+            raise ValueError(f"star blocks need a Kitaev2D model, got {model.kind!r}")
+        self.model, self.beta = model, float(beta)
+        n_e, n_s = model.N, model.L * model.L
+        # reduced echelon form of the star masks: pivot -> (row mask, star combination)
+        basis = {}
+        for s in range(n_s):
+            row, comb = 0, 1 << s
+            for e in model.star_edges[s]:
+                row ^= 1 << int(e)
+            for p, (r, c) in basis.items():
+                if row >> p & 1:
+                    row, comb = row ^ r, comb ^ c
+            if row:
+                p = row.bit_length() - 1
+                for q, (r, c) in basis.items():
+                    if r >> p & 1:
+                        basis[q] = (r ^ row, c ^ comb)
+                basis[p] = (row, comb)
+        self.flip = np.array([(1 << e) ^ basis.get(e, (0, 0))[0] for e in range(n_e)],
+                             dtype=np.int64)
+        self.combo = np.array([basis.get(e, (0, 0))[1] for e in range(n_e)], dtype=np.int64)
+        self._free = np.array([e for e in range(n_e) if e not in basis], dtype=np.int64)
+        k = np.arange(1 << self._free.size, dtype=np.int64)
+        self.reps = np.bitwise_or.reduce(((k[:, None] >> np.arange(self._free.size)) & 1)
+                                         << self._free, axis=1)
+        chars = np.arange(1 << n_s, dtype=np.int64)
+        self.characters = chars[np.bitwise_count(chars) % 2 == 0]
+
+        parity = _plaquette_parity(model, self.reps)
+        self.energies = parity.sum(axis=1).astype(np.float64)
+        n = self.reps.size
+        src = np.arange(n, dtype=np.int64)
+        rows, vals, exit_rate = [], [], np.zeros(n)
+        for e in range(n_e):
+            dst = self._index(self.reps ^ self.flip[e])
+            rate = _kitaev_rates(model, self.beta, parity, e)
+            exit_rate += rate
+            rows.append(dst)
+            vals.append(rate * np.exp(0.5 * self.beta * (self.energies[dst] - self.energies)))
+        self._rows = np.concatenate(rows + [src])
+        self._cols = np.concatenate([np.tile(src, n_e), src])
+        self._vals = np.concatenate(vals + [-exit_rate])
+        self._scale = exit_rate.max() or 1.0
+
+    def _index(self, reps: np.ndarray) -> np.ndarray:
+        """Row index of each representative (its bits on the free edges)."""
+        bits = (reps[:, None] >> self._free) & 1
+        return bits @ (1 << np.arange(self._free.size, dtype=np.int64))
+
+    def block(self, chi: int):
+        """Symmetric CSR block of character ``chi`` (an even star bitmask).
+
+        Raises:
+            RuntimeError: the rates break detailed balance, so the block
+                is not symmetric.
+        """
+        # bitwise_count returns uint8: cast before 1 - 2 * count or -1 wraps to 255
+        odd = np.bitwise_count(self.combo & int(chi)).astype(np.int64) & 1
+        n = self.reps.size
+        sign = np.concatenate([np.repeat(1 - 2 * odd, n), np.ones(n, dtype=np.int64)])
+        B = sp.coo_matrix((self._vals * sign, (self._rows, self._cols)), shape=(n, n)).tocsr()
+        return _symmetric_part(B, self._scale)
+
+    def orbits(self) -> list:
+        """Characters grouped by lattice translation, the trivial orbit first.
+
+        Translations commute with the generator, so all blocks of one orbit
+        have the same spectrum.  Each orbit lists its smallest bitmask first.
+        """
+        L = self.model.L
+        s = np.arange(L * L)
+        x, y = s % L, s // L
+        bits = (self.characters[:, None] >> s) & 1
+        images = [bits @ (1 << (((y + dy) % L) * L + (x + dx) % L))
+                  for dy in range(L) for dx in range(L)]
+        canon = np.min(images, axis=0)
+        return [self.characters[canon == c] for c in np.unique(canon)]
+
+    def gap(self) -> float:
+        """Spectral gap of the full generator: the trivial block's second
+        eigenvalue against the top eigenvalue of one block per non-trivial
+        translation orbit."""
+        trivial, *others = self.orbits()
+        gap = -_top_eigenvalues(self.block(trivial[0]), 2)[0]
+        for orbit in others:
+            gap = min(gap, -_top_eigenvalues(self.block(orbit[0]), 1)[0])
+        return float(max(gap, 0.0))
 
 
 def stationary_distribution(G: GeneratorMatrix) -> np.ndarray:
@@ -192,7 +367,14 @@ def stationary_distribution(G: GeneratorMatrix) -> np.ndarray:
 
 
 def spectral_gap(G: GeneratorMatrix) -> float:
-    """|second-largest eigenvalue| of the generator via Gibbs symmetrization."""
+    """|second-largest eigenvalue| of the generator via Gibbs symmetrization.
+
+    A Kitaev2D generator from :func:`build_generator` is solved block by
+    block through :class:`StarBlocks`, without its full matrix; any other
+    generator, including a hand-built Kitaev2D one, is solved whole.
+    """
+    if isinstance(G, _KitaevGenerator):
+        return StarBlocks(G.model, G.beta).gap()
     S, d = _symmetrized(G)
     if G.is_sparse:
         w = spla.eigsh(S, k=2, which="LA", v0=d, return_eigenvectors=False)

@@ -170,6 +170,24 @@ def test_dressed_logical_validation():
         dressed_logical(np.ones(5), logical_operator(model, 1), L)
 
 
+
+def _z1_half_readout():
+    """All-up outcomes at L = 3 with -0.5 on one edge of the Z1 support."""
+    L = 3
+    outcomes = np.ones(2 * L * L)
+    outcomes[min(logical_operator(build_model("Kitaev2D", L=L), 1).support)] = -0.5
+    return outcomes
+
+
+@pytest.mark.parametrize("outcomes", [_z1_half_readout(), np.full(18, 7.0)],
+                         ids=["half-on-support", "all-sevens"])
+def test_dressed_logical_rejects_non_unit_outcomes(outcomes):
+    """A plain array goes through SpinConfiguration: only +-1 readouts count."""
+    model = build_model("Kitaev2D", L=3)
+    with pytest.raises(ValueError, match="\\+1 or -1"):
+        dressed_logical(outcomes, logical_operator(model, 1), 3)
+
+
 def test_crossing_sign_parity():
     model = build_model("Kitaev2D", L=3)
     z1 = logical_operator(model, 1)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memlab import (
     GeneratorMatrix,
@@ -19,6 +20,8 @@ from memlab import (
     stationary_distribution,
     two_level_rates,
 )
+from memlab import exact
+from memlab.exact import StarBlocks
 from memlab.lattice import energy
 
 from _oracles import boltzmann, heat_bath, relax_p1
@@ -179,7 +182,7 @@ def test_kitaev_gap_anchor_small():
 
 
 def test_kitaev_gap_anchor_sparse():
-    """L=3 runs through the sparse symmetric eigensolver (2^18 states)."""
+    """L=3 (2^18 states) runs through sparse solves of its star-character blocks."""
     G = build_generator(build_model("Kitaev2D", L=3), 1.0)
     assert G.is_sparse
     assert abs(spectral_gap(G) - 0.861114) < 1e-5
@@ -194,6 +197,95 @@ def test_irreversible_rates_are_rejected():
     with pytest.raises(RuntimeError, match="not reversible"):
         spectral_gap(bad)
 
+
+def test_irreversible_rates_are_rejected_by_the_blocks(monkeypatch):
+    model = build_model("Kitaev2D", L=2)
+    rates = exact._kitaev_rates
+
+    def half_barrier(model, beta, parity, e):
+        return np.sqrt(rates(model, beta, parity, e))  # creation at e^-beta, not e^-2beta
+
+    monkeypatch.setattr(exact, "_kitaev_rates", half_barrier)
+    with pytest.raises(RuntimeError, match="not reversible"):
+        spectral_gap(build_generator(model, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# star-character blocks of the toric-code generator
+
+
+def _full_spectrum(G):
+    """Eigenvalues of the whole generator, ascending, from a hand-built copy."""
+    whole = GeneratorMatrix(G.matrix, G.energies, G.beta, G.kind, G.size)
+    return np.sort(np.linalg.eigvals(np.asarray(whole.matrix)).real), whole
+
+
+@settings(max_examples=25, deadline=None)
+@given(beta=st.floats(0.3, 2.0), move_rate=st.floats(0.2, 3.0))
+def test_block_gap_equals_full_gap(beta, move_rate):
+    G = build_generator(build_model("Kitaev2D", L=2, move_rate=move_rate), beta)
+    w, whole = _full_spectrum(G)
+    gap = spectral_gap(G)
+    assert abs(gap - spectral_gap(whole)) < 1e-9 * max(1.0, gap)
+    assert abs(gap + w[-2]) < 1e-9 * max(1.0, gap)
+
+
+def test_kitaev_generator_defers_its_matrix():
+    G = build_generator(build_model("Kitaev2D", L=2), 1.0)
+    spectral_gap(G)
+    repr(G)
+    assert "matrix" not in vars(G) and "energies" not in vars(G)
+    assert G.dimension == 256 and not G.is_sparse
+    assert G.matrix.shape == (256, 256) and G.energies.shape == (256,)
+
+
+def test_blocks_together_are_the_whole_generator():
+    """2^(L^2-1) blocks of 2^(L^2+1) states; at L=2 their spectra make up the full one."""
+    for L in (2, 3):
+        blocks = StarBlocks(build_model("Kitaev2D", L=L), 1.0)
+        assert blocks.characters.size == 1 << (L * L - 1)
+        assert blocks.reps.size == 1 << (L * L + 1)
+        assert all(bin(int(c)).count("1") % 2 == 0 for c in blocks.characters)
+    blocks = StarBlocks(build_model("Kitaev2D", L=2, move_rate=0.7), 0.8)
+    w, _ = _full_spectrum(build_generator(blocks.model, 0.8))
+    parts = np.concatenate([np.linalg.eigvalsh(blocks.block(c).toarray())
+                            for c in blocks.characters])
+    assert np.allclose(np.sort(parts), w, atol=1e-10)
+
+
+@pytest.mark.parametrize("L,n_orbits", [(2, 5), (3, 32)])
+def test_translation_orbits_partition_the_characters(L, n_orbits):
+    blocks = StarBlocks(build_model("Kitaev2D", L=L), 1.0)
+    orbits = blocks.orbits()
+    assert len(orbits) == n_orbits  # Burnside count over the L^2 translations
+    assert list(orbits[0]) == [0]
+    assert np.array_equal(np.sort(np.concatenate(orbits)), blocks.characters)
+    # translated characters give blocks with equal spectra
+    top = exact._top_eigenvalues
+    for orbit in orbits[:6]:
+        first = top(blocks.block(orbit[0]), 3)
+        for chi in orbit[1:]:
+            assert np.allclose(top(blocks.block(chi), 3), first, atol=1e-10)
+
+
+def test_trivial_block_spectrum_is_part_of_the_full_one():
+    blocks = StarBlocks(build_model("Kitaev2D", L=2, move_rate=1.7), 1.2)
+    w, _ = _full_spectrum(build_generator(blocks.model, 1.2))
+    for lam in np.linalg.eigvalsh(blocks.block(0).toarray()):
+        assert np.abs(w - lam).min() < 1e-10
+
+
+@pytest.mark.parametrize("L,physical_gap", [(2, 0.876163), (3, 1.734191)])
+def test_trivial_block_is_the_gibbs_chain(L, physical_gap):
+    """The trivial block annihilates sqrt(Gibbs) of the representatives, and its
+    own gap is the physical one (above the full-sector gap)."""
+    blocks = StarBlocks(build_model("Kitaev2D", L=L), 1.0)
+    B = blocks.block(0)
+    root = np.exp(-0.5 * blocks.energies)
+    assert np.abs(B @ root).max() < 1e-12 * np.abs(B.diagonal()).max()
+    gap = -exact._top_eigenvalues(B, 2)[0]
+    assert abs(gap - physical_gap) < 1e-6
+    assert gap > spectral_gap(build_generator(blocks.model, 1.0))
 
 # ---------------------------------------------------------------------------
 # two-level rates and schedules
