@@ -1,8 +1,9 @@
 """Relaxation gaps of the exact generators: what sets the slowest timescale.
 
-Diagonalizes the full continuous-time generator (2^N or 2^(2L^2) states,
-dense below 4096 states, sparse above) and reports the spectral gap -- the
-inverse of the slowest relaxation time.
+Diagonalizes the continuous-time generator over all 2^N or 2^(2L^2) states
+(LAPACK below 512 states, sparse eigsh at and above; the toric code one
+star-character block at a time) and reports the spectral gap -- the inverse
+of the slowest relaxation time.
 
 Three readings:
   * toric code: the gap rides the anyon pair-creation rate e^(-2 beta), so

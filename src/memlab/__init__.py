@@ -20,11 +20,12 @@ from .lattice import (LatticeModel, LogicalOperator, SpinConfiguration,
                       Syndrome, block_flip_delta, build_model, energy,
                       logical_bare, logical_operator, syndrome)
 from .qtoolkit import (ContractionReport, DensityMatrix, ErasureBalance,
-                       IsometryReport, QuantumChannel, apply_channel,
-                       correctable_isometry_check, depolarizing_channel,
-                       entropy, erasure_balance, fannes_allowance,
-                       fannes_check, random_channel, random_density,
-                       repetition_code_channels, trace_distance)
+                       IsometryReport, QuantumChannel, ToolkitSweep,
+                       apply_channel, correctable_isometry_check,
+                       depolarizing_channel, entropy, erasure_balance,
+                       fannes_allowance, fannes_check, random_channel,
+                       random_density, repetition_code_channels,
+                       toolkit_sweep, trace_distance)
 from .thermo import (CycleResult, EntropyProductionResult, MemoryModel,
                      WorkLedger, cycle_zero_crossing,
                      entropy_production_samples, memory_engine_cycle,
@@ -56,5 +57,6 @@ __all__ = [
     "ErasureBalance", "entropy", "trace_distance", "apply_channel",
     "correctable_isometry_check", "fannes_check", "fannes_allowance",
     "erasure_balance", "random_density", "random_channel",
-    "depolarizing_channel", "repetition_code_channels",
+    "depolarizing_channel", "repetition_code_channels", "ToolkitSweep",
+    "toolkit_sweep",
 ]

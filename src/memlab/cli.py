@@ -26,10 +26,7 @@ from . import __version__
 from .dynamics import SimulationParams, first_passage, kitaev_memory_lifetime
 from .exact import build_generator, spectral_gap
 from .lattice import build_model
-from .qtoolkit import (CONTRACTION_TOL, ISOMETRY_TOL, DensityMatrix,
-                       apply_channel, correctable_isometry_check, fannes_check,
-                       random_channel, random_density,
-                       repetition_code_channels, trace_distance)
+from .qtoolkit import CONTRACTION_TOL, ISOMETRY_TOL, toolkit_sweep
 from .thermo import (LN2, MemoryModel, entropy_production_samples,
                      memory_engine_cycle, sawtooth_schedule, szilard_run)
 
@@ -98,6 +95,23 @@ def _validate(config):
     return experiment
 
 
+def _integer(v, key):
+    """``v`` if it is an integer (booleans are not), else a ConfigError naming ``key``."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"key '{key}' takes integers, got {v!r}")
+    return v
+
+
+def _model_for(kind, size, J, move_rate=1.0):
+    """Model for one ``sizes`` entry: L of Ising2D and Kitaev2D, N otherwise."""
+    size = _integer(size, "sizes")
+    if kind == "Kitaev2D":
+        return build_model(kind, L=size, J=J, move_rate=move_rate)
+    if kind == "Ising2D":
+        return build_model(kind, L=size, J=J)
+    return build_model(kind, N=size, J=J)
+
+
 def _sim_params(config, beta):
     n_traj = _require(config, "n_traj", int)
     t_max = float(config.get("t_max", math.inf))
@@ -109,15 +123,14 @@ def _sim_params(config, beta):
 
 def _run_ising_lifetime(config, seed, workers):
     kind = _require(config, "model", str)
+    if kind == "Kitaev2D":
+        raise ConfigError("key 'model' takes an Ising kind; Kitaev2D runs as kitaev-lifetime")
     beta = float(_require(config, "beta", (int, float)))
     J = float(config.get("J", 1.0))
     params = _sim_params(config, beta)
     rows = []
     for size in _as_list(_require(config, "sizes")):
-        if kind == "Ising2D":
-            model = build_model(kind, L=int(size), J=J)
-        else:
-            model = build_model(kind, N=int(size), J=J)
+        model = _model_for(kind, size, J)
         res = first_passage(model, params, seed=seed, workers=workers)
         rows.append((kind, model.N, beta, J, res.n_traj, res.censored,
                      res.mean, res.stderr))
@@ -129,15 +142,16 @@ def _run_kitaev_lifetime(config, seed, workers):
     decoder = config.get("decoder", "matching")
     decoders = ["matching", "bare"] if decoder == "both" else [decoder]
     move_rate = float(config.get("move_rate", 1.0))
-    mu = int(config.get("mu", 1))
+    mu = _integer(config.get("mu", 1), "mu")
     params = _sim_params(config, beta)
     rows = []
     for size in _as_list(_require(config, "sizes")):
+        size = _integer(size, "sizes")
         for dec in decoders:
-            res = kitaev_memory_lifetime(int(size), params, decoder=dec,
+            res = kitaev_memory_lifetime(size, params, decoder=dec,
                                          seed=seed, workers=workers, mu=mu,
                                          move_rate=move_rate)
-            rows.append((int(size), beta, res.n_traj, res.censored, dec,
+            rows.append((size, beta, res.n_traj, res.censored, dec,
                          res.mean, res.stderr))
     return rows
 
@@ -149,14 +163,9 @@ def _run_gap(config, seed, workers):
     move_rate = float(config.get("move_rate", 1.0))
     rows = []
     for size in _as_list(_require(config, "sizes")):
-        if kind == "Kitaev2D":
-            model = build_model(kind, L=int(size), J=J, move_rate=move_rate)
-        elif kind == "Ising2D":
-            model = build_model(kind, L=int(size), J=J)
-        else:
-            model = build_model(kind, N=int(size), J=J)
+        model = _model_for(kind, size, J, move_rate)
         gap = spectral_gap(build_generator(model, beta))
-        rows.append((kind, int(size), beta, gap))
+        rows.append((kind, size, beta, gap))
     return rows
 
 
@@ -194,50 +203,31 @@ def _run_fluctuation(config, seed, workers):
     n_traj = _require(config, "n_traj", int)
     rows = []
     for n_periods in _as_list(_require(config, "n_periods")):
-        sched = sawtooth_schedule(int(n_periods), period, e_max, gamma=gamma,
+        n_periods = _integer(n_periods, "n_periods")
+        sched = sawtooth_schedule(n_periods, period, e_max, gamma=gamma,
                                   beta=beta)
         res = entropy_production_samples(sched, n_traj, seed=seed, rates=rates,
                                          workers=workers)
-        rows.append((int(n_periods) * period, res.n_traj, res.mean_sigma,
+        rows.append((n_periods * period, res.n_traj, res.mean_sigma,
                      res.ift_estimate, res.p_negative))
     return rows
 
 
 def _run_toolkit_check(config, seed, workers):
-    n = int(config.get("n_samples", 10000))
+    n = _integer(config.get("n_samples", 10000), "n_samples")
     if n < 1:
         raise ConfigError("key 'n_samples' must be positive")
-    rng = np.random.default_rng(seed)
-    rows = []
-
-    worst = -math.inf
-    for _ in range(n):
-        ch = random_channel(2, 3, rng)
-        a, b = random_density(2, rng), random_density(2, rng)
-        _, rep = apply_channel(ch, a, check_pairs=[(a, b)])
-        worst = max(worst, rep.max_violation)
-    rows.append(("cp-contraction", f"{n} random qubit pairs", worst,
-                 CONTRACTION_TOL, worst <= CONTRACTION_TOL))
-
-    noise, recovery, encoder = repetition_code_channels(0.15)
-    code = [apply_channel(encoder, random_density(2, rng)) for _ in range(12)]
-    rep = correctable_isometry_check(noise, recovery, code)
-    rows.append(("repetition-distance", "3-qubit code / 12 encoded states",
-                 rep.max_deviation, ISOMETRY_TOL, rep.passed))
-
-    min_slack = math.inf
-    window = 1.0 / math.e
-    for i in range(n):
-        dim = 2 if i % 2 == 0 else 3
-        a, b = random_density(dim, rng), random_density(dim, rng)
-        d = trace_distance(a, b)
-        if d > window:
-            # pull b toward a along the convex segment to land in-window
-            t = 0.9 * window / d
-            b = DensityMatrix((1.0 - t) * a.matrix + t * b.matrix)
-        min_slack = min(min_slack, fannes_check(a, b, dim))
-    rows.append(("fannes-slack", f"{n} in-window qubit/qutrit pairs",
-                 min_slack, -1e-10, min_slack >= -1e-10))
+    sweep = toolkit_sweep(n, np.random.default_rng(seed))
+    worst, iso, min_slack = (sweep.max_contraction_violation, sweep.isometry,
+                             sweep.min_fannes_slack)
+    rows = [
+        ("cp-contraction", f"{n} random qubit pairs", worst, CONTRACTION_TOL,
+         worst <= CONTRACTION_TOL),
+        ("repetition-distance", "3-qubit code / 12 encoded states",
+         iso.max_deviation, ISOMETRY_TOL, iso.passed),
+        ("fannes-slack", f"{n} in-window qubit/qutrit pairs", min_slack, -1e-10,
+         min_slack >= -1e-10),
+    ]
 
     worst_fl = 0.0
     for ramp in (0.0, 1.0, 25.0, 200.0):
@@ -286,7 +276,7 @@ def run(config: dict, workers_flag: int | None = None) -> tuple[str, str]:
         except ValueError:
             raise ConfigError(f"key 'workers' (MEMLAB_WORKERS={env!r}) "
                               "must be a positive integer") from None
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+    if _integer(workers, "workers") < 1:
         raise ConfigError("key 'workers' must be a positive integer")
 
     start = time.monotonic()

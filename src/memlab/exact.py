@@ -28,7 +28,7 @@ from ._shared import heat_bath
 from .lattice import LatticeModel
 
 MAX_STATES = 1 << 20
-DENSE_LIMIT = 4096  # strictly below this dimension the solvers go dense
+DENSE_LIMIT = 512  # below it dense storage and LAPACK; from it on CSR and eigsh, the faster one
 
 
 @dataclass(frozen=True)
@@ -215,13 +215,24 @@ def _symmetrized(G: GeneratorMatrix):
     return _symmetric_part(S, np.abs(G.matrix.diagonal()).max() or 1.0), d
 
 
-def _top_eigenvalues(S, k: int) -> np.ndarray:
-    """The k largest eigenvalues of a sparse symmetric S, ascending.
+def _top_eigen(S, k: int, v0=None, vectors: bool = False):
+    """The k largest eigenvalues of a symmetric S, ascending, and with
+    ``vectors`` also their eigenvectors as columns.
 
-    The start vector is fixed, so repeated calls give the same digits.
+    LAPACK strictly below ``DENSE_LIMIT`` states, ``eigsh`` at or above it,
+    started from ``v0`` or else from a fixed vector, so repeated calls give
+    the same digits.
     """
-    v0 = np.random.default_rng(0).standard_normal(S.shape[0])
-    return np.sort(spla.eigsh(S, k=k, which="LA", v0=v0, return_eigenvectors=False))
+    if S.shape[0] < DENSE_LIMIT:
+        S = S.toarray() if sp.issparse(S) else S
+        if not vectors:
+            return np.linalg.eigvalsh(S)[-k:]
+        w, v = np.linalg.eigh(S)
+        return w[-k:], v[:, -k:]
+    if v0 is None:
+        v0 = np.random.default_rng(0).standard_normal(S.shape[0])
+    out = spla.eigsh(S, k=k, which="LA", v0=v0, return_eigenvectors=vectors)
+    return out if vectors else np.sort(out)  # eigenpairs come back ascending
 
 
 class StarBlocks:
@@ -337,9 +348,9 @@ class StarBlocks:
         eigenvalue against the top eigenvalue of one block per non-trivial
         translation orbit."""
         trivial, *others = self.orbits()
-        gap = -_top_eigenvalues(self.block(trivial[0]), 2)[0]
+        gap = -_top_eigen(self.block(trivial[0]), 2)[0]
         for orbit in others:
-            gap = min(gap, -_top_eigenvalues(self.block(orbit[0]), 1)[0])
+            gap = min(gap, -_top_eigen(self.block(orbit[0]), 1)[0])
         return float(max(gap, 0.0))
 
 
@@ -351,14 +362,8 @@ def stationary_distribution(G: GeneratorMatrix) -> np.ndarray:
     solver precision for detailed-balance rates.
     """
     S, d = _symmetrized(G)
-    if G.is_sparse:
-        w, v = spla.eigsh(S, k=1, which="LA", v0=d)
-        vec = v[:, 0]
-    else:
-        w, v = np.linalg.eigh(S)
-        vec = v[:, -1]
-    pi = d * vec
-    pi = np.abs(pi)
+    _, v = _top_eigen(S, 1, v0=d, vectors=True)
+    pi = np.abs(d * v[:, 0])
     pi /= pi.sum()
     resid = np.abs(G.matrix @ pi).max()
     if resid > 1e-8:
@@ -376,13 +381,7 @@ def spectral_gap(G: GeneratorMatrix) -> float:
     if isinstance(G, _KitaevGenerator):
         return StarBlocks(G.model, G.beta).gap()
     S, d = _symmetrized(G)
-    if G.is_sparse:
-        w = spla.eigsh(S, k=2, which="LA", v0=d, return_eigenvectors=False)
-        gap = -np.sort(w)[0]
-    else:
-        w = np.linalg.eigvalsh(S)
-        gap = -w[-2]
-    return float(max(gap, 0.0))
+    return float(max(-_top_eigen(S, 2, v0=d)[0], 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -303,3 +303,45 @@ def repetition_code_channels(p_flip: float = 0.15):
     v[7, 1] = 1.0
     encoder = QuantumChannel((v,))
     return noise, recovery, encoder
+
+
+@dataclass(frozen=True)
+class ToolkitSweep:
+    """Raw measurements of one seeded sweep over random states and channels."""
+
+    n: int
+    max_contraction_violation: float   # worst d_out - d_in over n qubit pairs
+    isometry: IsometryReport           # repetition code on 12 encoded states
+    min_fannes_slack: float            # over n in-window qubit/qutrit pairs
+
+
+def toolkit_sweep(n: int, rng: np.random.Generator) -> ToolkitSweep:
+    """Contraction, code-distance preservation and Fannes slack on samples.
+
+    Draws from ``rng`` in this order: n random qubit channels, each with a
+    pair of qubit states; 12 logical states for the 3-qubit repetition code
+    (``p_flip`` 0.15); n state pairs alternating qubit and qutrit.  A Fannes
+    pair further apart than 1/e is pulled along the segment toward its first
+    state until it sits at 0.9/e.
+    """
+    worst = -math.inf
+    for _ in range(n):
+        ch = random_channel(2, 3, rng)
+        a, b = random_density(2, rng), random_density(2, rng)
+        _, rep = apply_channel(ch, a, check_pairs=[(a, b)])
+        worst = max(worst, rep.max_violation)
+
+    noise, recovery, encoder = repetition_code_channels(0.15)
+    code = [apply_channel(encoder, random_density(2, rng)) for _ in range(12)]
+    iso = correctable_isometry_check(noise, recovery, code)
+
+    min_slack = math.inf
+    for i in range(n):
+        dim = 2 if i % 2 == 0 else 3
+        a, b = random_density(dim, rng), random_density(dim, rng)
+        d = trace_distance(a, b)
+        if d > FANNES_WINDOW:
+            t = 0.9 * FANNES_WINDOW / d
+            b = DensityMatrix((1.0 - t) * a.matrix + t * b.matrix)
+        min_slack = min(min_slack, fannes_check(a, b, dim))
+    return ToolkitSweep(n, worst, iso, min_slack)

@@ -38,29 +38,23 @@ from memlab import (
     Segment,
     SimulationParams,
     SpinConfiguration,
-    apply_channel,
     build_generator,
     build_model,
-    correctable_isometry_check,
     cycle_zero_crossing,
     dressed_logical,
     entropy_production_samples,
-    fannes_check,
     first_passage,
     kitaev_memory_lifetime,
     logical_operator,
     memory_engine_cycle,
-    random_channel,
-    random_density,
-    repetition_code_channels,
     sawtooth_schedule,
     spectral_gap,
     stationary_distribution,
     szilard_run,
-    trace_distance,
+    toolkit_sweep,
 )
 from memlab.lattice import block_flip_delta, energy
-from memlab.qtoolkit import CONTRACTION_TOL, DensityMatrix
+from memlab.qtoolkit import CONTRACTION_TOL
 
 from _oracles import boltzmann, mean_field_mfpt, quasistatic_extracted
 
@@ -251,30 +245,10 @@ def test_criterion_09_fluctuation_relation():
 
 
 def test_criterion_10_toolkit_theorems():
-    rng = np.random.default_rng(401)
     n = 10_000
-
-    worst_contraction = -math.inf
-    for _ in range(n):
-        chan = random_channel(2, 3, rng)
-        a, b = random_density(2, rng), random_density(2, rng)
-        _, rep = apply_channel(chan, a, check_pairs=[(a, b)])
-        worst_contraction = max(worst_contraction, rep.max_violation)
-
-    noise, recovery, encoder = repetition_code_channels(0.15)
-    code = [apply_channel(encoder, random_density(2, rng)) for _ in range(12)]
-    iso = correctable_isometry_check(noise, recovery, code)
-
-    min_slack = math.inf
-    window = 1.0 / math.e
-    for i in range(n):
-        dim = 2 if i % 2 == 0 else 3
-        a, b = random_density(dim, rng), random_density(dim, rng)
-        d = trace_distance(a, b)
-        if d > window:
-            t = 0.9 * window / d
-            b = DensityMatrix((1.0 - t) * a.matrix + t * b.matrix)
-        min_slack = min(min_slack, fannes_check(a, b, dim))
+    sweep = toolkit_sweep(n, np.random.default_rng(401))
+    worst_contraction, iso = sweep.max_contraction_violation, sweep.isometry
+    min_slack = sweep.min_fannes_slack
 
     worst_law = 0.0
     ledgers = 0

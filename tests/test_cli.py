@@ -234,6 +234,51 @@ def test_nonpositive_workers_rejected(tmp_path, capsys, monkeypatch):
     assert "workers" in capsys.readouterr().err
 
 
+_SIZED = {
+    "gap": dict(model="Ising2D", sizes=[2], beta=1.0),
+    "ising-lifetime": dict(model="Ising1D", sizes=[4], beta=0.5, n_traj=2,
+                           t_max=1.0),
+    "kitaev-lifetime": dict(sizes=[3], beta=0.5, n_traj=2, t_max=1.0),
+    "fluctuation": dict(n_periods=[1], period=1.0, e_max=2.0, n_traj=4),
+    "toolkit-check": dict(n_samples=2),
+}
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("gap", "sizes", [3.5]),
+    ("gap", "sizes", [True]),
+    ("gap", "sizes", 3.5),
+    ("gap", "sizes", ["3"]),
+    ("ising-lifetime", "sizes", [4.5]),
+    ("ising-lifetime", "sizes", [False]),
+    ("kitaev-lifetime", "sizes", [3.5]),
+    ("kitaev-lifetime", "sizes", [True]),
+    ("toolkit-check", "n_samples", 2.5),
+    ("toolkit-check", "n_samples", True),
+    ("kitaev-lifetime", "mu", 1.7),
+    ("fluctuation", "n_periods", [2.5]),
+])
+def test_non_integer_sizes_and_samples_rejected(tmp_path, capsys, experiment, key,
+                                                value):
+    """Sizes and sample counts are not truncated: 3.5 is an error, not L=3."""
+    out = tmp_path / "out.csv"
+    cfg = dict(_SIZED[experiment], experiment=experiment, output=str(out))
+    cfg[key] = value
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+    # the same config with an integer runs
+    cfg[key] = [2] if isinstance(value, list) else 2
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 0
+
+
+def test_ising_lifetime_rejects_the_toric_code(tmp_path, capsys):
+    cfg = dict(_SIZED["ising-lifetime"], experiment="ising-lifetime",
+               model="Kitaev2D", output=str(tmp_path / "out.csv"))
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 1
+    assert "'model'" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(shutil.which("memlab") is None,
                     reason="console script not on PATH")
 def test_console_entry_point(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from memlab import (
@@ -111,12 +112,12 @@ def test_columns_sum_to_zero():
 
 
 def test_sparse_format_above_dense_limit():
-    model = build_model("Ising1D", N=13)  # 8192 states
+    model = build_model("Ising1D", N=9)  # 512 states, the first sparse size
     G = build_generator(model, 0.5)
     assert G.is_sparse
-    assert G.dimension == 8192
+    assert G.dimension == exact.DENSE_LIMIT == 512
     assert np.abs(np.asarray(G.matrix.sum(axis=0))).max() < 1e-12
-    small = build_generator(build_model("Ising1D", N=5), 0.5)
+    small = build_generator(build_model("Ising1D", N=8), 0.5)
     assert not small.is_sparse
 
 
@@ -136,6 +137,8 @@ def test_state_space_cap():
     ("Ising2D", dict(L=2)),
     ("IsingMeanField", dict(N=6)),
     ("Kitaev2D", dict(L=2)),
+    ("Ising1D", dict(N=9)),           # 512 states: eigsh from sqrt(Gibbs)
+    ("IsingMeanField", dict(N=10)),   # 1024 states
 ])
 def test_stationary_distribution_is_gibbs(kind, kw):
     model = build_model(kind, **kw)
@@ -169,11 +172,25 @@ def test_single_spin_generator_and_gap():
 
 
 def test_gap_agrees_with_direct_eigenvalues():
-    model = build_model("Ising1D", N=4)
-    G = build_generator(model, 0.8)
-    w = np.linalg.eigvals(np.asarray(G.matrix))
-    w = np.sort(w.real)
-    assert np.isclose(spectral_gap(G), -w[-2], atol=1e-10)
+    # 16 states take LAPACK, 512 and 1024 states eigsh
+    for kind, N in [("Ising1D", 4), ("Ising1D", 9), ("IsingMeanField", 10)]:
+        G = build_generator(build_model(kind, N=N), 0.8)
+        M = G.matrix.toarray() if G.is_sparse else G.matrix
+        w = np.sort(np.linalg.eigvals(M).real)
+        assert np.isclose(spectral_gap(G), -w[-2], atol=1e-10), (kind, N)
+
+
+@pytest.mark.parametrize("n", [exact.DENSE_LIMIT - 1, exact.DENSE_LIMIT])
+def test_top_eigen_on_both_sides_of_the_dense_limit(n):
+    """LAPACK below the limit and eigsh at it give the same top eigenpairs."""
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n))
+    S = sp.csr_matrix(A + A.T)
+    ref = np.linalg.eigvalsh(S.toarray())[-3:]
+    assert np.allclose(exact._top_eigen(S, 3), ref, rtol=0.0, atol=1e-10)
+    w, v = exact._top_eigen(S, 3, v0=np.ones(n), vectors=True)
+    assert np.allclose(w, ref, rtol=0.0, atol=1e-10)
+    assert np.abs(S @ v - v * w).max() < 1e-9
 
 
 def test_kitaev_gap_anchor_small():
@@ -261,7 +278,7 @@ def test_translation_orbits_partition_the_characters(L, n_orbits):
     assert list(orbits[0]) == [0]
     assert np.array_equal(np.sort(np.concatenate(orbits)), blocks.characters)
     # translated characters give blocks with equal spectra
-    top = exact._top_eigenvalues
+    top = exact._top_eigen
     for orbit in orbits[:6]:
         first = top(blocks.block(orbit[0]), 3)
         for chi in orbit[1:]:
@@ -283,7 +300,7 @@ def test_trivial_block_is_the_gibbs_chain(L, physical_gap):
     B = blocks.block(0)
     root = np.exp(-0.5 * blocks.energies)
     assert np.abs(B @ root).max() < 1e-12 * np.abs(B.diagonal()).max()
-    gap = -exact._top_eigenvalues(B, 2)[0]
+    gap = -exact._top_eigen(B, 2)[0]
     assert abs(gap - physical_gap) < 1e-6
     assert gap > spectral_gap(build_generator(blocks.model, 1.0))
 

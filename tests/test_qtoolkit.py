@@ -18,6 +18,7 @@ from memlab import (
     random_channel,
     random_density,
     repetition_code_channels,
+    toolkit_sweep,
     trace_distance,
 )
 
@@ -286,3 +287,16 @@ def test_random_generators_produce_valid_objects():
     chan = random_channel(3, 4, rng)
     assert len(chan.kraus) == 4
     assert chan.dim_in == chan.dim_out == 3
+
+
+def test_toolkit_sweep_keeps_its_draw_order():
+    """Seed 2, n = 40: the numbers the sampling loop gave when it was written
+    out in the CLI, so any change to the order of draws shows here."""
+    sweep = toolkit_sweep(40, np.random.default_rng(2))
+    assert sweep.n == 40
+    assert np.isclose(sweep.max_contraction_violation, -0.06783952946064722,
+                      rtol=1e-12, atol=0.0)
+    assert sweep.isometry.precondition_ok and sweep.isometry.pairs == 66
+    assert sweep.isometry.max_deviation < 1e-14
+    assert np.isclose(sweep.min_fannes_slack, 0.2697798913802121,
+                      rtol=1e-12, atol=0.0)
