@@ -309,7 +309,6 @@ def repetition_code_channels(p_flip: float = 0.15):
 class ToolkitSweep:
     """Raw measurements of one seeded sweep over random states and channels."""
 
-    n: int
     max_contraction_violation: float   # worst d_out - d_in over n qubit pairs
     isometry: IsometryReport           # repetition code on 12 encoded states
     min_fannes_slack: float            # over n in-window qubit/qutrit pairs
@@ -344,4 +343,4 @@ def toolkit_sweep(n: int, rng: np.random.Generator) -> ToolkitSweep:
             t = 0.9 * FANNES_WINDOW / d
             b = DensityMatrix((1.0 - t) * a.matrix + t * b.matrix)
         min_slack = min(min_slack, fannes_check(a, b, dim))
-    return ToolkitSweep(n, worst, iso, min_slack)
+    return ToolkitSweep(worst, iso, min_slack)

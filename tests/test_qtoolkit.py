@@ -293,7 +293,6 @@ def test_toolkit_sweep_keeps_its_draw_order():
     """Seed 2, n = 40: the numbers the sampling loop gave when it was written
     out in the CLI, so any change to the order of draws shows here."""
     sweep = toolkit_sweep(40, np.random.default_rng(2))
-    assert sweep.n == 40
     assert np.isclose(sweep.max_contraction_violation, -0.06783952946064722,
                       rtol=1e-12, atol=0.0)
     assert sweep.isometry.precondition_ok and sweep.isometry.pairs == 66
