@@ -430,16 +430,15 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
 
 
 def _resolve_decoder(decoder):
-    if decoder in ("matching", None) or decoder == "bare":
-        return decoder
-    if callable(decoder):
+    if decoder in ("matching", "bare") or callable(decoder):
         return decoder
     raise ValueError(f"unknown decoder: {decoder!r}")
 
 
-def _kitaev_lifetime_once(model, params, decoder, op_support, ss) -> float:
+def _kitaev_lifetime_once(model, params, decoder, op, ss) -> float:
     """First probe time at which the (possibly dressed) logical reads -1."""
     sampler = _KitaevSampler(model, params.beta, None)
+    op_support = op.support
     L = model.L
     cadence = params.probe_cadence
     if cadence is None:
@@ -459,7 +458,7 @@ def _kitaev_lifetime_once(model, params, decoder, op_support, ss) -> float:
         sign = sign_cache.get(key)
         if sign is None:
             syn = Syndrome(frozenset(key), "plaquette")
-            if decoder == "matching" or decoder is None:
+            if decoder == "matching":
                 corr = _decoder_mod.decode_matching(syn, L)
             else:
                 try:
@@ -468,7 +467,7 @@ def _kitaev_lifetime_once(model, params, decoder, op_support, ss) -> float:
                     raise RuntimeError(
                         f"decoder failed at t={t:g} "
                         f"on syndrome {sorted(syn.anyons)}") from exc
-            sign = 1 if len(corr.edges & op_support) % 2 == 0 else -1
+            sign = _decoder_mod.crossing_sign(corr.edges, op)
             sign_cache[key] = sign
         return bare * sign == -1
 
@@ -503,6 +502,6 @@ def kitaev_memory_lifetime(L: int, params: SimulationParams, decoder="matching",
     op = logical_operator(model, mu, "Z-type")
     dec = _resolve_decoder(decoder)
     times = np.asarray(run_chunks(
-        _kitaev_lifetime_once, (model, params, dec, op.support), seed,
+        _kitaev_lifetime_once, (model, params, dec, op), seed,
         params.n_traj, workers))
     return _summarize(times, params.t_max)

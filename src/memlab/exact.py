@@ -1,9 +1,12 @@
 """Exact numerics for small systems.
 
 Markov generators over the full configuration space (column convention:
-``G[y, x]`` is the rate x -> y, columns sum to zero), their stationary laws
-and spectral gaps via Gibbs symmetrization, and a driven two-level master
-equation with work/heat integration for protocol ledgers.
+``G[y, x]`` is the rate x -> y, columns sum to zero), their spectral gaps
+via Gibbs symmetrization, and a driven two-level master equation with
+work/heat integration for protocol ledgers.  The stationary law of a
+reversible generator is its Gibbs vector, checked rather than solved for.
+A ``ProtocolSchedule`` merges its segments and jumps once into the steps
+that the integrator and the trajectory sampler of ``thermo`` both walk.
 
 The toric-code gap never needs the 2^(2L^2) matrix.  Its rates depend only
 on the plaquette syndrome, so the symmetrized generator commutes with every
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -215,24 +218,18 @@ def _symmetrized(G: GeneratorMatrix):
     return _symmetric_part(S, np.abs(G.matrix.diagonal()).max() or 1.0), d
 
 
-def _top_eigen(S, k: int, v0=None, vectors: bool = False):
-    """The k largest eigenvalues of a symmetric S, ascending, and with
-    ``vectors`` also their eigenvectors as columns.
+def _top_eigen(S, k: int, v0=None):
+    """The k largest eigenvalues of a symmetric S, ascending.
 
     LAPACK strictly below ``DENSE_LIMIT`` states, ``eigsh`` at or above it,
     started from ``v0`` or else from a fixed vector, so repeated calls give
     the same digits.
     """
     if S.shape[0] < DENSE_LIMIT:
-        S = S.toarray() if sp.issparse(S) else S
-        if not vectors:
-            return np.linalg.eigvalsh(S)[-k:]
-        w, v = np.linalg.eigh(S)
-        return w[-k:], v[:, -k:]
+        return np.linalg.eigvalsh(S.toarray() if sp.issparse(S) else S)[-k:]
     if v0 is None:
         v0 = np.random.default_rng(0).standard_normal(S.shape[0])
-    out = spla.eigsh(S, k=k, which="LA", v0=v0, return_eigenvectors=vectors)
-    return out if vectors else np.sort(out)  # eigenpairs come back ascending
+    return np.sort(spla.eigsh(S, k=k, which="LA", v0=v0, return_eigenvectors=False))
 
 
 class StarBlocks:
@@ -355,19 +352,21 @@ class StarBlocks:
 
 
 def stationary_distribution(G: GeneratorMatrix) -> np.ndarray:
-    """Null vector of the generator, normalized to a probability vector.
+    """Stationary law of a reversible generator: its Gibbs vector, checked.
 
-    Solved through the Gibbs symmetrization (the top eigenvector of the
-    symmetric form, mapped back); agrees with the Boltzmann distribution to
-    solver precision for detailed-balance rates.
+    Detailed balance makes e^{-beta E} / Z stationary, so nothing is solved:
+    an eigensolver cannot tell nearly degenerate ground states apart at low
+    temperature and returns a mix of them.  The Gibbs symmetrization rejects
+    rates that break detailed balance, and the residual |G pi| must vanish.
+
+    Raises:
+        RuntimeError: the rates are not reversible, or G pi does not vanish.
     """
-    S, d = _symmetrized(G)
-    _, v = _top_eigen(S, 1, v0=d, vectors=True)
-    pi = np.abs(d * v[:, 0])
-    pi /= pi.sum()
+    _symmetrized(G)
+    pi = G.gibbs()
     resid = np.abs(G.matrix @ pi).max()
     if resid > 1e-8:
-        raise RuntimeError(f"stationary solve did not converge: residual {resid:g}")
+        raise RuntimeError(f"Gibbs vector is not stationary: residual {resid:g}")
     return pi
 
 
@@ -407,6 +406,18 @@ class Segment:
         if not self.t1 > self.t0:
             raise ValueError("segment needs t1 > t0")
 
+    @functools.cached_property
+    def slopes(self) -> tuple:
+        """(d eps0/dt, d eps1/dt) inside the segment."""
+        T = self.t1 - self.t0
+        return (self.eps0[1] - self.eps0[0]) / T, (self.eps1[1] - self.eps1[0]) / T
+
+    def energies(self, t) -> tuple:
+        """(eps0, eps1) at time ``t`` inside the segment."""
+        de0, de1 = self.slopes
+        dt = t - self.t0
+        return self.eps0[0] + de0 * dt, self.eps1[0] + de1 * dt
+
 
 @dataclass(frozen=True)
 class Jump:
@@ -422,15 +433,33 @@ class Jump:
     eps0: tuple
     eps1: tuple
 
+    coupled = False  # a zero-length step: populations stay frozen
+    t0 = t1 = property(lambda self: self.t)
+
+    def energies(self, t) -> tuple:
+        """(eps0, eps1) from the jump on."""
+        return self.eps0[1], self.eps1[1]
+
+
+def _frozen_work(step, p1: float) -> float:
+    """Work of a jump or decoupled segment on populations frozen at (1 - p1, p1)."""
+    return (1.0 - p1) * (step.eps0[1] - step.eps0[0]) + p1 * (step.eps1[1] - step.eps1[0])
+
 
 @dataclass(frozen=True)
 class ProtocolSchedule:
-    """Contiguous segments plus explicit jumps for a driven two-level system."""
+    """Contiguous segments plus explicit jumps for a driven two-level system.
+
+    ``steps`` is the timeline that every consumer walks, merged once here:
+    the jumps at ``t_start``, then each segment followed by the jumps at its
+    end.
+    """
 
     segments: tuple
     jumps: tuple = ()
     gamma: float = 1.0
     beta: float = 1.0
+    steps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -439,41 +468,33 @@ class ProtocolSchedule:
             raise ValueError("gamma must be positive")
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
-        segs = self.segments
-        for a, b in zip(segs[:-1], segs[1:]):
-            if abs(a.t1 - b.t0) > 1e-12:
-                raise ValueError("segments must be contiguous in time")
-        jump_times = [j.t for j in self.jumps]
-        if jump_times != sorted(jump_times):
+        if any(a.t > b.t for a, b in zip(self.jumps[:-1], self.jumps[1:])):
             raise ValueError("jumps must be time-ordered")
-        boundaries = [segs[0].t0] + [s.t1 for s in segs]
-        for j in self.jumps:
-            if not any(abs(j.t - b) < 1e-12 for b in boundaries):
-                raise ValueError("jumps must sit on segment boundaries")
-        # walk the timeline; any energy mismatch between consecutive events
-        # is an implicit discontinuity and gets rejected
-        eps = None
-        for start, end in self._events():
-            if eps is not None and (abs(eps[0] - start[0]) > 1e-9
-                                    or abs(eps[1] - start[1]) > 1e-9):
+        steps, todo = [], list(self.jumps)[::-1]  # the next jump last
+
+        def take(step):  # an energy mismatch between steps is a hidden quench
+            if steps and (abs(steps[-1].eps0[1] - step.eps0[0]) > 1e-9
+                          or abs(steps[-1].eps1[1] - step.eps1[0]) > 1e-9):
                 raise ValueError(
                     "schedule discontinuity inside a coupled interval; "
                     "sudden moves must be declared as explicit jumps")
-            eps = end
+            steps.append(step)
 
-    def _jumps_at(self, t: float):
-        return [j for j in self.jumps if abs(j.t - t) < 1e-12]
-
-    def _events(self):
-        """(start energies, end energies) pairs in timeline order."""
-        out = []
-        for j in self._jumps_at(self.segments[0].t0):
-            out.append(((j.eps0[0], j.eps1[0]), (j.eps0[1], j.eps1[1])))
-        for s in self.segments:
-            out.append(((s.eps0[0], s.eps1[0]), (s.eps0[1], s.eps1[1])))
-            for j in self._jumps_at(s.t1):
-                out.append(((j.eps0[0], j.eps1[0]), (j.eps0[1], j.eps1[1])))
-        return out
+        t = self.segments[0].t0
+        for seg in self.segments + (None,):
+            while todo and abs(todo[-1].t - t) < 1e-12:
+                take(todo.pop())
+            if seg is None:
+                break
+            if abs(seg.t0 - t) > 1e-12:
+                raise ValueError("segments must be contiguous in time")
+            if todo and todo[-1].t < seg.t1 - 1e-12:
+                raise ValueError("jumps must sit on segment boundaries")
+            take(seg)
+            t = seg.t1
+        if todo:
+            raise ValueError("jumps must sit on segment boundaries")
+        object.__setattr__(self, "steps", tuple(steps))
 
     @property
     def t_start(self) -> float:
@@ -482,6 +503,11 @@ class ProtocolSchedule:
     @property
     def t_end(self) -> float:
         return self.segments[-1].t1
+
+    @property
+    def start_energies(self) -> tuple:
+        """(eps0, eps1) before the first step."""
+        return self.steps[0].eps0[0], self.steps[0].eps1[0]
 
 
 def two_level_rates(delta: float, gamma: float, beta: float,
@@ -525,15 +551,19 @@ class MasterSolution:
     p_final: np.ndarray
 
 
-def integrate_master(schedule: ProtocolSchedule, p0, rates: str = "heat-bath",
-                     rtol: float = 1e-8) -> MasterSolution:
-    """Solve dp/dt = G(t) p through the schedule, with work/heat integrands.
+MASTER_RTOL = 1e-8  # relative tolerance of the adaptive master-equation solve
+
+
+def integrate_master(schedule: ProtocolSchedule, p0,
+                     rates: str = "heat-bath") -> MasterSolution:
+    """Solve dp/dt = G(t) p along the schedule's steps, with work/heat integrands.
 
     Populations are propagated as p1 (p0 = 1 - p1), so normalization is exact
     by construction.  Work accumulates as sum_i p_i d(eps_i)/dt inside
-    segments plus p_i * delta(eps_i) at explicit jumps; heat accumulates as
+    coupled segments plus sum_i p_i delta(eps_i) over jumps and decoupled
+    segments, where populations are frozen; heat accumulates as
     sum_i eps_i dp_i/dt.  Adaptive integration at relative tolerance
-    ``rtol`` (default 1e-8).
+    ``MASTER_RTOL``.
     """
     p = np.asarray(p0, dtype=np.float64)
     if p.shape != (2,) or abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
@@ -541,78 +571,49 @@ def integrate_master(schedule: ProtocolSchedule, p0, rates: str = "heat-bath",
     p1 = float(p[1])
     gamma, beta = schedule.gamma, schedule.beta
 
-    first_jumps = schedule._jumps_at(schedule.t_start)
-    if first_jumps:
-        eps = (first_jumps[0].eps0[0], first_jumps[0].eps1[0])
-    else:
-        eps = (schedule.segments[0].eps0[0], schedule.segments[0].eps1[0])
-    ts = [schedule.t_start]
-    ps = [(1.0 - p1, p1)]
-    eps_track = [eps]
-    records = []
+    eps = schedule.start_energies
+    ts, ps, eps_track, records = [schedule.t_start], [(1.0 - p1, p1)], [eps], []
     work_total = heat_total = 0.0
-
-    def apply_jumps(t):
-        nonlocal eps, work_total
-        for j in schedule._jumps_at(t):
-            w = (1.0 - p1) * (j.eps0[1] - j.eps0[0]) + p1 * (j.eps1[1] - j.eps1[0])
-            # populations frozen during an instantaneous move, so dU = W
-            records.append(SegmentRecord("jump", t, t, w, 0.0, w))
+    for step in schedule.steps:
+        if not step.coupled:
+            # populations frozen, so dU = W
+            w = _frozen_work(step, p1)
+            jump = isinstance(step, Jump)
+            records.append(SegmentRecord("jump" if jump else "decoupled",
+                                         step.t0, step.t1, w, 0.0, w))
             work_total += w
-            eps = (j.eps0[1], j.eps1[1])
-            ts.append(t)
-            ps.append((1.0 - p1, p1))
-            eps_track.append(eps)
-
-    apply_jumps(schedule.t_start)
-    for seg in schedule.segments:
-        T = seg.t1 - seg.t0
-        de0 = (seg.eps0[1] - seg.eps0[0]) / T
-        de1 = (seg.eps1[1] - seg.eps1[0]) / T
-        u_before = (1.0 - p1) * eps[0] + p1 * eps[1]
-        if not seg.coupled:
-            w = (1.0 - p1) * (seg.eps0[1] - seg.eps0[0]) + p1 * (seg.eps1[1] - seg.eps1[0])
-            records.append(SegmentRecord("decoupled", seg.t0, seg.t1, w, 0.0, w))
-            work_total += w
-            grid = np.linspace(seg.t0, seg.t1, 9)
-            for tg in grid[1:]:
-                ts.append(float(tg))
-                ps.append((1.0 - p1, p1))
-                frac = (tg - seg.t0) / T
-                eps_track.append((seg.eps0[0] + frac * (seg.eps0[1] - seg.eps0[0]),
-                                  seg.eps1[0] + frac * (seg.eps1[1] - seg.eps1[0])))
+            grid = [step.t] if jump else np.linspace(step.t0, step.t1, 9)[1:]
+            q1s = [p1] * len(grid)
         else:
+            seg = step
+            de0, de1 = seg.slopes
+
             def rhs(t, y):
                 q1, _, _ = y
-                e0 = seg.eps0[0] + de0 * (t - seg.t0)
-                e1 = seg.eps1[0] + de1 * (t - seg.t0)
+                e0, e1 = seg.energies(t)
                 up, down = two_level_rates(e1 - e0, gamma, beta, rates)
                 dq1 = up * (1.0 - q1) - down * q1
-                dw = (1.0 - q1) * de0 + q1 * de1
-                dq = e0 * (-dq1) + e1 * dq1
-                return (dq1, dw, dq)
+                return dq1, (1.0 - q1) * de0 + q1 * de1, e0 * (-dq1) + e1 * dq1
 
             sol = solve_ivp(rhs, (seg.t0, seg.t1), (p1, 0.0, 0.0),
-                            method="DOP853", rtol=rtol, atol=1e-12,
+                            method="DOP853", rtol=MASTER_RTOL, atol=1e-12,
                             dense_output=True)
             if not sol.success:
                 raise RuntimeError(f"master-equation integration failed: {sol.message}")
-            grid = np.linspace(seg.t0, seg.t1, 33)
-            dense = sol.sol(grid)
-            for tg, q1 in zip(grid[1:], dense[0, 1:]):
-                ts.append(float(tg))
-                ps.append((1.0 - q1, q1))
-                frac = (tg - seg.t0) / T
-                eps_track.append((seg.eps0[0] + frac * (seg.eps0[1] - seg.eps0[0]),
-                                  seg.eps1[0] + frac * (seg.eps1[1] - seg.eps1[0])))
+            grid = np.linspace(seg.t0, seg.t1, 33)[1:]
+            q1s = sol.sol(grid)[0]
+            u_before = (1.0 - p1) * eps[0] + p1 * eps[1]
             p1 = float(sol.y[0, -1])
             w, q = float(sol.y[1, -1]), float(sol.y[2, -1])
             records.append(SegmentRecord("coupled", seg.t0, seg.t1, w, q,
                                          (1.0 - p1) * seg.eps0[1] + p1 * seg.eps1[1] - u_before))
             work_total += w
             heat_total += q
-        eps = (seg.eps0[1], seg.eps1[1])
-        apply_jumps(seg.t1)
+        for tg, q1 in zip(grid, q1s):
+            ts.append(float(tg))
+            ps.append((1.0 - q1, q1))
+            eps_track.append(step.energies(tg))
+        eps = (step.eps0[1], step.eps1[1])
 
     u_first = ps[0][0] * eps_track[0][0] + ps[0][1] * eps_track[0][1]
     u_last = (1.0 - p1) * eps[0] + p1 * eps[1]

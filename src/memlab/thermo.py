@@ -2,7 +2,9 @@
 
 Builds on the exact master-equation integrator: the Szilard-style extraction
 ramp, an engine cycle powered by a read-out memory register, and trajectory
-entropy-production statistics for the fluctuation relation.
+entropy-production statistics for the fluctuation relation.  Trajectories
+walk the same ``ProtocolSchedule.steps`` as the integrator and read the level
+energies from ``Segment.energies``, so both see identical drives.
 
 Sign convention: ``work_on_system`` is positive when energy flows into the
 system; extracted work is its negative.
@@ -204,34 +206,23 @@ def sawtooth_schedule(n_periods: int, period: float, e_max: float,
     return ProtocolSchedule(tuple(segs), gamma=gamma, beta=beta)
 
 
-def _initial_energies(schedule: ProtocolSchedule):
-    first = schedule._jumps_at(schedule.t_start)
-    if first:
-        return first[0].eps0[0], first[0].eps1[0]
-    seg = schedule.segments[0]
-    return seg.eps0[0], seg.eps1[0]
-
-
 def _sigma_one(schedule: ProtocolSchedule, p_init, p_fin, rates, ss) -> float:
     rng = np.random.default_rng(ss)
     gamma, beta = schedule.gamma, schedule.beta
     x = 0 if rng.random() < p_init[0] else 1
     sigma = math.log(p_init[x])
-    for seg in schedule.segments:
-        if not seg.coupled:
-            continue
-        T = seg.t1 - seg.t0
-        de1 = (seg.eps1[1] - seg.eps1[0]) / T
-        de0 = (seg.eps0[1] - seg.eps0[0]) / T
-        t = seg.t0
+    for step in schedule.steps:
+        if not step.coupled:
+            continue  # jumps and decoupled segments freeze the state
+        t = step.t0
         # thinning: both directional rates are bounded by gamma in either
         # rate convention, so propose at gamma and accept proportionally
         while True:
             t += rng.exponential(1.0 / gamma)
-            if t >= seg.t1:
+            if t >= step.t1:
                 break
-            delta = (seg.eps1[0] + de1 * (t - seg.t0)) - (seg.eps0[0] + de0 * (t - seg.t0))
-            up, down = two_level_rates(delta, gamma, beta, rates)
+            e0, e1 = step.energies(t)
+            up, down = two_level_rates(e1 - e0, gamma, beta, rates)
             fwd = up if x == 0 else down
             if rng.random() * gamma < fwd:
                 bwd = down if x == 0 else up
@@ -273,7 +264,7 @@ def entropy_production_samples(schedule: ProtocolSchedule, n_traj: int,
     if n_traj < 1:
         raise ValueError("n_traj must be positive")
     if p0 is None:
-        e0, e1 = _initial_energies(schedule)
+        e0, e1 = schedule.start_energies
         p1 = heat_bath(schedule.beta * (e1 - e0))
         p0 = (1.0 - p1, p1)
     p0 = tuple(float(v) for v in p0)

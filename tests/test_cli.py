@@ -215,6 +215,16 @@ def test_invalid_parameter_value_exits_one(tmp_path, capsys):
     assert "n_traj" in capsys.readouterr().err
 
 
+def test_null_decoder_exits_one(tmp_path, capsys):
+    out = tmp_path / "kit.csv"
+    cfg = _write_config(
+        tmp_path / "kit.json", experiment="kitaev-lifetime", sizes=[3],
+        beta=0.8, n_traj=4, t_max=5.0, decoder=None, output=str(out))
+    assert main(["run", cfg]) == 1
+    assert "unknown decoder: None" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_two(tmp_path, capsys):
     cfg, _ = _gap_config(tmp_path, output="/nonexistent-dir/out.csv")
     assert main(["run", cfg]) == 2

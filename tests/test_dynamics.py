@@ -401,3 +401,9 @@ def test_unknown_decoder_rejected():
     params = SimulationParams(beta=0.7, t_max=1.0)
     with pytest.raises(ValueError, match="unknown decoder"):
         kitaev_memory_lifetime(3, params, decoder="fancy")
+
+
+def test_none_is_not_a_decoder_alias():
+    params = SimulationParams(beta=0.7, t_max=1.0)
+    with pytest.raises(ValueError, match="unknown decoder: None"):
+        kitaev_memory_lifetime(3, params, decoder=None)
