@@ -7,7 +7,6 @@ process fan-out that runs an ensemble of independent trajectories in chunks.
 from __future__ import annotations
 
 import math
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -38,6 +37,8 @@ def run_chunks(one, common: tuple, master_seed, n_traj: int, workers: int) -> li
     """
     if workers <= 1:
         return _chunk((one, common, master_seed, 0, n_traj))
+    from multiprocessing import Pool
+
     bounds = np.linspace(0, n_traj, workers + 1).astype(int)
     jobs = [(one, common, master_seed, int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]

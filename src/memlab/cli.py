@@ -72,7 +72,8 @@ def _require(config, key, types=None):
     if key not in config:
         raise ConfigError(f"missing required key '{key}'")
     v = config[key]
-    if types is not None and not isinstance(v, types):
+    # a JSON true/false is not a number, although bool subclasses int
+    if types is not None and (isinstance(v, bool) or not isinstance(v, types)):
         raise ConfigError(f"key '{key}' has the wrong type")
     return v
 
@@ -90,8 +91,7 @@ def _validate(config):
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' for experiment '{experiment}'")
     _require(config, "output", str)
-    if not isinstance(config.get("seed", 0), int):
-        raise ConfigError("key 'seed' has the wrong type")
+    _integer(config.get("seed", 0), "seed")
     return experiment
 
 
@@ -113,7 +113,7 @@ def _model_for(kind, size, J, move_rate=1.0):
 
 
 def _sim_params(config, beta):
-    n_traj = _require(config, "n_traj", int)
+    n_traj = _integer(_require(config, "n_traj"), "n_traj")
     t_max = float(config.get("t_max", math.inf))
     try:
         return SimulationParams(beta=beta, t_max=t_max, n_traj=n_traj)
@@ -175,7 +175,9 @@ def _ramp_rows(config, cycle_mode):
     rates = config.get("rates", "heat-bath")
     beta_e = float(_require(config, "beta_E", (int, float)))
     e_max = beta_e / beta
-    stable = bool(config.get("stable", True))
+    stable = config.get("stable", True)
+    if not isinstance(stable, bool):
+        raise ConfigError(f"key 'stable' takes true or false, got {stable!r}")
     rows = []
     for p in _as_list(_require(config, "p_init")):
         for ramp in _as_list(_require(config, "ramp_time")):
@@ -200,7 +202,7 @@ def _run_fluctuation(config, seed, workers):
     rates = config.get("rates", "heat-bath")
     period = float(_require(config, "period", (int, float)))
     e_max = float(_require(config, "e_max", (int, float)))
-    n_traj = _require(config, "n_traj", int)
+    n_traj = _integer(_require(config, "n_traj"), "n_traj")
     rows = []
     for n_periods in _as_list(_require(config, "n_periods")):
         n_periods = _integer(n_periods, "n_periods")

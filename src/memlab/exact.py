@@ -7,6 +7,8 @@ work/heat integration for protocol ledgers.  The stationary law of a
 reversible generator is its Gibbs vector, checked rather than solved for.
 A ``ProtocolSchedule`` merges its segments and jumps once into the steps
 that the integrator and the trajectory sampler of ``thermo`` both walk.
+The scipy imports sit inside the functions that build and solve, so
+``import memlab`` and the Monte Carlo paths never load scipy.
 
 The toric-code gap never needs the 2^(2L^2) matrix.  Its rates depend only
 on the plaquette syndrome, so the symmetrized generator commutes with every
@@ -23,9 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from ._shared import heat_bath
 from .lattice import LatticeModel
@@ -58,7 +57,7 @@ class GeneratorMatrix:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.matrix)
+        return not isinstance(self.matrix, np.ndarray)
 
     def gibbs(self) -> np.ndarray:
         """Normalized Boltzmann vector e^{-beta E} / Z."""
@@ -173,6 +172,8 @@ def _kitaev_generator(model: LatticeModel, beta: float):
 
 def _assemble(rows, cols, vals, dim: int):
     """Generator from off-diagonal rates: columns sum to zero, dense below the limit."""
+    import scipy.sparse as sp
+
     G = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     G.setdiag(-np.asarray(G.sum(axis=0)).ravel())
     return G.toarray() if dim < DENSE_LIMIT else G
@@ -212,6 +213,8 @@ def _symmetric_part(S, scale: float):
 def _symmetrized(G: GeneratorMatrix):
     d = np.sqrt(G.gibbs())
     if G.is_sparse:
+        import scipy.sparse as sp
+
         S = sp.diags(1.0 / d) @ G.matrix @ sp.diags(d)
     else:
         S = G.matrix * (d[None, :] / d[:, None])
@@ -226,7 +229,9 @@ def _top_eigen(S, k: int, v0=None):
     the same digits.
     """
     if S.shape[0] < DENSE_LIMIT:
-        return np.linalg.eigvalsh(S.toarray() if sp.issparse(S) else S)[-k:]
+        return np.linalg.eigvalsh(S if isinstance(S, np.ndarray) else S.toarray())[-k:]
+    import scipy.sparse.linalg as spla
+
     if v0 is None:
         v0 = np.random.default_rng(0).standard_normal(S.shape[0])
     return np.sort(spla.eigsh(S, k=k, which="LA", v0=v0, return_eigenvectors=False))
@@ -318,6 +323,8 @@ class StarBlocks:
             RuntimeError: the rates break detailed balance, so the block
                 is not symmetric.
         """
+        import scipy.sparse as sp
+
         # bitwise_count returns uint8: cast before 1 - 2 * count or -1 wraps to 255
         odd = np.bitwise_count(self.combo & int(chi)).astype(np.int64) & 1
         n = self.reps.size
@@ -565,6 +572,8 @@ def integrate_master(schedule: ProtocolSchedule, p0,
     sum_i eps_i dp_i/dt.  Adaptive integration at relative tolerance
     ``MASTER_RTOL``.
     """
+    from scipy.integrate import solve_ivp
+
     p = np.asarray(p0, dtype=np.float64)
     if p.shape != (2,) or abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
         raise ValueError("p0 must be a 2-state probability vector")

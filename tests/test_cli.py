@@ -251,6 +251,7 @@ _SIZED = {
     "kitaev-lifetime": dict(sizes=[3], beta=0.5, n_traj=2, t_max=1.0),
     "fluctuation": dict(n_periods=[1], period=1.0, e_max=2.0, n_traj=4),
     "toolkit-check": dict(n_samples=2),
+    "szilard": dict(p_init=[0.0], beta_E=5.0, ramp_time=[0.0]),
 }
 
 
@@ -280,6 +281,43 @@ def test_non_integer_sizes_and_samples_rejected(tmp_path, capsys, experiment, ke
     # the same config with an integer runs
     cfg[key] = [2] if isinstance(value, list) else 2
     assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 0
+
+
+@pytest.mark.parametrize("experiment,key", [
+    ("ising-lifetime", "n_traj"),
+    ("fluctuation", "n_traj"),
+    ("gap", "seed"),
+    ("ising-lifetime", "beta"),
+    ("szilard", "beta_E"),
+    ("fluctuation", "period"),
+    ("fluctuation", "e_max"),
+])
+def test_booleans_are_not_counts_seeds_or_numbers(tmp_path, capsys, experiment, key):
+    """``true`` is not 1: it would run one trajectory, seed 1 or beta = 1."""
+    out = tmp_path / "out.csv"
+    cfg = dict(_SIZED[experiment], experiment=experiment, output=str(out))
+    cfg[key] = True
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+    cfg[key] = 2
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 0
+
+
+def test_stable_must_be_a_json_boolean(tmp_path, capsys):
+    # "false" is a truthy string: read as bool it ran the stable cycle
+    out = tmp_path / "cyc.csv"
+    cfg = _write_config(
+        tmp_path / "cyc.json", experiment="cycle", p_init=[0.1], beta_E=5.0,
+        ramp_time=400.0, beta=1.0, stable=True, output=str(out))
+    for raw in ('"false"', "0", "null"):
+        assert main(["run", cfg, "--override", f"stable={raw}"]) == 1
+        assert "'stable'" in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["run", cfg, "--override", "stable=false"]) == 0
+    row = next(csv.DictReader(out.open()))
+    assert row["violation_flag"] == "0"
+    assert float(row["net_extracted"]) < 0.0
 
 
 def test_ising_lifetime_rejects_the_toric_code(tmp_path, capsys):
