@@ -72,8 +72,7 @@ def _require(config, key, types=None):
     if key not in config:
         raise ConfigError(f"missing required key '{key}'")
     v = config[key]
-    # a JSON true/false is not a number, although bool subclasses int
-    if types is not None and (isinstance(v, bool) or not isinstance(v, types)):
+    if types is not None and not isinstance(v, types):
         raise ConfigError(f"key '{key}' has the wrong type")
     return v
 
@@ -102,6 +101,14 @@ def _integer(v, key):
     return v
 
 
+def _number(v, key):
+    """``v`` as a float if it is a JSON number (booleans and strings are not),
+    else a ConfigError naming ``key``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"key '{key}' takes numbers, got {v!r}")
+    return float(v)
+
+
 def _model_for(kind, size, J, move_rate=1.0):
     """Model for one ``sizes`` entry: L of Ising2D and Kitaev2D, N otherwise."""
     size = _integer(size, "sizes")
@@ -114,7 +121,7 @@ def _model_for(kind, size, J, move_rate=1.0):
 
 def _sim_params(config, beta):
     n_traj = _integer(_require(config, "n_traj"), "n_traj")
-    t_max = float(config.get("t_max", math.inf))
+    t_max = _number(config.get("t_max", math.inf), "t_max")
     try:
         return SimulationParams(beta=beta, t_max=t_max, n_traj=n_traj)
     except ValueError as exc:
@@ -125,8 +132,8 @@ def _run_ising_lifetime(config, seed, workers):
     kind = _require(config, "model", str)
     if kind == "Kitaev2D":
         raise ConfigError("key 'model' takes an Ising kind; Kitaev2D runs as kitaev-lifetime")
-    beta = float(_require(config, "beta", (int, float)))
-    J = float(config.get("J", 1.0))
+    beta = _number(_require(config, "beta"), "beta")
+    J = _number(config.get("J", 1.0), "J")
     params = _sim_params(config, beta)
     rows = []
     for size in _as_list(_require(config, "sizes")):
@@ -138,10 +145,10 @@ def _run_ising_lifetime(config, seed, workers):
 
 
 def _run_kitaev_lifetime(config, seed, workers):
-    beta = float(_require(config, "beta", (int, float)))
+    beta = _number(_require(config, "beta"), "beta")
     decoder = config.get("decoder", "matching")
     decoders = ["matching", "bare"] if decoder == "both" else [decoder]
-    move_rate = float(config.get("move_rate", 1.0))
+    move_rate = _number(config.get("move_rate", 1.0), "move_rate")
     mu = _integer(config.get("mu", 1), "mu")
     params = _sim_params(config, beta)
     rows = []
@@ -158,9 +165,9 @@ def _run_kitaev_lifetime(config, seed, workers):
 
 def _run_gap(config, seed, workers):
     kind = _require(config, "model", str)
-    beta = float(_require(config, "beta", (int, float)))
-    J = float(config.get("J", 1.0))
-    move_rate = float(config.get("move_rate", 1.0))
+    beta = _number(_require(config, "beta"), "beta")
+    J = _number(config.get("J", 1.0), "J")
+    move_rate = _number(config.get("move_rate", 1.0), "move_rate")
     rows = []
     for size in _as_list(_require(config, "sizes")):
         model = _model_for(kind, size, J, move_rate)
@@ -170,10 +177,10 @@ def _run_gap(config, seed, workers):
 
 
 def _ramp_rows(config, cycle_mode):
-    beta = float(config.get("beta", 1.0))
-    gamma = float(config.get("gamma", 1.0))
+    beta = _number(config.get("beta", 1.0), "beta")
+    gamma = _number(config.get("gamma", 1.0), "gamma")
     rates = config.get("rates", "heat-bath")
-    beta_e = float(_require(config, "beta_E", (int, float)))
+    beta_e = _number(_require(config, "beta_E"), "beta_E")
     e_max = beta_e / beta
     stable = config.get("stable", True)
     if not isinstance(stable, bool):
@@ -181,7 +188,7 @@ def _ramp_rows(config, cycle_mode):
     rows = []
     for p in _as_list(_require(config, "p_init")):
         for ramp in _as_list(_require(config, "ramp_time")):
-            p, ramp = float(p), float(ramp)
+            p, ramp = _number(p, "p_init"), _number(ramp, "ramp_time")
             if cycle_mode:
                 res = memory_engine_cycle(MemoryModel(p, stable=stable), e_max,
                                           ramp, beta, gamma=gamma, rates=rates)
@@ -197,11 +204,11 @@ def _ramp_rows(config, cycle_mode):
 
 
 def _run_fluctuation(config, seed, workers):
-    beta = float(config.get("beta", 1.0))
-    gamma = float(config.get("gamma", 1.0))
+    beta = _number(config.get("beta", 1.0), "beta")
+    gamma = _number(config.get("gamma", 1.0), "gamma")
     rates = config.get("rates", "heat-bath")
-    period = float(_require(config, "period", (int, float)))
-    e_max = float(_require(config, "e_max", (int, float)))
+    period = _number(_require(config, "period"), "period")
+    e_max = _number(_require(config, "e_max"), "e_max")
     n_traj = _integer(_require(config, "n_traj"), "n_traj")
     rows = []
     for n_periods in _as_list(_require(config, "n_periods")):

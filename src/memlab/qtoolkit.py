@@ -4,6 +4,12 @@ Covers the contraction property of channels, correctable-code distance
 preservation, the erasure entropy balance, and the Fannes continuity bound
 with its validity window.  Everything is dense and dimension-capped; inputs
 are explicitly symmetrized before any Hermitian factorization.
+
+Each formula and each validation is written once, for stacks of matrices of
+shape (..., d, d).  The per-object API (``DensityMatrix``, ``entropy``,
+``trace_distance``, ``apply_channel``, ``fannes_check``) calls those helpers
+on a single matrix; ``toolkit_sweep`` calls them on whole sample stacks, so
+each LAPACK routine runs once per stack rather than once per sample.
 """
 
 from __future__ import annotations
@@ -24,6 +30,123 @@ ISOMETRY_TOL = 1e-8
 FANNES_WINDOW = 1.0 / math.e
 
 
+# ---------------------------------------------------------------------------
+# stacked helpers: arrays of shape (..., d, d), one matrix per leading index
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.conj(m).swapaxes(-1, -2)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    return 0.5 * (m + _dagger(m))
+
+
+def _spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian parts."""
+    return np.linalg.eigvalsh(_hermitian_part(m))
+
+
+def _check_densities(m: np.ndarray) -> None:
+    """Raise ValueError unless every matrix of the stack is a density matrix."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("density matrix must be square")
+    dim = m.shape[-1]
+    if dim == 0:
+        raise ValueError("density matrix has dimension 0")
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} above the cap of {MAX_DIM}")
+    # NaN fails no comparison below, so it is rejected here
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has a non-finite entry")
+    if (np.abs(m - _dagger(m)).max(axis=(-2, -1)) > HERM_TOL).any():
+        raise ValueError("matrix is not Hermitian")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    if (np.abs(tr.real - 1.0) > TRACE_TOL).any() or (np.abs(tr.imag) > TRACE_TOL).any():
+        raise ValueError("trace must equal 1")
+    if (_spectra(m)[..., 0] < -EIG_TOL).any():
+        raise ValueError("matrix has a negative eigenvalue")
+
+
+def _trace_norms(m: np.ndarray) -> np.ndarray:
+    """Trace norms of the Hermitian parts."""
+    return np.abs(_spectra(m)).sum(axis=-1)
+
+
+def _entropies(m: np.ndarray) -> np.ndarray:
+    """von Neumann entropies in nats, with 0 ln 0 = 0."""
+    lam = np.clip(_spectra(m), 0.0, None)
+    return -(lam * np.log(np.where(lam > 0.0, lam, 1.0))).sum(axis=-1)
+
+
+def _check_kraus(kraus: np.ndarray) -> None:
+    """Raise ValueError unless each (..., n_kraus, d_out, d_in) entry is trace preserving."""
+    if kraus.ndim < 3:
+        raise ValueError("Kraus operators must be matrices")
+    if 0 in kraus.shape[-2:]:
+        raise ValueError("Kraus operators have dimension 0")
+    if not np.isfinite(kraus).all():
+        raise ValueError("Kraus operator has a non-finite entry")
+    comp = 0.0
+    for i in range(kraus.shape[-3]):
+        k = kraus[..., i, :, :]
+        comp = comp + _dagger(k) @ k
+    if (np.abs(comp - np.eye(kraus.shape[-1])).max(axis=(-2, -1)) > COMPLETENESS_TOL).any():
+        raise ValueError("Kraus completeness sum deviates from identity")
+
+
+def _kraus_action(kraus: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Hermitian part of sum_k K m K^dagger; ``kraus`` is (..., n_kraus, d_out, d_in)."""
+    out = 0.0
+    for i in range(kraus.shape[-3]):
+        k = kraus[..., i, :, :]
+        out = out + k @ m @ _dagger(k)
+    return _hermitian_part(out)
+
+
+def _contraction_gaps(kraus: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||T a - T b||_1 - ||a - b||_1 per pair; every output must be a state."""
+    ta, tb = _kraus_action(kraus, a), _kraus_action(kraus, b)
+    _check_densities(ta)
+    _check_densities(tb)
+    return _trace_norms(ta - tb) - _trace_norms(a - b)
+
+
+def _fannes_slacks(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Fannes slack per state pair; raises for a pair outside the window."""
+    d = _trace_norms(a - b)
+    outside = d > FANNES_WINDOW + 1e-12
+    if outside.any():
+        raise ValueError(f"trace distance {d[outside][0]:.4f} is outside the Fannes "
+                         f"validity window (<= 1/e)")
+    # math.log through fannes_allowance: np.log differs from it in the last bit
+    allowance = np.array([fannes_allowance(x, dim) for x in d.ravel().tolist()])
+    return allowance.reshape(d.shape) - np.abs(_entropies(a) - _entropies(b))
+
+
+def _gaussians(z: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Complex (..., rows, cols) matrices from normals (..., 2 rows cols), real parts first."""
+    shape = z.shape[:-1] + (rows, cols)
+    return z[..., :rows * cols].reshape(shape) + 1j * z[..., rows * cols:].reshape(shape)
+
+
+def _wishart(z: np.ndarray, dim: int, rank: int) -> np.ndarray:
+    """Unit-trace g g^dagger for g = _gaussians(z, dim, rank)."""
+    g = _gaussians(z, dim, rank)
+    m = g @ _dagger(g)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _isometry_kraus(z: np.ndarray, dim: int, n_kraus: int) -> np.ndarray:
+    """(..., n_kraus, dim, dim) Kraus stacks cut from a QR-orthonormalized isometry."""
+    q, _ = np.linalg.qr(_gaussians(z, dim * n_kraus, dim))
+    return q.reshape(z.shape[:-1] + (n_kraus, dim, dim))
+
+
+# ---------------------------------------------------------------------------
+# states, channels and the checks on them
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive matrix of dimension at most 64."""
@@ -32,16 +155,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise ValueError("density matrix must be square")
-        if m.shape[0] > MAX_DIM:
-            raise ValueError(f"dimension {m.shape[0]} above the cap of {MAX_DIM}")
-        if np.abs(m - m.conj().T).max() > HERM_TOL:
-            raise ValueError("matrix is not Hermitian")
-        if abs(m.trace().real - 1.0) > TRACE_TOL or abs(m.trace().imag) > TRACE_TOL:
-            raise ValueError("trace must equal 1")
-        if np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() < -EIG_TOL:
-            raise ValueError("matrix has a negative eigenvalue")
+        _check_densities(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -50,8 +166,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        m = self.matrix
-        return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        return _spectra(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -64,12 +179,9 @@ class QuantumChannel:
         ks = tuple(np.array(k, dtype=np.complex128) for k in self.kraus)
         if not ks:
             raise ValueError("channel needs at least one Kraus operator")
-        shape = ks[0].shape
-        if any(k.shape != shape for k in ks):
+        if any(k.shape != ks[0].shape for k in ks):
             raise ValueError("Kraus operators must share one shape")
-        comp = sum(k.conj().T @ k for k in ks)
-        if np.abs(comp - np.eye(shape[1])).max() > COMPLETENESS_TOL:
-            raise ValueError("Kraus completeness sum deviates from identity")
+        _check_kraus(np.stack(ks))
         for k in ks:
             k.flags.writeable = False
         object.__setattr__(self, "kraus", ks)
@@ -85,25 +197,18 @@ class QuantumChannel:
 
 def entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy in nats, with 0 ln 0 = 0."""
-    lam = np.clip(rho.eigenvalues(), 0.0, None)
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log(lam)))
+    return float(_entropies(rho.matrix))
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Full trace norm of rho - sigma; ranges over [0, 2]."""
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    diff = rho.matrix - sigma.matrix
-    lam = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return float(np.abs(lam).sum())
+    return float(_trace_norms(rho.matrix - sigma.matrix))
 
 
 def _apply(channel: QuantumChannel, matrix: np.ndarray) -> np.ndarray:
-    out = np.zeros((channel.dim_out, channel.dim_out), dtype=np.complex128)
-    for k in channel.kraus:
-        out += k @ matrix @ k.conj().T
-    return 0.5 * (out + out.conj().T)
+    return _kraus_action(np.stack(channel.kraus), matrix)
 
 
 @dataclass(frozen=True)
@@ -122,22 +227,20 @@ def apply_channel(channel: QuantumChannel, rho: DensityMatrix, check_pairs=None)
     is (output state, ContractionReport) where the report certifies
     ||T rho - T rho'||_1 <= ||rho - rho'||_1 for every pair.
     """
-    if rho.dim != channel.dim_in:
+    pairs = [] if check_pairs is None else list(check_pairs)
+    states = [rho] + [s for pair in pairs for s in pair]
+    if any(s.dim != channel.dim_in for s in states):
         raise ValueError("state dimension does not match the channel input")
-    out = DensityMatrix(_apply(channel, rho.matrix))
+    kraus = np.stack(channel.kraus)
+    out = DensityMatrix(_kraus_action(kraus, rho.matrix))
     if check_pairs is None:
         return out
-    worst = -math.inf
-    n = 0
-    for a, b in check_pairs:
-        d_in = trace_distance(a, b)
-        d_out = trace_distance(DensityMatrix(_apply(channel, a.matrix)),
-                               DensityMatrix(_apply(channel, b.matrix)))
-        worst = max(worst, d_out - d_in)
-        n += 1
-    if n == 0:
-        worst = 0.0
-    return out, ContractionReport(n, worst, worst <= CONTRACTION_TOL)
+    if not pairs:
+        return out, ContractionReport(0, 0.0, True)
+    a = np.stack([p[0].matrix for p in pairs])
+    b = np.stack([p[1].matrix for p in pairs])
+    worst = float(_contraction_gaps(kraus, a, b).max())
+    return out, ContractionReport(len(pairs), worst, worst <= CONTRACTION_TOL)
 
 
 @dataclass(frozen=True)
@@ -160,25 +263,22 @@ def correctable_isometry_check(channel: QuantumChannel, recovery: QuantumChannel
     checks that T preserves all pairwise trace distances to the same
     tolerance — the distance-preservation consequence of correctability.
     """
-    states = list(code_states)
-    failures = []
-    for i, rho in enumerate(states):
-        rt = DensityMatrix(_apply(recovery, _apply(channel, rho.matrix)))
-        dev = trace_distance(rt, rho)
-        if dev > ISOMETRY_TOL:
-            failures.append((i, dev))
+    states = [rho.matrix for rho in code_states]
+    if not states:
+        return IsometryReport(True, (), 0, 0.0, True)
+    s = np.stack(states)
+    ts = _apply(channel, s)
+    rts = _apply(recovery, ts)
+    _check_densities(rts)
+    devs = _trace_norms(rts - s).tolist()
+    failures = tuple((i, dev) for i, dev in enumerate(devs) if dev > ISOMETRY_TOL)
     if failures:
-        return IsometryReport(False, tuple(failures), 0, math.inf, False)
-    worst = 0.0
-    n = 0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            d_id = trace_distance(states[i], states[j])
-            d_t = trace_distance(DensityMatrix(_apply(channel, states[i].matrix)),
-                                 DensityMatrix(_apply(channel, states[j].matrix)))
-            worst = max(worst, abs(d_t - d_id))
-            n += 1
-    return IsometryReport(True, (), n, worst, worst <= ISOMETRY_TOL)
+        return IsometryReport(False, failures, 0, math.inf, False)
+    _check_densities(ts)
+    i, j = np.triu_indices(len(states), k=1)
+    gaps = np.abs(_trace_norms(ts[i] - ts[j]) - _trace_norms(s[i] - s[j]))
+    worst = float(gaps.max(initial=0.0))
+    return IsometryReport(True, (), len(i), worst, worst <= ISOMETRY_TOL)
 
 
 def fannes_allowance(eps: float, dim: int) -> float:
@@ -197,11 +297,9 @@ def fannes_check(rho: DensityMatrix, sigma: DensityMatrix, dim: int) -> float:
     distance.  Only valid for d <= 1/e, where -x ln x is still monotone;
     larger distances are rejected rather than evaluated.
     """
-    d = trace_distance(rho, sigma)
-    if d > FANNES_WINDOW + 1e-12:
-        raise ValueError(f"trace distance {d:.4f} is outside the Fannes "
-                         f"validity window (<= 1/e)")
-    return fannes_allowance(d, dim) - abs(entropy(rho) - entropy(sigma))
+    if rho.dim != sigma.dim:
+        raise ValueError("dimension mismatch")
+    return float(_fannes_slacks(rho.matrix, sigma.matrix, dim))
 
 
 @dataclass(frozen=True)
@@ -236,16 +334,15 @@ def erasure_balance(omega_in: DensityMatrix, omega_out: DensityMatrix,
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
     """Wishart-sampled state of the given dimension (full rank by default)."""
     r = dim if rank is None else rank
-    g = rng.normal(size=(dim, r)) + 1j * rng.normal(size=(dim, r))
-    m = g @ g.conj().T
-    return DensityMatrix(m / m.trace().real)
+    if r < 1:
+        raise ValueError("rank must be positive")
+    return DensityMatrix(_wishart(rng.normal(size=2 * dim * r), dim, r))
 
 
 def random_channel(dim: int, n_kraus: int, rng: np.random.Generator) -> QuantumChannel:
     """Haar-style random channel from a QR-orthonormalized stacked isometry."""
-    g = rng.normal(size=(dim * n_kraus, dim)) + 1j * rng.normal(size=(dim * n_kraus, dim))
-    q, _ = np.linalg.qr(g)
-    return QuantumChannel(tuple(q[i * dim:(i + 1) * dim] for i in range(n_kraus)))
+    z = rng.normal(size=2 * dim * dim * n_kraus)
+    return QuantumChannel(tuple(_isometry_kraus(z, dim, n_kraus)))
 
 
 def depolarizing_channel(dim: int) -> QuantumChannel:
@@ -321,26 +418,41 @@ def toolkit_sweep(n: int, rng: np.random.Generator) -> ToolkitSweep:
     pair of qubit states; 12 logical states for the 3-qubit repetition code
     (``p_flip`` 0.15); n state pairs alternating qubit and qutrit.  A Fannes
     pair further apart than 1/e is pulled along the segment toward its first
-    state until it sits at 0.9/e.
+    state until it sits at 0.9/e.  Samples are drawn and checked as stacks,
+    in the order ``random_channel`` and ``random_density`` would draw them
+    one at a time.
     """
-    worst = -math.inf
-    for _ in range(n):
-        ch = random_channel(2, 3, rng)
-        a, b = random_density(2, rng), random_density(2, rng)
-        _, rep = apply_channel(ch, a, check_pairs=[(a, b)])
-        worst = max(worst, rep.max_violation)
+    # per sample: a 6 x 2 complex isometry (24 normals), then two qubit states
+    z = rng.normal(size=(n, 40))
+    kraus = _isometry_kraus(z[:, :24], 2, 3)
+    _check_kraus(kraus)
+    a, b = _wishart(z[:, 24:32], 2, 2), _wishart(z[:, 32:], 2, 2)
+    _check_densities(a)
+    _check_densities(b)
+    worst = float(_contraction_gaps(kraus, a, b).max(initial=-math.inf))
 
     noise, recovery, encoder = repetition_code_channels(0.15)
     code = [apply_channel(encoder, random_density(2, rng)) for _ in range(12)]
     iso = correctable_isometry_check(noise, recovery, code)
 
-    min_slack = math.inf
-    for i in range(n):
-        dim = 2 if i % 2 == 0 else 3
-        a, b = random_density(dim, rng), random_density(dim, rng)
-        d = trace_distance(a, b)
-        if d > FANNES_WINDOW:
-            t = 0.9 * FANNES_WINDOW / d
-            b = DensityMatrix((1.0 - t) * a.matrix + t * b.matrix)
-        min_slack = min(min_slack, fannes_check(a, b, dim))
-    return ToolkitSweep(worst, iso, min_slack)
+    # pair i is a qubit pair (16 normals) for even i, a qutrit pair (36) for odd i
+    z = rng.normal(size=(n // 2, 52))
+    qubits = z[:, :16]
+    if n % 2:
+        qubits = np.concatenate([qubits, rng.normal(size=(1, 16))])
+    slacks = np.concatenate([_pulled_slacks(qubits, 2), _pulled_slacks(z[:, 16:], 3)])
+    return ToolkitSweep(worst, iso, float(slacks.min(initial=math.inf)))
+
+
+def _pulled_slacks(z: np.ndarray, dim: int) -> np.ndarray:
+    """Fannes slacks of the state pairs drawn from rows of ``z``, pulled into the window."""
+    a = _wishart(z[:, :2 * dim * dim], dim, dim)
+    b = _wishart(z[:, 2 * dim * dim:], dim, dim)
+    _check_densities(a)
+    _check_densities(b)
+    d = _trace_norms(a - b)
+    far = d > FANNES_WINDOW
+    t = (0.9 * FANNES_WINDOW / d[far])[:, None, None]
+    b[far] = (1.0 - t) * a[far] + t * b[far]
+    _check_densities(b[far])
+    return _fannes_slacks(a, b, dim)

@@ -209,3 +209,90 @@ def mean_sigma_ode(schedule, p0, rates="heat-bath"):
         p1, acc = float(sol.y[0, -1]), float(sol.y[1, -1])
     p_fin = (1.0 - p1, p1)
     return acc + shannon(p_fin) - shannon(tuple(p0))
+
+
+# ---------------------------------------------------------------------------
+# the toolkit sweep, one sample at a time
+
+
+def _herm(m):
+    return 0.5 * (m + m.conj().T)
+
+
+def _trace_norm(m):
+    return float(np.abs(np.linalg.eigvalsh(_herm(m))).sum())
+
+
+def _vn_entropy(m):
+    lam = np.clip(np.linalg.eigvalsh(_herm(m)), 0.0, None)
+    lam = lam[lam > 0.0]
+    return float(-np.sum(lam * np.log(lam)))
+
+
+def _wishart_state(dim, rng):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = g @ g.conj().T
+    return m / m.trace().real
+
+
+def _isometry_channel(dim, n_kraus, rng):
+    g = rng.normal(size=(dim * n_kraus, dim)) + 1j * rng.normal(size=(dim * n_kraus, dim))
+    q, _ = np.linalg.qr(g)
+    return [q[i * dim:(i + 1) * dim] for i in range(n_kraus)]
+
+
+def _kraus_apply(kraus, m):
+    out = np.zeros((kraus[0].shape[0],) * 2, dtype=np.complex128)
+    for k in kraus:
+        out += k @ m @ k.conj().T
+    return _herm(out)
+
+
+def toolkit_sweep_loop(n, rng, code_channels):
+    """The per-sample loop that ``qtoolkit.toolkit_sweep`` replaced.
+
+    Same draws, same arithmetic, one matrix and one LAPACK call at a time.
+    ``code_channels`` is the (noise, recovery, encoder) Kraus lists of the
+    repetition code.  Returns (worst contraction gap, isometry fields as
+    (precondition_ok, failures, pairs, max_deviation, passed), min Fannes
+    slack, number of Fannes pairs pulled into the window).
+    """
+    window = 1.0 / math.e
+    worst = -math.inf
+    for _ in range(n):
+        kraus = _isometry_channel(2, 3, rng)
+        a, b = _wishart_state(2, rng), _wishart_state(2, rng)
+        gap = (_trace_norm(_kraus_apply(kraus, a) - _kraus_apply(kraus, b))
+               - _trace_norm(a - b))
+        worst = max(worst, gap)
+
+    noise, recovery, encoder = code_channels
+    code = [_kraus_apply(encoder, _wishart_state(2, rng)) for _ in range(12)]
+    failures = []
+    for i, s in enumerate(code):
+        dev = _trace_norm(_kraus_apply(recovery, _kraus_apply(noise, s)) - s)
+        if dev > 1e-8:
+            failures.append((i, dev))
+    if failures:
+        iso = (False, tuple(failures), 0, math.inf, False)
+    else:
+        dev_max, pairs = 0.0, 0
+        for i, j in itertools.combinations(range(len(code)), 2):
+            d_t = _trace_norm(_kraus_apply(noise, code[i]) - _kraus_apply(noise, code[j]))
+            dev_max = max(dev_max, abs(d_t - _trace_norm(code[i] - code[j])))
+            pairs += 1
+        iso = (True, (), pairs, dev_max, dev_max <= 1e-8)
+
+    min_slack, pulls = math.inf, 0
+    for i in range(n):
+        dim = 2 if i % 2 == 0 else 3
+        a, b = _wishart_state(dim, rng), _wishart_state(dim, rng)
+        d = _trace_norm(a - b)
+        if d > window:
+            t = 0.9 * window / d
+            b = (1.0 - t) * a + t * b
+            d = _trace_norm(a - b)
+            pulls += 1
+        allowance = d * math.log(dim) - d * math.log(d) if d else 0.0
+        min_slack = min(min_slack, allowance - abs(_vn_entropy(a) - _vn_entropy(b)))
+    return worst, iso, min_slack, pulls

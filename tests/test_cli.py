@@ -2,15 +2,19 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import memlab
 from memlab import szilard_run
 from memlab.cli import main
+
+SRC = Path(memlab.__file__).resolve().parents[1]
 
 
 def _write_config(path, **entries):
@@ -252,6 +256,7 @@ _SIZED = {
     "fluctuation": dict(n_periods=[1], period=1.0, e_max=2.0, n_traj=4),
     "toolkit-check": dict(n_samples=2),
     "szilard": dict(p_init=[0.0], beta_E=5.0, ramp_time=[0.0]),
+    "cycle": dict(p_init=[0.0], beta_E=5.0, ramp_time=[0.0]),
 }
 
 
@@ -291,6 +296,18 @@ def test_non_integer_sizes_and_samples_rejected(tmp_path, capsys, experiment, ke
     ("szilard", "beta_E"),
     ("fluctuation", "period"),
     ("fluctuation", "e_max"),
+    ("ising-lifetime", "t_max"),
+    ("ising-lifetime", "J"),
+    ("kitaev-lifetime", "t_max"),
+    ("kitaev-lifetime", "move_rate"),
+    ("gap", "J"),
+    ("gap", "move_rate"),
+    ("szilard", "beta"),
+    ("szilard", "gamma"),
+    ("cycle", "beta"),
+    ("cycle", "gamma"),
+    ("fluctuation", "beta"),
+    ("fluctuation", "gamma"),
 ])
 def test_booleans_are_not_counts_seeds_or_numbers(tmp_path, capsys, experiment, key):
     """``true`` is not 1: it would run one trajectory, seed 1 or beta = 1."""
@@ -301,6 +318,27 @@ def test_booleans_are_not_counts_seeds_or_numbers(tmp_path, capsys, experiment, 
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
     cfg[key] = 2
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 0
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("ising-lifetime", "t_max", "1"),
+    ("kitaev-lifetime", "move_rate", "1.5"),
+    ("gap", "J", "2"),
+    ("szilard", "gamma", "2"),
+    ("fluctuation", "beta", "1"),
+    ("szilard", "p_init", ["0.1"]),
+    ("cycle", "ramp_time", [True]),
+])
+def test_numeric_strings_are_not_numbers(tmp_path, capsys, experiment, key, value):
+    """``gamma="2"`` is a config error, not gamma = 2."""
+    out = tmp_path / "out.csv"
+    cfg = dict(_SIZED[experiment], experiment=experiment, output=str(out))
+    cfg[key] = value
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+    cfg[key] = [0] if isinstance(value, list) else 2
     assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 0
 
 
@@ -334,3 +372,19 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run(["memlab", "run", cfg], capture_output=True, text=True)
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    """``python -m memlab`` reaches the same main; it needs no console script."""
+    cfg, out = _gap_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "memlab", "run", cfg], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote {out}\n"
+    assert out.read_text().splitlines()[0] == "model,size,beta,gap"
+    bad = subprocess.run([sys.executable, "-m", "memlab", "run", cfg,
+                          "--override", "beta=true"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 1
+    assert "'beta'" in bad.stderr

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _oracles import toolkit_sweep_loop
 from memlab import (
     DensityMatrix,
     QuantumChannel,
@@ -21,6 +23,7 @@ from memlab import (
     toolkit_sweep,
     trace_distance,
 )
+from memlab.qtoolkit import IsometryReport, _check_densities
 
 
 def _diag(*probs):
@@ -50,6 +53,48 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
 
+def test_nan_and_infinite_states_are_rejected():
+    # every comparison with NaN is false, so no later check would catch it
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(np.array([[np.inf, 0.0], [0.0, 0.5]]))
+
+
+def test_zero_dimensional_state_is_named():
+    with pytest.raises(ValueError, match="dimension 0"):
+        DensityMatrix(np.zeros((0, 0)))
+
+
+def test_rank_zero_random_state_is_rejected():
+    with pytest.raises(ValueError, match="rank"):
+        random_density(2, np.random.default_rng(0), rank=0)
+
+
+_BAD_MATRICES = {
+    "not square": np.ones((2, 3)),
+    "empty": np.zeros((0, 0)),
+    "above the cap": np.eye(65) / 65.0,
+    "nan": np.full((2, 2), np.nan),
+    "infinite": np.diag([np.inf, 0.5]),
+    "not hermitian": np.array([[0.5, 0.5], [0.0, 0.5]]),
+    "trace 2": np.eye(2),
+    "negative eigenvalue": np.diag([1.5, -0.5]),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_MATRICES.values(), ids=_BAD_MATRICES.keys())
+def test_stacked_validator_and_density_matrix_agree(bad):
+    """The sweep validates whole stacks; a bad member fails with the message
+    ``DensityMatrix`` gives for it alone."""
+    with pytest.raises(ValueError) as single:
+        DensityMatrix(bad)
+    good = np.eye(*bad.shape) / max(len(bad), 1)
+    with pytest.raises(ValueError) as stacked:
+        _check_densities(np.stack([good, bad]).astype(np.complex128))
+    assert str(stacked.value) == str(single.value)
+
+
 def test_density_matrix_is_read_only():
     rho = _diag(0.5, 0.5)
     with pytest.raises(ValueError):
@@ -63,6 +108,10 @@ def test_channel_validation():
         QuantumChannel((np.eye(2), np.eye(3)))
     with pytest.raises(ValueError, match="completeness"):
         QuantumChannel((0.5 * np.eye(2),))
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumChannel((np.full((2, 2), np.nan),))
+    with pytest.raises(ValueError, match="dimension 0"):
+        QuantumChannel((np.zeros((0, 0)),))
 
 
 def test_encoder_channel_dimensions():
@@ -293,9 +342,30 @@ def test_toolkit_sweep_keeps_its_draw_order():
     """Seed 2, n = 40: the numbers the sampling loop gave when it was written
     out in the CLI, so any change to the order of draws shows here."""
     sweep = toolkit_sweep(40, np.random.default_rng(2))
-    assert np.isclose(sweep.max_contraction_violation, -0.06783952946064722,
-                      rtol=1e-12, atol=0.0)
+    assert sweep.max_contraction_violation == -0.06783952946064722
     assert sweep.isometry.precondition_ok and sweep.isometry.pairs == 66
     assert sweep.isometry.max_deviation < 1e-14
-    assert np.isclose(sweep.min_fannes_slack, 0.2697798913802121,
-                      rtol=1e-12, atol=0.0)
+    assert sweep.min_fannes_slack == 0.2697798913802121
+
+
+def _assert_sweep_matches_the_loop(n, seed):
+    code = tuple(c.kraus for c in repetition_code_channels(0.15))
+    worst, iso, slack, pulls = toolkit_sweep_loop(n, np.random.default_rng(seed),
+                                                   code)
+    sweep = toolkit_sweep(n, np.random.default_rng(seed))
+    assert sweep.max_contraction_violation == worst
+    assert sweep.isometry == IsometryReport(*iso)
+    assert sweep.min_fannes_slack == slack
+    return pulls
+
+
+@pytest.mark.parametrize("n,seed,pulls", [(1, 48, 0), (3, 0, 2), (40, 2, 38)])
+def test_toolkit_sweep_equals_the_per_sample_loop(n, seed, pulls):
+    """Stacking changes no bit: with no Fannes pull, with some, with most."""
+    assert _assert_sweep_matches_the_loop(n, seed) == pulls
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_toolkit_sweep_equals_the_loop_on_random_seeds(n, seed):
+    _assert_sweep_matches_the_loop(n, seed)
