@@ -1,9 +1,12 @@
 """Batch experiment runner.
 
 ``memlab run config.json [--override key=value]... [--workers n]`` reads a
-flat JSON config, dispatches one experiment, and writes a CSV plus a
-``<output>.manifest.json`` sidecar (config echo, seed, version, wall time).
-Exit codes: 0 success, 1 config/validation error, 2 runtime error.
+flat JSON config, checks it against ``EXPERIMENTS`` (each experiment's CSV
+header, runner and ``Key`` rules), runs the experiment on the checked dict,
+and writes a CSV plus a ``<output>.manifest.json`` sidecar (config echo, seed,
+version, wall time).  Every key is checked, and the lattice models and
+``SimulationParams`` are built, before any experiment work.
+Exit codes: 0 success, 1 config error naming its key, 2 runtime error.
 
 Identical config + seed produces byte-identical CSV bodies regardless of the
 worker count; floats are written with ``repr`` so rows round-trip exactly.
@@ -19,13 +22,15 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .dynamics import SimulationParams, first_passage, kitaev_memory_lifetime
 from .exact import build_generator, spectral_gap
-from .lattice import build_model
+from .lattice import KINDS, build_model
 from .qtoolkit import CONTRACTION_TOL, ISOMETRY_TOL, toolkit_sweep
 from .thermo import (LN2, MemoryModel, entropy_production_samples,
                      memory_engine_cycle, sawtooth_schedule, szilard_run)
@@ -35,29 +40,49 @@ class ConfigError(ValueError):
     """Config problem; maps to exit code 1 with the offending key named."""
 
 
-_COMMON_KEYS = {"experiment", "output", "seed", "workers"}
-_EXPERIMENT_KEYS = {
-    "ising-lifetime": {"model", "sizes", "beta", "J", "n_traj", "t_max"},
-    "kitaev-lifetime": {"sizes", "beta", "n_traj", "t_max", "decoder",
-                        "move_rate", "mu"},
-    "gap": {"model", "sizes", "beta", "J", "move_rate"},
-    "szilard": {"p_init", "beta_E", "ramp_time", "beta", "gamma", "rates"},
-    "cycle": {"p_init", "beta_E", "ramp_time", "beta", "gamma", "rates",
-              "stable"},
-    "fluctuation": {"n_periods", "period", "e_max", "beta", "gamma", "n_traj",
-                    "rates"},
-    "toolkit-check": {"n_samples"},
-}
+def _num(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-_HEADERS = {
-    "ising-lifetime": "model,N,beta,J,n_traj,censored,mean_lifetime,stderr",
-    "kitaev-lifetime": "L,beta,n_traj,censored,decoder,mean_lifetime,stderr",
-    "gap": "model,size,beta,gap",
-    "szilard": "p_init,beta_E,ramp_time,work_on,heat_in,net_extracted,violation_flag",
-    "cycle": "p_init,beta_E,ramp_time,work_on,heat_in,net_extracted,violation_flag",
-    "fluctuation": "duration,n_traj,mean_sigma,ift_estimate,p_sigma_negative",
-    "toolkit-check": "check,detail,value,threshold,pass",
-}
+
+# A kind is (test, error text formatted with key and v, stored form or None).
+def _takes(what, ok, cast=None):
+    return ok, f"key '{{key}}' takes {what}, got {{v!r}}", cast
+
+
+def _enum(*choices):
+    """One of ``choices``, of the same type: ``true`` is not 1, nor 1.0."""
+    return (lambda v: any(type(v) is type(c) and v == c for c in choices),
+            f"unknown {{key}}: {{v!r}} (key '{{key}}' takes "
+            f"{' / '.join(map(repr, choices))})", None)
+
+
+STRING = _takes("a string", lambda v: isinstance(v, str))
+INT_GE0 = _takes("integers >= 0", lambda v: type(v) is int and v >= 0)
+INT_GE1 = _takes("integers >= 1", lambda v: type(v) is int and v >= 1)
+NUMBER = _takes("numbers", _num, float)
+NUM_GE0 = _takes("numbers >= 0", lambda v: _num(v) and v >= 0, float)
+POSITIVE = _takes("positive numbers", lambda v: _num(v) and v > 0, float)
+PROBABILITY = _takes("probabilities in [0, 1]", lambda v: _num(v) and 0 <= v <= 1, float)
+BOOLEAN = _takes("true or false", lambda v: isinstance(v, bool))
+RATES = _enum("heat-bath", "metropolis")
+
+REQUIRED = object()  # default of a key the config must give
+
+
+class Key(NamedTuple):
+    kind: tuple
+    default: object = REQUIRED
+    listed: bool = False  # takes a list; a scalar is a list of one
+
+
+class Experiment(NamedTuple):
+    header: str
+    runner: Callable  # checked config -> rows
+    keys: dict        # name -> Key
+
+
+_COMMON = {"experiment": Key(STRING), "output": Key(STRING), "seed": Key(INT_GE0, 0),
+           "workers": Key(INT_GE1, 1)}
 
 
 def _fmt(v):
@@ -68,129 +93,92 @@ def _fmt(v):
     return str(v)
 
 
-def _require(config, key, types=None):
-    if key not in config:
-        raise ConfigError(f"missing required key '{key}'")
-    v = config[key]
-    if types is not None and not isinstance(v, types):
-        raise ConfigError(f"key '{key}' has the wrong type")
-    return v
+def _check(key, v, kind):
+    ok, error, cast = kind
+    if not ok(v):
+        raise ConfigError(error.format(key=key, v=v))
+    return cast(v) if cast else v
 
 
-def _as_list(v):
-    return list(v) if isinstance(v, (list, tuple)) else [v]
+def _derive(keys, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError a ConfigError naming ``keys``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"key {keys}: {exc}") from None
 
 
 def _validate(config):
-    experiment = _require(config, "experiment", str)
-    if experiment not in _EXPERIMENT_KEYS:
-        raise ConfigError(f"unknown experiment '{experiment}'")
-    allowed = _COMMON_KEYS | _EXPERIMENT_KEYS[experiment]
+    """(experiment, checked config): every key checked, defaults filled in,
+    ``models`` and ``params`` built, before any experiment work."""
+    name = config.get("experiment")
+    if name is None:
+        raise ConfigError("missing required key 'experiment'")
+    _check("experiment", name, _enum(*EXPERIMENTS))
+    schema = {**_COMMON, **EXPERIMENTS[name].keys}
     for key in config:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' for experiment '{experiment}'")
-    _require(config, "output", str)
-    _integer(config.get("seed", 0), "seed")
-    return experiment
+        if key not in schema:
+            raise ConfigError(f"unknown key '{key}' for experiment '{name}'")
+    c = {}
+    for key, (kind, default, listed) in schema.items():
+        if key not in config:
+            if default is REQUIRED:
+                raise ConfigError(f"missing required key '{key}'")
+            c[key] = default
+        elif listed:
+            v = config[key]
+            c[key] = [_check(key, x, kind)
+                      for x in (v if isinstance(v, (list, tuple)) else [v])]
+        else:
+            c[key] = _check(key, config[key], kind)
+    if "sizes" in c:  # Ising2D and Kitaev2D sizes are L, the others N
+        model = c.get("model", "Kitaev2D")
+        dim = "L" if model in ("Ising2D", "Kitaev2D") else "N"
+        c["models"] = [_derive("'sizes'", build_model, model, J=c.get("J", 1.0),
+                               move_rate=c.get("move_rate", 1.0), **{dim: size})
+                       for size in c["sizes"]]
+    if "t_max" in c:  # the lifetime experiments
+        c["params"] = _derive("'beta', 't_max' or 'n_traj'", SimulationParams,
+                              beta=c["beta"], t_max=c["t_max"], n_traj=c["n_traj"])
+    return EXPERIMENTS[name], c
 
 
-def _integer(v, key):
-    """``v`` if it is an integer (booleans are not), else a ConfigError naming ``key``."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"key '{key}' takes integers, got {v!r}")
-    return v
-
-
-def _number(v, key):
-    """``v`` as a float if it is a JSON number (booleans and strings are not),
-    else a ConfigError naming ``key``."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"key '{key}' takes numbers, got {v!r}")
-    return float(v)
-
-
-def _model_for(kind, size, J, move_rate=1.0):
-    """Model for one ``sizes`` entry: L of Ising2D and Kitaev2D, N otherwise."""
-    size = _integer(size, "sizes")
-    if kind == "Kitaev2D":
-        return build_model(kind, L=size, J=J, move_rate=move_rate)
-    if kind == "Ising2D":
-        return build_model(kind, L=size, J=J)
-    return build_model(kind, N=size, J=J)
-
-
-def _sim_params(config, beta):
-    n_traj = _integer(_require(config, "n_traj"), "n_traj")
-    t_max = _number(config.get("t_max", math.inf), "t_max")
-    try:
-        return SimulationParams(beta=beta, t_max=t_max, n_traj=n_traj)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _run_ising_lifetime(config, seed, workers):
-    kind = _require(config, "model", str)
-    if kind == "Kitaev2D":
-        raise ConfigError("key 'model' takes an Ising kind; Kitaev2D runs as kitaev-lifetime")
-    beta = _number(_require(config, "beta"), "beta")
-    J = _number(config.get("J", 1.0), "J")
-    params = _sim_params(config, beta)
+def _run_ising_lifetime(c):
     rows = []
-    for size in _as_list(_require(config, "sizes")):
-        model = _model_for(kind, size, J)
-        res = first_passage(model, params, seed=seed, workers=workers)
-        rows.append((kind, model.N, beta, J, res.n_traj, res.censored,
-                     res.mean, res.stderr))
+    for model in c["models"]:
+        res = first_passage(model, c["params"], seed=c["seed"], workers=c["workers"])
+        rows.append((c["model"], model.N, c["beta"], c["J"], res.n_traj,
+                     res.censored, res.mean, res.stderr))
     return rows
 
 
-def _run_kitaev_lifetime(config, seed, workers):
-    beta = _number(_require(config, "beta"), "beta")
-    decoder = config.get("decoder", "matching")
-    decoders = ["matching", "bare"] if decoder == "both" else [decoder]
-    move_rate = _number(config.get("move_rate", 1.0), "move_rate")
-    mu = _integer(config.get("mu", 1), "mu")
-    params = _sim_params(config, beta)
+def _run_kitaev_lifetime(c):
+    decoders = ["matching", "bare"] if c["decoder"] == "both" else [c["decoder"]]
     rows = []
-    for size in _as_list(_require(config, "sizes")):
-        size = _integer(size, "sizes")
+    for size in c["sizes"]:
         for dec in decoders:
-            res = kitaev_memory_lifetime(size, params, decoder=dec,
-                                         seed=seed, workers=workers, mu=mu,
-                                         move_rate=move_rate)
-            rows.append((size, beta, res.n_traj, res.censored, dec,
+            res = kitaev_memory_lifetime(size, c["params"], decoder=dec,
+                                         seed=c["seed"], workers=c["workers"],
+                                         mu=c["mu"], move_rate=c["move_rate"])
+            rows.append((size, c["beta"], res.n_traj, res.censored, dec,
                          res.mean, res.stderr))
     return rows
 
 
-def _run_gap(config, seed, workers):
-    kind = _require(config, "model", str)
-    beta = _number(_require(config, "beta"), "beta")
-    J = _number(config.get("J", 1.0), "J")
-    move_rate = _number(config.get("move_rate", 1.0), "move_rate")
-    rows = []
-    for size in _as_list(_require(config, "sizes")):
-        model = _model_for(kind, size, J, move_rate)
-        gap = spectral_gap(build_generator(model, beta))
-        rows.append((kind, size, beta, gap))
-    return rows
+def _run_gap(c):
+    return [(c["model"], size, c["beta"],
+             spectral_gap(build_generator(model, c["beta"])))
+            for size, model in zip(c["sizes"], c["models"])]
 
 
-def _ramp_rows(config, cycle_mode):
-    beta = _number(config.get("beta", 1.0), "beta")
-    gamma = _number(config.get("gamma", 1.0), "gamma")
-    rates = config.get("rates", "heat-bath")
-    beta_e = _number(_require(config, "beta_E"), "beta_E")
-    e_max = beta_e / beta
-    stable = config.get("stable", True)
-    if not isinstance(stable, bool):
-        raise ConfigError(f"key 'stable' takes true or false, got {stable!r}")
+def _ramp_rows(c, cycle_mode):
+    beta, gamma, rates = c["beta"], c["gamma"], c["rates"]
+    e_max = c["beta_E"] / beta
     rows = []
-    for p in _as_list(_require(config, "p_init")):
-        for ramp in _as_list(_require(config, "ramp_time")):
-            p, ramp = _number(p, "p_init"), _number(ramp, "ramp_time")
+    for p in c["p_init"]:
+        for ramp in c["ramp_time"]:
             if cycle_mode:
-                res = memory_engine_cycle(MemoryModel(p, stable=stable), e_max,
+                res = memory_engine_cycle(MemoryModel(p, stable=c["stable"]), e_max,
                                           ramp, beta, gamma=gamma, rates=rates)
                 ledger, net, flag = res.ledger, res.net_extracted, res.violation
             else:
@@ -198,35 +186,26 @@ def _ramp_rows(config, cycle_mode):
                                      rates=rates)
                 net = ledger.extracted_work
                 flag = net > LN2 / beta * (1.0 + 1e-9)
-            rows.append((p, beta_e, ramp, ledger.work_on_system,
+            rows.append((p, c["beta_E"], ramp, ledger.work_on_system,
                          ledger.heat_into_system, net, flag))
     return rows
 
 
-def _run_fluctuation(config, seed, workers):
-    beta = _number(config.get("beta", 1.0), "beta")
-    gamma = _number(config.get("gamma", 1.0), "gamma")
-    rates = config.get("rates", "heat-bath")
-    period = _number(_require(config, "period"), "period")
-    e_max = _number(_require(config, "e_max"), "e_max")
-    n_traj = _integer(_require(config, "n_traj"), "n_traj")
+def _run_fluctuation(c):
     rows = []
-    for n_periods in _as_list(_require(config, "n_periods")):
-        n_periods = _integer(n_periods, "n_periods")
-        sched = sawtooth_schedule(n_periods, period, e_max, gamma=gamma,
-                                  beta=beta)
-        res = entropy_production_samples(sched, n_traj, seed=seed, rates=rates,
-                                         workers=workers)
-        rows.append((n_periods * period, res.n_traj, res.mean_sigma,
+    for n_periods in c["n_periods"]:
+        sched = sawtooth_schedule(n_periods, c["period"], c["e_max"],
+                                  gamma=c["gamma"], beta=c["beta"])
+        res = entropy_production_samples(sched, c["n_traj"], seed=c["seed"],
+                                         rates=c["rates"], workers=c["workers"])
+        rows.append((n_periods * c["period"], res.n_traj, res.mean_sigma,
                      res.ift_estimate, res.p_negative))
     return rows
 
 
-def _run_toolkit_check(config, seed, workers):
-    n = _integer(config.get("n_samples", 10000), "n_samples")
-    if n < 1:
-        raise ConfigError("key 'n_samples' must be positive")
-    sweep = toolkit_sweep(n, np.random.default_rng(seed))
+def _run_toolkit_check(c):
+    n = c["n_samples"]
+    sweep = toolkit_sweep(n, np.random.default_rng(c["seed"]))
     worst, iso, min_slack = (sweep.max_contraction_violation, sweep.isometry,
                              sweep.min_fannes_slack)
     rows = [
@@ -248,14 +227,38 @@ def _run_toolkit_check(config, seed, workers):
     return rows
 
 
-_RUNNERS = {
-    "ising-lifetime": _run_ising_lifetime,
-    "kitaev-lifetime": _run_kitaev_lifetime,
-    "gap": _run_gap,
-    "szilard": lambda c, s, w: _ramp_rows(c, cycle_mode=False),
-    "cycle": lambda c, s, w: _ramp_rows(c, cycle_mode=True),
-    "fluctuation": _run_fluctuation,
-    "toolkit-check": _run_toolkit_check,
+_RAMP_KEYS = {"p_init": Key(PROBABILITY, listed=True), "beta_E": Key(POSITIVE),
+              "ramp_time": Key(NUM_GE0, listed=True), "beta": Key(POSITIVE, 1.0),
+              "gamma": Key(POSITIVE, 1.0), "rates": Key(RATES, "heat-bath")}
+_RAMP_HEADER = "p_init,beta_E,ramp_time,work_on,heat_in,net_extracted,violation_flag"
+
+EXPERIMENTS = {
+    "ising-lifetime": Experiment(
+        "model,N,beta,J,n_traj,censored,mean_lifetime,stderr", _run_ising_lifetime,
+        {"model": Key(_enum(*(k for k in KINDS if k != "Kitaev2D"))),
+         "sizes": Key(INT_GE1, listed=True), "beta": Key(NUM_GE0), "J": Key(NUMBER, 1.0),
+         "n_traj": Key(INT_GE1), "t_max": Key(POSITIVE, math.inf)}),
+    "kitaev-lifetime": Experiment(
+        "L,beta,n_traj,censored,decoder,mean_lifetime,stderr", _run_kitaev_lifetime,
+        {"sizes": Key(INT_GE1, listed=True), "beta": Key(NUM_GE0), "n_traj": Key(INT_GE1),
+         "t_max": Key(POSITIVE, math.inf),
+         "decoder": Key(_enum("matching", "bare", "both"), "matching"),
+         "move_rate": Key(NUM_GE0, 1.0), "mu": Key(_enum(1, 2), 1)}),
+    "gap": Experiment(
+        "model,size,beta,gap", _run_gap,
+        {"model": Key(_enum(*KINDS)), "sizes": Key(INT_GE1, listed=True),
+         "beta": Key(NUM_GE0), "J": Key(NUMBER, 1.0), "move_rate": Key(NUM_GE0, 1.0)}),
+    "szilard": Experiment(_RAMP_HEADER, partial(_ramp_rows, cycle_mode=False), _RAMP_KEYS),
+    "cycle": Experiment(_RAMP_HEADER, partial(_ramp_rows, cycle_mode=True),
+                        {**_RAMP_KEYS, "stable": Key(BOOLEAN, True)}),
+    "fluctuation": Experiment(
+        "duration,n_traj,mean_sigma,ift_estimate,p_sigma_negative", _run_fluctuation,
+        {"n_periods": Key(INT_GE1, listed=True), "period": Key(POSITIVE),
+         "e_max": Key(NUMBER), "beta": Key(NUMBER, 1.0), "gamma": Key(POSITIVE, 1.0),
+         "n_traj": Key(INT_GE1), "rates": Key(RATES, "heat-bath")}),
+    "toolkit-check": Experiment(
+        "check,detail,value,threshold,pass", _run_toolkit_check,
+        {"n_samples": Key(INT_GE1, 10000)}),
 }
 
 
@@ -271,45 +274,41 @@ def _apply_overrides(config, overrides):
     return config
 
 
+def _workers(config, flag):
+    """The ``--workers`` flag, then the config key, then MEMLAB_WORKERS, then 1."""
+    if flag is not None or "workers" in config:
+        return config["workers"] if flag is None else flag
+    env = os.environ.get("MEMLAB_WORKERS", "1")
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"key 'workers' (MEMLAB_WORKERS={env!r}) "
+                          "must be a positive integer") from None
+
+
 def run(config: dict, workers_flag: int | None = None) -> tuple[str, str]:
     """Validate, dispatch, and write outputs; returns (csv_path, manifest_path)."""
-    experiment = _validate(config)
-    seed = int(config.get("seed", 0))
-    workers = workers_flag
-    if workers is None:
-        workers = config.get("workers")
-    if workers is None:
-        env = os.environ.get("MEMLAB_WORKERS", "1")
-        try:
-            workers = int(env)
-        except ValueError:
-            raise ConfigError(f"key 'workers' (MEMLAB_WORKERS={env!r}) "
-                              "must be a positive integer") from None
-    if _integer(workers, "workers") < 1:
-        raise ConfigError("key 'workers' must be a positive integer")
-
+    experiment, c = _validate({**config, "workers": _workers(config, workers_flag)})
     start = time.monotonic()
     try:
-        rows = _RUNNERS[experiment](config, seed, workers)
-    except ConfigError:
-        raise
+        rows = experiment.runner(c)
     except ValueError as exc:
         # invalid parameter combinations surface as validation errors
         raise ConfigError(str(exc)) from None
     wall = time.monotonic() - start
 
-    out_path = config["output"]
+    out_path = c["output"]
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_HEADERS[experiment].split(","))
+        writer.writerow(experiment.header.split(","))
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
     manifest_path = out_path + ".manifest.json"
     manifest = {
         "config": config,
-        "experiment": experiment,
-        "seed": seed,
-        "workers": workers,
+        "experiment": c["experiment"],
+        "seed": c["seed"],
+        "workers": c["workers"],
         "version": __version__,
         "wall_time_s": wall,
         "written_at": datetime.now(timezone.utc).isoformat(),

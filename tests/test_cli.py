@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import memlab
 from memlab import szilard_run
-from memlab.cli import main
+from memlab.cli import EXPERIMENTS, REQUIRED, main
 
 SRC = Path(memlab.__file__).resolve().parents[1]
 
@@ -273,10 +274,22 @@ _SIZED = {
     ("toolkit-check", "n_samples", True),
     ("kitaev-lifetime", "mu", 1.7),
     ("fluctuation", "n_periods", [2.5]),
+    # out of range
+    ("szilard", "beta", 0),
+    ("cycle", "beta", -1.0),
+    ("gap", "beta", -1),
+    ("gap", "seed", -1),
+    ("kitaev-lifetime", "seed", -1),
+    ("fluctuation", "seed", -1),
+    ("kitaev-lifetime", "move_rate", -1.0),
+    ("gap", "move_rate", -0.5),
+    ("kitaev-lifetime", "mu", 3),
+    ("fluctuation", "gamma", 0),
 ])
 def test_non_integer_sizes_and_samples_rejected(tmp_path, capsys, experiment, key,
                                                 value):
-    """Sizes and sample counts are not truncated: 3.5 is an error, not L=3."""
+    """Sizes and sample counts are not truncated: 3.5 is an error, not L=3.
+    Out-of-range values are errors too, named before any work."""
     out = tmp_path / "out.csv"
     cfg = dict(_SIZED[experiment], experiment=experiment, output=str(out))
     cfg[key] = value
@@ -340,6 +353,73 @@ def test_numeric_strings_are_not_numbers(tmp_path, capsys, experiment, key, valu
     assert not out.exists()
     cfg[key] = [0] if isinstance(value, list) else 2
     assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 0
+
+
+# the experiment work memlab.cli calls (build_model belongs to the check)
+_LIBRARY_CALLS = ("first_passage", "kitaev_memory_lifetime", "build_generator",
+                  "spectral_gap", "szilard_run", "memory_engine_cycle",
+                  "sawtooth_schedule", "entropy_production_samples", "toolkit_sweep")
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("ising-lifetime", "sizes", [16, -3]),
+    ("fluctuation", "n_periods", [10, 0]),
+    ("szilard", "p_init", [0.0, 1.5]),
+    ("szilard", "rates", 5),
+    ("kitaev-lifetime", "sizes", [4, 1]),
+])
+def test_bad_values_fail_before_any_work(tmp_path, capsys, monkeypatch, experiment,
+                                         key, value):
+    """A bad later list entry or option stops the run before the first entry runs."""
+    calls = []
+
+    def recorder(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise RuntimeError(f"{name} ran before the config was checked")
+        return call
+
+    for name in _LIBRARY_CALLS:
+        monkeypatch.setattr(f"memlab.cli.{name}", recorder(name))
+    out = tmp_path / "out.csv"
+    cfg = dict(_SIZED[experiment], experiment=experiment, output=str(out))
+    cfg[key] = value
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_integer_json_numbers_are_written_as_floats(tmp_path):
+    """Number keys reach the CSV as floats: 0 is written 0.0, as it always was."""
+    out = tmp_path / "sz.csv"
+    cfg = _write_config(tmp_path / "sz.json", experiment="szilard", p_init=[0, 1],
+                        beta_E=5, ramp_time=[0], output=str(out))
+    assert main(["run", cfg]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert rows[0].startswith("0.0,5.0,0.0,")
+    assert rows[1].startswith("1.0,5.0,0.0,")
+    cfg, out = _gap_config(tmp_path, beta=2)
+    assert main(["run", cfg]) == 0
+    assert out.read_text().splitlines()[1] == "IsingMeanField,1,2.0,1.0"
+
+
+def test_readme_key_table_matches_the_schema():
+    readme = (SRC.parent / "README.md").read_text()
+    table = readme.split("Experiments and their keys", 1)[1].split("\n\n")[1]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        # backticked names per cell, without the parenthesised enum values
+        name, required, optional = (re.findall(r"`([^`]+)`", re.sub(r"\(.*?\)", "", cell))
+                                    for cell in line.strip().strip("|").split("|"))
+        documented[name[0]] = (set(required), set(optional))
+    assert documented == {
+        name: ({k for k, key in exp.keys.items() if key.default is REQUIRED},
+               {k for k, key in exp.keys.items() if key.default is not REQUIRED})
+        for name, exp in EXPERIMENTS.items()}
+    listed = re.search(r"List-valued keys \(([^)]*)\)", readme).group(1)
+    assert set(re.findall(r"`([^`]+)`", listed)) == {
+        k for exp in EXPERIMENTS.values() for k, key in exp.keys.items() if key.listed}
 
 
 def test_stable_must_be_a_json_boolean(tmp_path, capsys):
