@@ -41,7 +41,13 @@ class ConfigError(ValueError):
 
 
 def _num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number: not a bool, NaN, +-Infinity or an int beyond float range."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 # A kind is (test, error text formatted with key and v, stored form or None).
@@ -59,9 +65,11 @@ def _enum(*choices):
 STRING = _takes("a string", lambda v: isinstance(v, str))
 INT_GE0 = _takes("integers >= 0", lambda v: type(v) is int and v >= 0)
 INT_GE1 = _takes("integers >= 1", lambda v: type(v) is int and v >= 1)
-NUMBER = _takes("numbers", _num, float)
-NUM_GE0 = _takes("numbers >= 0", lambda v: _num(v) and v >= 0, float)
-POSITIVE = _takes("positive numbers", lambda v: _num(v) and v > 0, float)
+NUMBER = _takes("finite numbers", _num, float)
+NUM_GE0 = _takes("finite numbers >= 0", lambda v: _num(v) and v >= 0, float)
+POSITIVE = _takes("finite positive numbers", lambda v: _num(v) and v > 0, float)
+HORIZON = _takes("positive numbers or Infinity",
+                 lambda v: v == math.inf or _num(v) and v > 0, float)
 PROBABILITY = _takes("probabilities in [0, 1]", lambda v: _num(v) and 0 <= v <= 1, float)
 BOOLEAN = _takes("true or false", lambda v: isinstance(v, bool))
 RATES = _enum("heat-bath", "metropolis")
@@ -237,11 +245,11 @@ EXPERIMENTS = {
         "model,N,beta,J,n_traj,censored,mean_lifetime,stderr", _run_ising_lifetime,
         {"model": Key(_enum(*(k for k in KINDS if k != "Kitaev2D"))),
          "sizes": Key(INT_GE1, listed=True), "beta": Key(NUM_GE0), "J": Key(NUMBER, 1.0),
-         "n_traj": Key(INT_GE1), "t_max": Key(POSITIVE, math.inf)}),
+         "n_traj": Key(INT_GE1), "t_max": Key(HORIZON, math.inf)}),
     "kitaev-lifetime": Experiment(
         "L,beta,n_traj,censored,decoder,mean_lifetime,stderr", _run_kitaev_lifetime,
         {"sizes": Key(INT_GE1, listed=True), "beta": Key(NUM_GE0), "n_traj": Key(INT_GE1),
-         "t_max": Key(POSITIVE, math.inf),
+         "t_max": Key(HORIZON, math.inf),
          "decoder": Key(_enum("matching", "bare", "both"), "matching"),
          "move_rate": Key(NUM_GE0, 1.0), "mu": Key(_enum(1, 2), 1)}),
     "gap": Experiment(

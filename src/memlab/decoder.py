@@ -12,7 +12,9 @@ paired with each partner in turn and the rest is solved recursively, memoised
 by subset mask.  Only the subsets that rule reaches are visited (232 at
 k = 12), so a 12-anyon decode costs about 0.4-0.6 ms and an 8-anyon one about
 0.1 ms.  Distances are plain nested lists and the geodesic walks are cached,
-so the inner loops touch no numpy scalars.
+so the inner loops touch no numpy scalars.  A geodesic steps across the edges
+of the lattice's own incidence tables (``plaquette_edges``/``edge_plaquettes``,
+or the star pair), so the edge numbering is written only in ``lattice``.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (LatticeModel, LogicalOperator, SpinConfiguration,
-                      Syndrome, build_model, logical_bare, syndrome)
+from .lattice import (LogicalOperator, SpinConfiguration, Syndrome, build_model,
+                      crossing_sign, logical_bare, syndrome)
 
 EXACT_LIMIT = 12  # anyon count up to which the pairing search is exact
 
@@ -63,29 +65,6 @@ def _torus_distance(a: int, b: int, L: int) -> int:
     return min(dx, L - dx) + min(dy, L - dy)
 
 
-def _moves(x: int, y: int, L: int, sector: str):
-    """The four unit moves from a stabilizer coordinate and the edges they cross.
-
-    Plaquette p(x,y) reaches p(x+1,y) across v(x+1,y), p(x-1,y) across v(x,y),
-    p(x,y+1) across h(x,y+1), p(x,y-1) across h(x,y).  Star moves are the dual
-    mirror: s(x,y) reaches s(x+1,y) across h(x,y) and s(x,y+1) across v(x,y).
-    """
-    L2 = L * L
-    if sector == "plaquette":
-        return (
-            ((x + 1) % L, y, L2 + y * L + (x + 1) % L),
-            ((x - 1) % L, y, L2 + y * L + x),
-            (x, (y + 1) % L, ((y + 1) % L) * L + x),
-            (x, (y - 1) % L, y * L + x),
-        )
-    return (
-        ((x + 1) % L, y, y * L + x),
-        ((x - 1) % L, y, y * L + (x - 1) % L),
-        (x, (y + 1) % L, L2 + y * L + x),
-        (x, (y - 1) % L, L2 + ((y - 1) % L) * L + x),
-    )
-
-
 def _geodesic_path(a: int, b: int, L: int, sector: str = "plaquette") -> list:
     """Shortest path of edges from stabilizer a to b, deterministic.
 
@@ -100,21 +79,28 @@ def _geodesic_path(a: int, b: int, L: int, sector: str = "plaquette") -> list:
     return list(_geodesic_edges(a, b, L, sector))
 
 
+@functools.lru_cache(maxsize=None)
+def _steps(L: int, sector: str) -> list:
+    """Per stabilizer, its (edge, stabilizer across that edge) pairs, read off
+    the model's incidence tables as plain ints."""
+    model = build_model("Kitaev2D", L=L)
+    if sector == "plaquette":
+        around, ends = model.plaquette_edges.tolist(), model.edge_plaquettes.tolist()
+    else:
+        around, ends = model.star_edges.tolist(), model.edge_stars.tolist()
+    return [[(e, sum(ends[e]) - s) for e in edges] for s, edges in enumerate(around)]
+
+
 @functools.lru_cache(maxsize=1 << 14)
 def _geodesic_edges(a: int, b: int, L: int, sector: str) -> tuple:
     """Cached edge tuple of :func:`_geodesic_path` for ``a <= b``."""
-    x, y = _coords(a, L)
+    steps = _steps(L, sector)
     path = []
     d = _torus_distance(a, b, L)
     while d > 0:
-        best = None
-        for nx, ny, edge in _moves(x, y, L, sector):
-            if _torus_distance(ny * L + nx, b, L) == d - 1:
-                if best is None or edge < best[2]:
-                    best = (nx, ny, edge)
-        x, y, edge = best
-        path.append(edge)
         d -= 1
+        edge, a = min(step for step in steps[a] if _torus_distance(step[1], b, L) == d)
+        path.append(edge)
     return tuple(path)
 
 
@@ -218,13 +204,6 @@ def decode_matching(syn: Syndrome, L: int) -> Correction:
     return Correction(frozenset(edges), L, method)
 
 
-def crossing_sign(edges, op: LogicalOperator) -> int:
-    """(-1)**(number of edges anticommuting with the operator's Pauli string)."""
-    if op.sector == "X-type":
-        return 1
-    return -1 if len(frozenset(edges) & op.support) % 2 else 1
-
-
 def dressed_logical(outcomes, op: LogicalOperator, L: int) -> int:
     """Corrected logical readout from a full set of single-qubit outcomes.
 
@@ -244,7 +223,7 @@ def dressed_logical(outcomes, op: LogicalOperator, L: int) -> int:
     values = outcomes.spins
     if values.size != 2 * L * L:
         raise ValueError(f"need outcomes for all {2 * L * L} qubits, got {values.size}")
-    model = _cached_model(L)
+    model = build_model("Kitaev2D", L=L)
     error = frozenset(np.flatnonzero(values < 0).tolist())
     bare = logical_bare(model, error, op)
     corr = decode_matching(syndrome(model, error, "plaquette"), L)
@@ -258,18 +237,10 @@ def is_logical_failure(error, correction: Correction, op: LogicalOperator) -> bo
     conjugate cycle an odd number of times, i.e. is homologically nontrivial
     in the direction the operator detects.
     """
-    model = _cached_model(correction.L)
+    model = build_model("Kitaev2D", L=correction.L)
     error = frozenset(int(e) for e in error)
     if syndrome(model, error, "plaquette") != syndrome(model, correction.edges, "plaquette"):
         raise ValueError("correction does not match the error's syndrome")
     residual = error ^ correction.edges
     return crossing_sign(residual, op) == -1
 
-
-_MODEL_CACHE = {}
-
-
-def _cached_model(L: int) -> LatticeModel:
-    if L not in _MODEL_CACHE:
-        _MODEL_CACHE[L] = build_model("Kitaev2D", L=L)
-    return _MODEL_CACHE[L]

@@ -12,6 +12,8 @@ rejected sweeps.  A kind supplies only its data: the ordered class keys, the
 key of a site computed from the state, the sites whose key a flip can change,
 the flip itself with its tracked observable (magnetization or anyon count),
 and the per-beta rate table (recomputed from M for the mean-field kind only).
+The geometry comes from the model's tables: ring and torus Ising read one
+``neighbours`` table, the toric code its edge/plaquette incidence tables.
 
 One event loop drives every trajectory.  Recorded runs, first-passage runs
 and toric-code memory runs differ only in the hooks they pass to it: one per
@@ -30,7 +32,7 @@ import numpy as np
 
 from ._shared import heat_bath, run_chunks
 from .lattice import (LatticeModel, SpinConfiguration, Syndrome, _as_error_set,
-                      _as_spins, build_model)
+                      _as_spins, build_model, crossing_sign)
 from . import decoder as _decoder_mod
 
 
@@ -44,8 +46,8 @@ class SimulationParams:
     probe_cadence: float | None = None
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta!r}")
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
         if self.n_traj < 1:
@@ -194,8 +196,8 @@ class _IsingSampler(_Sampler):
 class _LocalFieldSampler(_IsingSampler):
     """Ring and square-lattice Ising: class = s_i * (sum of neighbour spins)."""
 
-    def __init__(self, model: LatticeModel, beta: float, initial, neighbours):
-        self.nbrs = neighbours
+    def __init__(self, model: LatticeModel, beta: float, initial):
+        self.nbrs = neighbours = model.neighbours.tolist()
         self.keys = tuple(range(-len(neighbours[0]), len(neighbours[0]) + 1, 2))
         self.affected = [(i, *nb) for i, nb in enumerate(neighbours)]
         self.rates = {k: heat_bath(beta * (2.0 * model.J * k)) for k in self.keys}
@@ -267,10 +269,6 @@ class _KitaevSampler(_Sampler):
     final_state = state_view
 
 
-def _ring(n: int) -> list:
-    return [((i - 1) % n, (i + 1) % n) for i in range(n)]
-
-
 def _sampler(model: LatticeModel, beta: float, initial=None) -> _Sampler:
     """Sampler of the model's kind, started from ``initial`` (default: all up /
     no errors).  Raises ValueError for a state that does not fit the model."""
@@ -278,8 +276,7 @@ def _sampler(model: LatticeModel, beta: float, initial=None) -> _Sampler:
         return _KitaevSampler(model, beta, initial)
     if model.kind == "IsingMeanField":
         return _MeanFieldSampler(model, beta, initial)
-    neighbours = _ring(model.N) if model.kind == "Ising1D" else model.neighbours.tolist()
-    return _LocalFieldSampler(model, beta, initial, neighbours)
+    return _LocalFieldSampler(model, beta, initial)
 
 
 def _evolve(sampler: _Sampler, rng, t_max: float, cadence=None, on_probe=None,
@@ -467,7 +464,7 @@ def _kitaev_lifetime_once(model, params, decoder, op, ss) -> float:
                     raise RuntimeError(
                         f"decoder failed at t={t:g} "
                         f"on syndrome {sorted(syn.anyons)}") from exc
-            sign = _decoder_mod.crossing_sign(corr.edges, op)
+            sign = crossing_sign(corr.edges, op)
             sign_cache[key] = sign
         return bare * sign == -1
 

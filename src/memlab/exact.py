@@ -111,25 +111,13 @@ def _ising_generator(model: LatticeModel, beta: float):
     dim = 1 << n
     spins = _spin_matrix(dim, n)
     J = model.J
-    if model.kind == "Ising1D":
-        energies = -J * np.sum(spins * np.roll(spins, -1, axis=1), axis=1)
-        field = np.roll(spins, 1, axis=1) + np.roll(spins, -1, axis=1)
-        delta = 2.0 * J * spins * field
-        if n == 2:  # the two-spin ring has a doubled bond
-            delta = 2.0 * J * spins * (2.0 * np.roll(spins, 1, axis=1))
-            energies = -2.0 * J * spins[:, 0] * spins[:, 1]
-    elif model.kind == "IsingMeanField":
+    if model.kind == "IsingMeanField":
         M = spins.sum(axis=1)
         energies = -(J / (2 * n)) * M**2
         delta = (2.0 * J / n) * (spins * M[:, None] - 1.0)
-    else:  # Ising2D
-        L = model.L
-        grid = spins.reshape(dim, L, L)
-        energies = -J * (np.sum(grid * np.roll(grid, -1, 1), axis=(1, 2))
-                         + np.sum(grid * np.roll(grid, -1, 2), axis=(1, 2)))
-        field = np.zeros_like(spins)
-        for i in range(n):
-            field[:, i] = spins[:, model.neighbours[i]].sum(axis=1)
+    else:  # nearest neighbours; the table counts every bond twice
+        field = spins[:, model.neighbours].sum(axis=2)
+        energies = -0.5 * J * np.sum(spins * field, axis=1)
         delta = 2.0 * J * spins * field
     with np.errstate(over="ignore"):
         rates = 1.0 / (1.0 + np.exp(beta * delta))

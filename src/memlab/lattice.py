@@ -18,6 +18,7 @@ arguments without a separate code path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -113,7 +114,9 @@ class LogicalOperator:
 class LatticeModel:
     """Geometry plus Hamiltonian descriptor; build via :func:`build_model`.
 
-    Fields `edge_stars` etc. are precomputed incidence tables (Kitaev2D only).
+    Fields `edge_stars` etc. are precomputed incidence tables (Kitaev2D only);
+    ``neighbours`` lists each site's nearest neighbours (Ising1D, Ising2D).
+    The tables are read-only; models of one Kitaev2D size share theirs.
     ``beta`` is the inverse-temperature slot used by rate computations; it may
     be left unset and supplied later through simulation parameters.
     """
@@ -129,7 +132,7 @@ class LatticeModel:
     edge_stars: np.ndarray | None = field(default=None, repr=False)
     plaquette_edges: np.ndarray | None = field(default=None, repr=False)
     star_edges: np.ndarray | None = field(default=None, repr=False)
-    # Ising2D neighbour table
+    # Ising1D / Ising2D neighbour table
     neighbours: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -147,8 +150,26 @@ class LatticeModel:
         return self.beta
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _neighbours(idx: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour table of a periodic index array, one row per site.
+
+    Per axis the previous site comes first, then the next: ``(i-1, i+1)`` on
+    a ring, ``(y-1, y+1, x-1, x+1)`` on a torus.  At N = 2 the ring's two
+    entries coincide, which is its doubled bond.
+    """
+    return _read_only(np.stack(
+        [np.roll(idx, shift, axis) for axis in range(idx.ndim) for shift in (1, -1)],
+        axis=-1).reshape(idx.size, 2 * idx.ndim))
+
+
+@functools.lru_cache(maxsize=None)
 def _kitaev_tables(L: int):
-    """Incidence tables for the L x L torus.
+    """Incidence tables for the L x L torus, built once per L.
 
     Edges: horizontal h(x, y) = y*L + x joins vertices (x,y)-(x+1,y);
     vertical v(x, y) = L^2 + y*L + x joins (x,y)-(x,y+1).
@@ -173,9 +194,9 @@ def _kitaev_tables(L: int):
             plaq_edges[p].append(e)
         for s in edge_star[e]:
             star_edges[s].append(e)
-    return (edge_plaq, edge_star,
-            np.array(plaq_edges, dtype=np.int64),
-            np.array(star_edges, dtype=np.int64))
+    return tuple(_read_only(t) for t in (edge_plaq, edge_star,
+                                         np.array(plaq_edges, dtype=np.int64),
+                                         np.array(star_edges, dtype=np.int64)))
 
 
 def build_model(kind: str, N: int | None = None, L: int | None = None,
@@ -199,7 +220,8 @@ def build_model(kind: str, N: int | None = None, L: int | None = None,
     if kind == "Ising1D":
         if N is None or N < 2:
             raise ValueError("Ising1D needs N >= 2 (a ring of at least two spins)")
-        return LatticeModel(kind, int(N), float(J), None, beta)
+        return LatticeModel(kind, int(N), float(J), None, beta,
+                            neighbours=_neighbours(np.arange(int(N))))
     if kind == "IsingMeanField":
         if N is None or N < 1:
             raise ValueError("IsingMeanField needs N >= 1")
@@ -208,11 +230,8 @@ def build_model(kind: str, N: int | None = None, L: int | None = None,
         if L is None or L < 2:
             raise ValueError("Ising2D needs L >= 2")
         L = int(L)
-        idx = np.arange(L * L).reshape(L, L)
-        nbrs = np.stack([np.roll(idx, 1, 0), np.roll(idx, -1, 0),
-                         np.roll(idx, 1, 1), np.roll(idx, -1, 1)],
-                        axis=-1).reshape(L * L, 4)
-        return LatticeModel(kind, L * L, float(J), L, beta, neighbours=nbrs)
+        return LatticeModel(kind, L * L, float(J), L, beta,
+                            neighbours=_neighbours(np.arange(L * L).reshape(L, L)))
     # Kitaev2D
     if L is None or L < 2:
         raise ValueError("Kitaev2D needs L >= 2")
@@ -280,14 +299,10 @@ def energy(model: LatticeModel, config) -> float:
         return float(len(syndrome(model, edges, "star").anyons)
                      + len(syndrome(model, edges, "plaquette").anyons))
     s = _as_spins(model, config).spins.astype(np.float64)
-    if model.kind == "Ising1D":
-        return float(-model.J * np.dot(s, np.roll(s, -1)))
     if model.kind == "IsingMeanField":
         return float(-(model.J / (2 * model.N)) * s.sum() ** 2)
-    # Ising2D
-    grid = s.reshape(model.L, model.L)
-    return float(-model.J * (np.sum(grid * np.roll(grid, -1, 0))
-                             + np.sum(grid * np.roll(grid, -1, 1))))
+    # the neighbour table counts every bond twice
+    return float(-0.5 * model.J * np.dot(s, s[model.neighbours].sum(axis=1)))
 
 
 def block_flip_delta(model: LatticeModel, k: int) -> float:
@@ -341,6 +356,11 @@ def logical_bare(model: LatticeModel, error, op: LogicalOperator) -> int:
     edges = _as_error_set(model, error)
     if any(e >= model.N for e in op.support):
         raise ValueError("operator does not fit this model")
+    return crossing_sign(edges, op)
+
+
+def crossing_sign(edges, op: LogicalOperator) -> int:
+    """(-1)**(number of edges anticommuting with the operator's Pauli string)."""
     if op.sector == "X-type":
         return 1
-    return -1 if len(edges & op.support) % 2 else 1
+    return -1 if len(frozenset(edges) & op.support) % 2 else 1

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 import shutil
@@ -285,6 +286,17 @@ _SIZED = {
     ("gap", "move_rate", -0.5),
     ("kitaev-lifetime", "mu", 3),
     ("fluctuation", "gamma", 0),
+    # not finite (JSON NaN / Infinity)
+    ("ising-lifetime", "beta", math.inf),
+    ("ising-lifetime", "J", math.nan),
+    ("kitaev-lifetime", "beta", math.inf),
+    ("kitaev-lifetime", "t_max", math.nan),
+    ("gap", "J", math.nan),
+    ("gap", "beta", math.inf),
+    ("cycle", "beta_E", math.inf),
+    ("fluctuation", "period", math.inf),
+    ("fluctuation", "beta", -math.inf),
+    pytest.param("szilard", "gamma", 10**400, id="szilard-gamma-int-beyond-float"),
 ])
 def test_non_integer_sizes_and_samples_rejected(tmp_path, capsys, experiment, key,
                                                 value):
@@ -367,6 +379,8 @@ _LIBRARY_CALLS = ("first_passage", "kitaev_memory_lifetime", "build_generator",
     ("szilard", "p_init", [0.0, 1.5]),
     ("szilard", "rates", 5),
     ("kitaev-lifetime", "sizes", [4, 1]),
+    ("fluctuation", "e_max", math.inf),
+    ("szilard", "ramp_time", [0.0, math.inf]),
 ])
 def test_bad_values_fail_before_any_work(tmp_path, capsys, monkeypatch, experiment,
                                          key, value):
@@ -443,6 +457,15 @@ def test_ising_lifetime_rejects_the_toric_code(tmp_path, capsys):
                model="Kitaev2D", output=str(tmp_path / "out.csv"))
     assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 1
     assert "'model'" in capsys.readouterr().err
+
+
+def test_t_max_may_be_infinity(tmp_path):
+    """``t_max`` is the one number key that takes Infinity (its default)."""
+    out = tmp_path / "out.csv"
+    cfg = dict(_SIZED["ising-lifetime"], experiment="ising-lifetime", output=str(out))
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg),
+                 "--override", "t_max=Infinity"]) == 0
+    assert next(csv.DictReader(out.open()))["censored"] == "0"
 
 
 @pytest.mark.skipif(shutil.which("memlab") is None,

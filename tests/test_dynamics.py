@@ -31,6 +31,8 @@ from _oracles import heat_bath
     dict(beta=1.0, t_max=0.0),
     dict(beta=1.0, t_max=-2.0),
     dict(beta=1.0, t_max=1.0, n_traj=0),
+    dict(beta=math.nan, t_max=1.0),
+    dict(beta=math.inf, t_max=1.0),
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):

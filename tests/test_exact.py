@@ -40,23 +40,26 @@ def _spins_of(x, n):
 def test_generator_matches_loop_built_reference():
     """Vectorized assembly must agree with a naive per-entry construction."""
     beta = 0.8
-    model = build_model("Ising1D", N=4, beta=beta)
-    G = build_generator(model, beta)
-    dim = 16
-    ref = np.zeros((dim, dim))
-    for x in range(dim):
-        sx = _spins_of(x, 4)
-        ex = energy(model, SpinConfiguration(sx))
-        for i in range(4):
-            y = x ^ (1 << i)
-            sy = _spins_of(y, 4)
-            ey = energy(model, SpinConfiguration(sy))
-            ref[y, x] = heat_bath(beta * (ey - ex))
-        ref[x, x] = 0.0
-    ref -= np.diag(ref.sum(axis=0))
-    assert np.allclose(G.matrix, ref, atol=1e-13)
-    states = [energy(model, SpinConfiguration(_spins_of(x, 4))) for x in range(dim)]
-    assert np.allclose(G.energies, states, atol=1e-13)
+    for kind, kw in [("Ising1D", dict(N=4)), ("Ising1D", dict(N=2)),
+                     ("Ising1D", dict(N=3)), ("Ising2D", dict(L=2))]:
+        model = build_model(kind, beta=beta, **kw)
+        G = build_generator(model, beta)
+        n = model.N
+        dim = 1 << n
+        ref = np.zeros((dim, dim))
+        for x in range(dim):
+            sx = _spins_of(x, n)
+            ex = energy(model, SpinConfiguration(sx))
+            for i in range(n):
+                y = x ^ (1 << i)
+                sy = _spins_of(y, n)
+                ey = energy(model, SpinConfiguration(sy))
+                ref[y, x] = heat_bath(beta * (ey - ex))
+            ref[x, x] = 0.0
+        ref -= np.diag(ref.sum(axis=0))
+        assert np.allclose(G.matrix, ref, atol=1e-13)
+        states = [energy(model, SpinConfiguration(_spins_of(x, n))) for x in range(dim)]
+        assert np.allclose(G.energies, states, atol=1e-13)
 
 
 def test_generator_entries_equal_simulation_rates():

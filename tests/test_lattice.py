@@ -28,6 +28,25 @@ def test_build_model_validation():
         build_model("Kitaev2D", L=1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_ring_neighbour_table(n):
+    """Ising1D carries the ring in (previous, next) order; at N = 2 both are
+    the other spin, the doubled bond."""
+    table = build_model("Ising1D", N=n).neighbours
+    assert table is not None
+    assert table.tolist() == [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+
+
+def test_geometry_tables_are_shared_and_read_only():
+    a, b = build_model("Kitaev2D", L=4), build_model("Kitaev2D", L=4, move_rate=0.5)
+    assert a.plaquette_edges is b.plaquette_edges
+    for table in (a.edge_plaquettes, a.edge_stars, a.plaquette_edges, a.star_edges,
+                  build_model("Ising1D", N=5).neighbours,
+                  build_model("Ising2D", L=3).neighbours):
+        with pytest.raises(ValueError):
+            table[0, 0] = -1
+
+
 def test_spin_configuration_validation():
     with pytest.raises(ValueError):
         SpinConfiguration(np.array([1, 0, -1]))
