@@ -5,27 +5,39 @@ Exact rejection-free sampling by the Bortz-Kalos-Lebowitz n-fold way
 escape rate and events are drawn proportionally to their rates.  One sampler
 serves every model kind.  It keeps the sites in rate-class buckets -- an
 Ising spin's class is its local field, a toric-code edge's class is the
-occupation of its two plaquettes -- so each event costs O(1) bookkeeping
-regardless of system size.  That is what makes the low-temperature runs
-feasible: a wait of order e^{2 beta} is one exponential draw, not e^{2 beta}
-rejected sweeps.  A kind supplies only its data: the ordered class keys, the
-key of a site computed from the state, the sites whose key a flip can change,
-the flip itself with its tracked observable (magnetization or anyon count),
-and the per-beta rate table (recomputed from M for the mean-field kind only).
-The geometry comes from the model's tables: ring and torus Ising read one
-``neighbours`` table, the toric code its edge/plaquette incidence tables.
+occupation of its two plaquettes -- each bucket sorted by site, so an event
+costs a pass over the few classes plus a bisection per affected site.  That
+is what makes the low-temperature runs feasible: a wait of order e^{2 beta}
+is one exponential draw, not e^{2 beta} rejected sweeps.  A kind supplies
+only its data: the ordered class keys, the key of a site computed from the
+state, the sites whose key a flip can change, the flip itself with its
+tracked observable (magnetization or anyon count), and the per-beta rate
+table (a function of M for the mean-field kind only).  The geometry comes
+from the model's tables: ring and torus Ising read one ``neighbours``
+table, the toric code its edge/plaquette incidence tables.
+
+Every trajectory reads its randomness from a tape (:class:`_Tape`): per
+event one exponential e and two uniforms u1, u2, drawn ``BLOCK`` events at
+a time.  The draw rule is fixed so that any implementation reproduces it
+exactly: ``total`` is the sum of bucket size times rate in class-key order,
+added one class at a time from 0.0; the waiting time is e / total; the
+class is the first one of positive weight whose running sum exceeds
+u1 * total (the last one of positive weight if rounding makes u1 * total
+equal total); the site is the min(int(u2 * n), n - 1)-th of the class's n
+members in ascending site order.
 
 One event loop drives every trajectory.  Recorded runs, first-passage runs
 and toric-code memory runs differ only in the hooks they pass to it: one per
 probe, one per event before the flip, and a stop test after the flip.
 
-Ensembles derive every trajectory's generator from (master seed, trajectory
+Ensembles derive every trajectory's tape from (master seed, trajectory
 index) alone, so results never depend on how many workers ran them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +84,7 @@ class TrajectoryRecord:
     """One simulated trajectory.
 
     Attributes:
-        seed: 64-bit token the trajectory's generator was derived from.
+        seed: 64-bit token the trajectory's tape was derived from.
         events: list of (time, EventClass), strictly increasing times.
         probes: list of (time, observable) sampled on the probe cadence
             (magnetization for Ising kinds, anyon count for Kitaev2D).
@@ -99,6 +111,32 @@ class LifetimeResult:
 # ---------------------------------------------------------------------------
 # the n-fold-way sampler
 
+BLOCK = 64  # events per tape refill; part of the stream's definition
+
+
+class _Tape:
+    """A trajectory's random numbers: ``next(tape)`` gives one (e, u1, u2) per event.
+
+    Refills ``BLOCK`` events at a time from ``default_rng(ss)``:
+    ``standard_exponential(BLOCK)``, then ``random((BLOCK, 2))``.
+    """
+
+    __slots__ = ("rng", "exps", "unis", "i")
+
+    def __init__(self, ss):
+        self.rng = np.random.default_rng(ss)
+        self.i = BLOCK
+
+    def __next__(self):
+        i = self.i
+        if i == BLOCK:
+            self.exps = self.rng.standard_exponential(BLOCK).tolist()
+            self.unis = self.rng.random((BLOCK, 2)).tolist()
+            i = 0
+        self.i = i + 1
+        u1, u2 = self.unis[i]
+        return self.exps[i], u1, u2
+
 
 class _Sampler:
     """Rate-class buckets and the draw, shared by every model kind.
@@ -107,67 +145,66 @@ class _Sampler:
 
     - ``keys``: class keys in draw order;
     - ``tags``: event tag of each key;
-    - ``affected``: per site, the sites whose key its flip can change, in the
-      order their buckets are updated;
+    - ``affected``: per site, the sites whose key its flip can change;
     - ``rates`` (key -> rate), unless it overrides :meth:`rate_table`;
     - ``obs``: the tracked observable;
 
     and implements ``key(i)`` (class of site i in the current state) and
-    ``flip_state(i)`` (flip site i and update ``obs``).
+    ``flip_state(i)`` (flip site i and update ``obs``).  ``members[k]`` lists
+    the sites of class k in ascending order and ``key_of[i]`` is the class
+    of site i.
     """
 
     def __init__(self):
         self.members = {k: [] for k in self.keys}
-        n = len(self.affected)
-        self.pos = [0] * n
-        self.key_of = [0] * n
-        for i in range(n):
-            k = self.key(i)
-            self.key_of[i] = k
-            self.pos[i] = len(self.members[k])
+        self.key_of = [self.key(i) for i in range(len(self.affected))]
+        for i, k in enumerate(self.key_of):
             self.members[k].append(i)
 
     def rate_table(self) -> dict:
         return self.rates
 
-    def draw(self, rng):
-        """(waiting time, site, rate) of the next event, or None when frozen."""
+    def draw(self, tape):
+        """(waiting time, site, rate) of the next event, or None when frozen.
+
+        Reads one (e, u1, u2) triple from ``tape`` unless frozen; see the
+        module docstring for the rule.
+        """
         rates = self.rate_table()
         members = self.members
-        total = sum(len(members[k]) * rates[k] for k in self.keys)
+        keys = self.keys
+        total = 0.0
+        for k in keys:
+            total += len(members[k]) * rates[k]
         if total <= 0.0:
             return None
-        dt = rng.exponential() / total
-        u = rng.random() * total
-        live = [k for k in self.keys if members[k] and rates[k] > 0.0]
-        for k in live[:-1]:
+        e, u1, u2 = next(tape)
+        u = u1 * total
+        acc = 0.0
+        for k in keys:
             w = len(members[k]) * rates[k]
-            if u < w:
-                break
-            u -= w
-        else:
-            k = live[-1]
-        lst = members[k]
-        return dt, lst[int(rng.integers(len(lst)))], rates[k]
+            if w > 0.0:
+                acc += w
+                chosen = k
+                if acc > u:
+                    break
+        lst = members[chosen]
+        n = len(lst)
+        return e / total, lst[min(int(u2 * n), n - 1)], rates[chosen]
 
     def flip(self, i: int):
-        """Flip site i and swap-remove every affected site into its new bucket."""
+        """Flip site i and move each affected site whose class changed into
+        its new bucket, by bisection, so every bucket stays sorted."""
         self.flip_state(i)
-        members, pos, key_of = self.members, self.pos, self.key_of
+        members, key_of = self.members, self.key_of
         for j in self.affected[i]:
             new = self.key(j)
             old = key_of[j]
-            if new == old:
-                continue
-            lst = members[old]
-            p = pos[j]
-            last = lst[-1]
-            lst[p] = last
-            pos[last] = p
-            lst.pop()
-            key_of[j] = new
-            pos[j] = len(members[new])
-            members[new].append(j)
+            if new != old:
+                lst = members[old]
+                del lst[bisect_left(lst, j)]
+                insort(members[new], j)
+                key_of[j] = new
 
 
 class _IsingSampler(_Sampler):
@@ -212,7 +249,8 @@ class _LocalFieldSampler(_IsingSampler):
 
 
 class _MeanFieldSampler(_IsingSampler):
-    """Curie-Weiss Ising: class = s_i; the rates follow M after every flip."""
+    """Curie-Weiss Ising: class = s_i; the rates are a function of M, each
+    table computed once per M visited."""
 
     keys = (-1, 1)
 
@@ -220,6 +258,7 @@ class _MeanFieldSampler(_IsingSampler):
         self.beta = beta
         self.coupling = 2.0 * model.J / model.N
         self.affected = [(i,) for i in range(model.N)]
+        self.tables = {}
         super().__init__(model, initial)
 
     def key(self, i: int) -> int:
@@ -227,8 +266,12 @@ class _MeanFieldSampler(_IsingSampler):
 
     def rate_table(self) -> dict:
         M = self.obs
-        return {k: heat_bath(self.beta * (self.coupling * (k * M - 1.0)))
+        table = self.tables.get(M)
+        if table is None:
+            table = self.tables[M] = {
+                k: heat_bath(self.beta * (self.coupling * (k * M - 1.0)))
                 for k in self.keys}
+        return table
 
 
 class _KitaevSampler(_Sampler):
@@ -279,8 +322,8 @@ def _sampler(model: LatticeModel, beta: float, initial=None) -> _Sampler:
     return _LocalFieldSampler(model, beta, initial)
 
 
-def _evolve(sampler: _Sampler, rng, t_max: float, cadence=None, on_probe=None,
-            on_event=None, stop=None) -> float:
+def _evolve(sampler: _Sampler, tape: _Tape, t_max: float, cadence=None,
+            on_probe=None, on_event=None, stop=None) -> float:
     """Run one trajectory from t = 0; returns the time it ended.
 
     ``on_probe(t)`` fires at each cadence point up to the next event and
@@ -292,7 +335,7 @@ def _evolve(sampler: _Sampler, rng, t_max: float, cadence=None, on_probe=None,
     t = 0.0
     next_probe = cadence if cadence else math.inf
     while True:
-        drawn = sampler.draw(rng)
+        drawn = sampler.draw(tape)
         if drawn is None:
             if math.isinf(t_max):
                 raise RuntimeError("absorbing state: total rate is zero and t_max is infinite")
@@ -361,7 +404,6 @@ def simulate_trajectory(model: LatticeModel, params: SimulationParams,
     else:
         ss = np.random.SeedSequence(seed)
         token = int(seed) if np.isscalar(seed) else int(ss.generate_state(1, np.uint64)[0])
-    rng = np.random.default_rng(ss)
     sampler = _sampler(model, params.beta, initial)
     record = TrajectoryRecord(seed=token)
 
@@ -372,7 +414,7 @@ def simulate_trajectory(model: LatticeModel, params: SimulationParams,
         tag = sampler.tags[sampler.key_of[site]]
         record.events.append((t, EventClass(tag, site, rate)))
 
-    _evolve(sampler, rng, params.t_max, params.probe_cadence, probe, event)
+    _evolve(sampler, _Tape(ss), params.t_max, params.probe_cadence, probe, event)
     record.final_state = sampler.final_state()
     return record
 
@@ -393,7 +435,7 @@ def _first_passage_once(model, params, predicate, ss) -> float:
             return predicate(sampler.state_view())
     if stop():
         raise ValueError("predicate already true in the initial state")
-    return _evolve(sampler, np.random.default_rng(ss), params.t_max, stop=stop)
+    return _evolve(sampler, _Tape(ss), params.t_max, stop=stop)
 
 
 def _summarize(times: np.ndarray, t_max: float) -> LifetimeResult:
@@ -408,8 +450,8 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
     """Mean first time an ensemble of trajectories satisfies a predicate.
 
     Trajectories start from the ordered state (all spins up / no errors).
-    The default predicate is the magnetization sign change
-    (:func:`magnetization_nonpositive`), the classical memory-failure
+    The default predicate, for the Ising kinds, is the magnetization sign
+    change (:func:`magnetization_nonpositive`), the classical memory-failure
     criterion.  Runs reaching t_max enter the mean censored at t_max, so the
     reported lifetime is a lower bound; the censored count is part of the
     result.
@@ -420,7 +462,14 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
         predicate: state -> bool, false initially (picklable if workers > 1).
         seed: master seed; trajectory i uses (seed, i) regardless of workers.
         workers: process count (results are identical for any value).
+
+    Raises:
+        ValueError: for Kitaev2D without a predicate, or a predicate already
+            true in the initial state.
     """
+    if predicate is None and model.kind == "Kitaev2D":
+        raise ValueError("Kitaev2D needs an explicit predicate: the default "
+                         "(magnetization sign) does not apply to the toric code")
     times = np.asarray(run_chunks(
         _first_passage_once, (model, params, predicate), seed, params.n_traj, workers))
     return _summarize(times, params.t_max)
@@ -468,7 +517,7 @@ def _kitaev_lifetime_once(model, params, decoder, op, ss) -> float:
             sign_cache[key] = sign
         return bare * sign == -1
 
-    return _evolve(sampler, np.random.default_rng(ss), params.t_max, cadence,
+    return _evolve(sampler, _Tape(ss), params.t_max, cadence,
                    probe, event)
 
 

@@ -43,6 +43,26 @@ def mean_field_mfpt(N, beta, J):
     return tau[0]
 
 
+def absorbing_mfpt(model, beta):
+    """Exact mean time for an Ising kind to reach M <= 0 from all spins up.
+
+    The mean first-passage times tau solve Q_TT^T tau = -1 on the transient
+    states (M > 0) of ``build_generator``, whose entry (y, x) is the rate of
+    x -> y.  State x has spin -1 at site i iff bit i of x is set, so all up
+    is state 0 and M = N - 2 popcount(x).
+    """
+    from memlab.exact import build_generator
+
+    G = build_generator(model, beta).matrix
+    Q = G.toarray() if hasattr(G, "toarray") else np.asarray(G)
+    n = model.N
+    x = np.arange(1 << n)
+    M = n - 2 * np.array([bin(v).count("1") for v in x])
+    transient = x[M > 0]
+    tau = np.linalg.solve(Q[np.ix_(transient, transient)].T, -np.ones(len(transient)))
+    return float(tau[0])
+
+
 def ring_energy(spins, J):
     n = len(spins)
     return -J * sum(spins[i] * spins[(i + 1) % n] for i in range(n))

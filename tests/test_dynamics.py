@@ -19,7 +19,9 @@ from memlab import (
     syndrome,
 )
 
-from _oracles import heat_bath
+from memlab.dynamics import BLOCK, _sampler, _Tape
+
+from _oracles import absorbing_mfpt, heat_bath, mean_field_mfpt
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +282,81 @@ def test_event_replay_matches_classify_flip_and_probes(case, beta, seed):
         assert np.array_equal(rec.final_state.spins, state.spins)
 
 
+# ---------------------------------------------------------------------------
+# the draw rule
+
+
+def _assert_buckets(sampler):
+    """Sorted buckets that partition the sites, each site under its key."""
+    seen = []
+    for k, sites in sampler.members.items():
+        assert sites == sorted(set(sites))
+        assert all(sampler.key(i) == k == sampler.key_of[i] for i in sites)
+        seen += sites
+    assert sorted(seen) == list(range(len(sampler.affected)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(_SIZES)).flatmap(
+           lambda k: st.tuples(st.just(k), st.integers(*_SIZES[k][1:]))),
+       data=st.data())
+def test_buckets_stay_sorted_under_flips(case, data):
+    kind, size = case
+    model = build_model(kind, **{_SIZES[kind][0]: size})
+    sampler = _sampler(model, 0.7)
+    _assert_buckets(sampler)
+    sites = st.integers(0, model.N - 1)
+    for site in data.draw(st.lists(sites, max_size=30)):
+        sampler.flip(site)
+        _assert_buckets(sampler)
+
+
+def _draw(sampler, e, u1, u2):
+    tape = iter([(e, u1, u2)])
+    drawn = sampler.draw(tape)
+    assert next(tape, None) is None  # exactly one triple read
+    return drawn
+
+
+def test_draw_reads_one_triple_by_the_rule():
+    # ring of 8 with spins 3 and 4 down: sites 2-5 sit on a domain wall
+    # (class 0), sites 0, 1, 6, 7 are aligned (class 2), class -2 is empty
+    model = build_model("Ising1D", N=8)
+    spins = [1, 1, 1, -1, -1, 1, 1, 1]
+    sampler = _sampler(model, 0.8, spins)
+    assert sampler.members == {-2: [], 0: [2, 3, 4, 5], 2: [0, 1, 6, 7]}
+    rates = sampler.rate_table()
+    total = 0.0
+    for k in (-2, 0, 2):
+        total += len(sampler.members[k]) * rates[k]
+    assert _draw(sampler, 1.5, 0.0, 0.0) == (1.5 / total, 2, rates[0])
+    assert _draw(sampler, 0.3, 0.99, 0.3) == (0.3 / total, 1, rates[2])
+
+    # at beta = 0 every rate is 1/2, so total = 4 and the class-0 weight is 2
+    flat = _sampler(model, 0.0, spins)
+    # the running sum must exceed u1 * total: equality moves on a class
+    assert _draw(flat, 1.0, 0.5, 0.5) == (0.25, 6, 0.5)
+    assert _draw(flat, 1.0, 0.4999, 0.5) == (0.25, 4, 0.5)
+    assert _draw(flat, 1.0, 0.25, 0.7499) == (0.25, 4, 0.5)
+    assert _draw(flat, 1.0, 0.25, 0.75) == (0.25, 5, 0.5)
+    # u1 * total == total: the last class of positive weight; u2 * n == n:
+    # its last member
+    assert _draw(flat, 1.0, 1.0, 1.0) == (0.25, 7, 0.5)
+    # a frozen sampler reads nothing from the tape
+    assert _sampler(model, 800.0).draw(iter([])) is None
+
+
+def test_tape_reads_blocks_of_exponentials_then_uniform_pairs():
+    ss = np.random.SeedSequence(99, spawn_key=(4,))
+    tape = _Tape(ss)
+    rng = np.random.default_rng(ss)
+    for _ in range(3):
+        exps = rng.standard_exponential(BLOCK).tolist()
+        unis = rng.random((BLOCK, 2)).tolist()
+        for e, (u1, u2) in zip(exps, unis):
+            assert next(tape) == (e, u1, u2)
+
+
 def test_probe_cadence_grid():
     # at beta = 40 the ordered ring is frozen on any human timescale, so the
     # probes just sample the initial magnetization on the cadence grid
@@ -345,6 +422,32 @@ def test_first_passage_rejects_satisfied_predicate():
     params = SimulationParams(beta=1.0, t_max=1.0)
     with pytest.raises(ValueError, match="already true"):
         first_passage(model, params, predicate=lambda s: True, seed=0)
+
+
+@pytest.mark.parametrize("kind,size_kw,beta,n_traj,exact", [
+    ("Ising1D", dict(N=8), 1.0, 2000, 30.0020),
+    ("Ising2D", dict(L=3), 0.5, 1000, 116.9708),
+    ("IsingMeanField", dict(N=10), 1.2, 2000, 8.8270),
+])
+def test_first_passage_matches_absorbing_chain(kind, size_kw, beta, n_traj, exact):
+    """The sampled lifetime is the exact mean first-passage time of the
+    generator, restricted to the states with M > 0."""
+    model = build_model(kind, **size_kw)
+    tau = absorbing_mfpt(model, beta)
+    assert abs(tau - exact) < 1e-4
+    if kind == "IsingMeanField":
+        assert abs(tau - mean_field_mfpt(model.N, beta, model.J)) < 1e-9
+    res = first_passage(model, SimulationParams(beta=beta, t_max=1e7, n_traj=n_traj),
+                        seed=2024)
+    assert res.censored == 0
+    assert abs(res.mean - tau) < 4.0 * res.stderr
+
+
+def test_kitaev_first_passage_needs_a_predicate():
+    model = build_model("Kitaev2D", L=3)
+    params = SimulationParams(beta=1.0, t_max=10.0)
+    with pytest.raises(ValueError, match="Kitaev2D needs an explicit predicate"):
+        first_passage(model, params)
 
 
 def test_censoring_counts_and_lower_bound():

@@ -1,9 +1,10 @@
 """Fixed-seed fingerprints of the random stream.
 
 Each fingerprint is the sha256 of the repr of a run's full output on a small
-size.  A change that reorders draws, moves a site to another bucket slot or
-rewrites the total-rate expression changes at least one of them, so a
-refactor of the samplers must leave every value here untouched.
+size.  A change to the tape (block size, the order of its draws), to the
+order of the sites within a bucket, or to the total-rate or running-sum
+expressions changes at least one of them, so a refactor of the samplers
+must leave every value here untouched.
 """
 
 import hashlib
@@ -27,13 +28,13 @@ def _final(state):
 
 TRAJECTORY_CASES = {
     "Ising1D": (dict(N=12), 0.6, 60.0,
-                "3308285118d2eadc56068c757ac56fb3ddf74882c4240997877d24114e6f2854"),
+                "50ca1fb6f2e237443a6871072a4aa8b7e99560ecea6d4039b705e7cb0a56351f"),
     "IsingMeanField": (dict(N=9), 0.9, 20.0,
-                       "fb51be67312c39237997d8801cdb9281a8975159b4df0b60752062afbdfea0b8"),
+                       "a7f9bbceb21e0fbe1b2eb9d12be01ff6b3f07ef33eaa815503dc8a70a6f16f53"),
     "Ising2D": (dict(L=4), 0.3, 30.0,
-                "3c9931dfb5897d727849531e2366ccb4ba1c7474d11090c6d8d2b2b44505708c"),
+                "9b5cdf77f3b79727e822a4c29ee33df1bfd9ea80bbd4e6617b824ba75b0732e8"),
     "Kitaev2D": (dict(L=3), 0.6, 20.0,
-                 "28626888f6b37fd8a91443f2110659d41fc291a60bfdbefe2be07e3d65ee4742"),
+                 "6a69afe1d32893e0e2f04cacf4e38c86825d86cc316af7d5f997ff5bfde0121a"),
 }
 
 
@@ -48,11 +49,11 @@ def test_trajectory_stream(kind):
 
 PASSAGE_CASES = {
     "Ising1D": (dict(N=8), 0.8,
-                "0b2eee84cdaf83b90ad53ee7754e831ff42dcd09bebf82c9fcdad1920d554b4f"),
+                "3ad6ede3766729c258fdca9918ddd18ceb0a4cc4b734943948da4274eb3ded55"),
     "IsingMeanField": (dict(N=12), 0.8,
-                       "5b6308134433f90f72294681b58cdf933e1392a2da6ca0cddeafdb76a01a3503"),
+                       "150b31df08eb97013c71f1aa2747506a0713743ff8bc549f4bbb6dc1ead5ffee"),
     "Ising2D": (dict(L=3), 0.5,
-                "fdf3fbe43c4641f9d70a4cd01d72affb1d6cc2987f39714271d93cb3a1b0a0ae"),
+                "22c6af91dda1d6e5d55ec4a932e2e33fee56130ffcf999ea86531f051b6e1ce7"),
 }
 
 
@@ -66,9 +67,9 @@ def test_first_passage_stream(kind):
 
 
 @pytest.mark.parametrize("decoder,expected", [
-    ("matching", "fb19e28e8a67fc62139dd5850e451a742daf03e8da43270a5aac3b457ce776c8"),
-    ("bare", "9e6b50bbda018308f167568abeb0adadd9ccb6fefbde71b57289c6d5a745b44c"),
-])
+    ("matching", "b215cce9c55ffe506c3c9103833c0cd888a3a732839f90b2c65a9417df133cea"),
+    ("bare", "9fe4f861bab70b532966b496c95fa0f47ee42f777a0b10f64d44436f9cbca8cc"),
+], ids=["matching", "bare"])
 def test_kitaev_lifetime_stream(decoder, expected):
     params = SimulationParams(beta=1.4, t_max=400.0, n_traj=12)
     res = kitaev_memory_lifetime(4, params, decoder=decoder, seed=13)
