@@ -1,7 +1,8 @@
 """Helpers shared by ``dynamics``, ``exact`` and ``thermo``.
 
-The heat-bath rate function, the per-trajectory seed derivation, and the one
-process fan-out that runs an ensemble of independent trajectories in chunks.
+The heat-bath rate, each model kind's flip-rate law, the per-trajectory seed
+derivation, and the one process fan-out that runs an ensemble of independent
+trajectories in chunks.
 """
 
 from __future__ import annotations
@@ -16,6 +17,24 @@ def heat_bath(x: float) -> float:
     if x > 500.0:
         return math.exp(-x)
     return 1.0 / (1.0 + math.exp(x))
+
+
+def flip_rates(model, beta: float, M: int = 0) -> dict:
+    """{class key: flip rate} of the model's kind, keys in draw order; the
+    samplers and the exact generator both read it.
+
+    Ising1D/2D: key s_i * (neighbour sum), heat bath of dE = 2 J key.
+    IsingMeanField: key s_i, heat bath of dE = (2J/N)(key M - 1).  Kitaev2D:
+    key = anyons on the edge's plaquettes; creation (0) at e^{-2 beta}, hop
+    (1) at ``move_rate``, annihilation (2) at 1.
+    """
+    if model.kind == "Kitaev2D":
+        return {0: math.exp(-2.0 * beta), 1: model.move_rate, 2: 1.0}
+    if model.kind == "IsingMeanField":
+        coupling = 2.0 * model.J / model.N
+        return {k: heat_bath(beta * (coupling * (k * M - 1.0))) for k in (-1, 1)}
+    z = model.neighbours.shape[1]
+    return {k: heat_bath(beta * (2.0 * model.J * k)) for k in range(-z, z + 1, 2)}
 
 
 def seed_sequence(master_seed, index: int) -> np.random.SeedSequence:

@@ -9,12 +9,12 @@ occupation of its two plaquettes -- each bucket sorted by site, so an event
 costs a pass over the few classes plus a bisection per affected site.  That
 is what makes the low-temperature runs feasible: a wait of order e^{2 beta}
 is one exponential draw, not e^{2 beta} rejected sweeps.  A kind supplies
-only its data: the ordered class keys, the key of a site computed from the
-state, the sites whose key a flip can change, the flip itself with its
-tracked observable (magnetization or anyon count), and the per-beta rate
-table (a function of M for the mean-field kind only).  The geometry comes
-from the model's tables: ring and torus Ising read one ``neighbours``
-table, the toric code its edge/plaquette incidence tables.
+only its data: the key of a site computed from the state, the sites whose
+key a flip can change, and the flip itself with its tracked observable
+(magnetization or anyon count).  The keys and their rates come from
+``_shared.flip_rates``, the rate law that the exact generator reads too.
+The geometry comes from the model's tables: ring and torus Ising read one
+``neighbours`` table, the toric code its edge/plaquette incidence tables.
 
 Every trajectory reads its randomness from a tape (:class:`_Tape`): per
 event one exponential e and two uniforms u1, u2, drawn ``BLOCK`` events at
@@ -37,12 +37,13 @@ index) alone, so results never depend on how many workers ran them.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import heat_bath, run_chunks
+from ._shared import flip_rates, run_chunks
 from .lattice import (LatticeModel, SpinConfiguration, Syndrome, _as_error_set,
                       _as_spins, build_model, crossing_sign)
 from . import decoder as _decoder_mod
@@ -62,8 +63,9 @@ class SimulationParams:
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta!r}")
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
-        if self.n_traj < 1:
-            raise ValueError("n_traj must be at least 1")
+        if isinstance(self.n_traj, bool) or not isinstance(self.n_traj, numbers.Integral) \
+                or self.n_traj < 1:
+            raise ValueError(f"n_traj must be an integer of at least 1, got {self.n_traj!r}")
         if self.probe_cadence is not None and not (
                 math.isfinite(self.probe_cadence) and self.probe_cadence > 0):
             raise ValueError("probe_cadence must be None or a finite value > 0, "
@@ -141,21 +143,20 @@ class _Tape:
 class _Sampler:
     """Rate-class buckets and the draw, shared by every model kind.
 
-    A kind's subclass sets, before calling ``__init__``:
-
-    - ``keys``: class keys in draw order;
-    - ``tags``: event tag of each key;
-    - ``affected``: per site, the sites whose key its flip can change;
-    - ``rates`` (key -> rate), unless it overrides :meth:`rate_table`;
-    - ``obs``: the tracked observable;
-
-    and implements ``key(i)`` (class of site i in the current state) and
-    ``flip_state(i)`` (flip site i and update ``obs``).  ``members[k]`` lists
-    the sites of class k in ascending order and ``key_of[i]`` is the class
-    of site i.
+    A kind's subclass sets ``affected`` (per site, the sites whose key its
+    flip can change) and ``obs`` (the tracked observable) before calling
+    ``__init__``, and implements ``key(i)`` (class of site i in the current
+    state) and ``flip_state(i)`` (flip site i and update ``obs``).  ``rates``
+    and the class ``keys`` in draw order come from ``flip_rates``; the
+    mean-field kind overrides :meth:`rate_table`.  ``members[k]`` lists the
+    sites of class k in ascending order and ``key_of[i]`` is the class of
+    site i.
     """
 
-    def __init__(self):
+    def __init__(self, model: LatticeModel, beta: float):
+        self.model, self.beta = model, beta
+        self.rates = flip_rates(model, beta, self.obs)  # M of the Ising kinds
+        self.keys = tuple(self.rates)
         self.members = {k: [] for k in self.keys}
         self.key_of = [self.key(i) for i in range(len(self.affected))]
         for i, k in enumerate(self.key_of):
@@ -210,13 +211,13 @@ class _Sampler:
 class _IsingSampler(_Sampler):
     """Spins as a list of +-1; the observable is the magnetization M."""
 
-    def __init__(self, model: LatticeModel, initial):
+    def __init__(self, model: LatticeModel, beta: float, initial):
         spins = (SpinConfiguration.all_up(model.N) if initial is None
                  else _as_spins(model, initial))
         self.s = spins.spins.tolist()
         self.obs = sum(self.s)
+        super().__init__(model, beta)
         self.tags = dict.fromkeys(self.keys, "ising-flip")
-        super().__init__()
 
     def flip_state(self, i: int):
         s = self.s
@@ -234,11 +235,9 @@ class _LocalFieldSampler(_IsingSampler):
     """Ring and square-lattice Ising: class = s_i * (sum of neighbour spins)."""
 
     def __init__(self, model: LatticeModel, beta: float, initial):
-        self.nbrs = neighbours = model.neighbours.tolist()
-        self.keys = tuple(range(-len(neighbours[0]), len(neighbours[0]) + 1, 2))
-        self.affected = [(i, *nb) for i, nb in enumerate(neighbours)]
-        self.rates = {k: heat_bath(beta * (2.0 * model.J * k)) for k in self.keys}
-        super().__init__(model, initial)
+        self.nbrs = model.neighbours.tolist()
+        self.affected = [(i, *nb) for i, nb in enumerate(self.nbrs)]
+        super().__init__(model, beta, initial)
 
     def key(self, i: int) -> int:
         s = self.s
@@ -252,14 +251,10 @@ class _MeanFieldSampler(_IsingSampler):
     """Curie-Weiss Ising: class = s_i; the rates are a function of M, each
     table computed once per M visited."""
 
-    keys = (-1, 1)
-
     def __init__(self, model: LatticeModel, beta: float, initial):
-        self.beta = beta
-        self.coupling = 2.0 * model.J / model.N
         self.affected = [(i,) for i in range(model.N)]
-        self.tables = {}
-        super().__init__(model, initial)
+        super().__init__(model, beta, initial)
+        self.tables = {self.obs: self.rates}
 
     def key(self, i: int) -> int:
         return self.s[i]
@@ -268,9 +263,7 @@ class _MeanFieldSampler(_IsingSampler):
         M = self.obs
         table = self.tables.get(M)
         if table is None:
-            table = self.tables[M] = {
-                k: heat_bath(self.beta * (self.coupling * (k * M - 1.0)))
-                for k in self.keys}
+            table = self.tables[M] = flip_rates(self.model, self.beta, M)
         return table
 
 
@@ -278,11 +271,9 @@ class _KitaevSampler(_Sampler):
     """One-sector toric code; the observable is the anyon count.
 
     Edge classes by adjacent-plaquette occupation: 0 occupied -> pair
-    creation at rate e^{-2 beta}, 1 occupied -> anyon hop, 2 occupied ->
-    pair annihilation at rate 1.
+    creation, 1 occupied -> anyon hop, 2 occupied -> pair annihilation.
     """
 
-    keys = (0, 1, 2)
     tags = {0: "create-pair", 1: "move-anyon", 2: "annihilate-pair"}
 
     def __init__(self, model: LatticeModel, beta: float, initial):
@@ -294,8 +285,7 @@ class _KitaevSampler(_Sampler):
         self.obs = len(self.anyons)
         pe = model.plaquette_edges.tolist()
         self.affected = [tuple(dict.fromkeys(pe[p] + pe[q])) for p, q in self.ep]
-        self.rates = {0: math.exp(-2.0 * beta), 1: model.move_rate, 2: 1.0}
-        super().__init__()
+        super().__init__(model, beta)
 
     def key(self, e: int) -> int:
         p, q = self.ep[e]
@@ -362,12 +352,9 @@ def _evolve(sampler: _Sampler, tape: _Tape, t_max: float, cadence=None,
 
 
 def classify_flip(model: LatticeModel, state, site: int) -> EventClass:
-    """Rate and event class of flipping one site in the given state.
-
-    Kitaev2D inspects the two plaquettes adjacent to the edge (both clear ->
-    pair creation at e^{-2 beta}, both occupied -> annihilation at 1, mixed ->
-    hop); Ising kinds use the heat-bath rate 1/(1 + e^{beta dE}).  The
-    inverse temperature is taken from the model (see ``with_beta``).
+    """Rate and event class of flipping one site in the given state, by the
+    rate law ``_shared.flip_rates``; the inverse temperature is taken from
+    the model (see ``with_beta``).
     """
     beta = model.require_beta()
     if not 0 <= site < model.N:

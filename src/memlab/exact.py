@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import heat_bath
-from .lattice import LatticeModel
+from ._shared import flip_rates, heat_bath
+from .lattice import LatticeModel, ising_energies
 
 MAX_STATES = 1 << 20
 DENSE_LIMIT = 512  # below it dense storage and LAPACK; from it on CSR and eigsh, the faster one
@@ -80,12 +80,11 @@ class _KitaevGenerator(GeneratorMatrix):
 
     @functools.cached_property
     def energies(self) -> np.ndarray:
-        x = np.arange(self.dimension, dtype=np.int64)
-        return _plaquette_parity(self.model, x).sum(axis=1).astype(np.float64)
+        return _flip_keys(self.model, np.arange(self.dimension, dtype=np.int64))[1]
 
     @functools.cached_property
     def matrix(self):
-        return _assemble(*_kitaev_generator(self.model, self.beta), self.dimension)
+        return _assemble(self.model, self.beta)[0]
 
     @property
     def dimension(self) -> int:
@@ -100,78 +99,60 @@ class _KitaevGenerator(GeneratorMatrix):
         return f"{type(self).__name__}(kind={self.kind!r}, size={self.size}, beta={self.beta})"
 
 
-def _spin_matrix(n_states: int, n: int) -> np.ndarray:
-    x = np.arange(n_states, dtype=np.int64)
-    bits = (x[:, None] >> np.arange(n)) & 1
-    return (1 - 2 * bits).astype(np.float64)  # bit 0 -> spin +1
+def _flip_keys(model: LatticeModel, x: np.ndarray):
+    """Class keys (len(x), N) of :func:`flip_rates` for each single flip from
+    the states ``x``, and the states' energies (Kitaev2D: plaquette anyons).
+
+    A state is a bitmask: a set bit is a down spin or a flipped edge.
+    """
+    if model.kind == "Kitaev2D":
+        masks = [sum(1 << int(e) for e in edges) for edges in model.plaquette_edges]
+        parity = np.stack([np.bitwise_count(x & m) & 1 for m in masks], axis=1)
+        energies = parity.sum(axis=1).astype(np.float64)
+        return parity[:, model.edge_plaquettes].sum(axis=2), energies
+    spins = 1 - 2 * ((x[:, None] >> np.arange(model.N)) & 1)  # bit 0 -> spin +1
+    field = 1 if model.kind == "IsingMeanField" else spins[:, model.neighbours].sum(axis=2)
+    return spins * field, ising_energies(model, spins)
 
 
-def _ising_generator(model: LatticeModel, beta: float):
-    n = model.N
-    dim = 1 << n
-    spins = _spin_matrix(dim, n)
-    J = model.J
-    if model.kind == "IsingMeanField":
-        M = spins.sum(axis=1)
-        energies = -(J / (2 * n)) * M**2
-        delta = (2.0 * J / n) * (spins * M[:, None] - 1.0)
-    else:  # nearest neighbours; the table counts every bond twice
-        field = spins[:, model.neighbours].sum(axis=2)
-        energies = -0.5 * J * np.sum(spins * field, axis=1)
-        delta = 2.0 * J * spins * field
-    with np.errstate(over="ignore"):
-        rates = 1.0 / (1.0 + np.exp(beta * delta))
-    x = np.arange(dim, dtype=np.int64)
-    rows = np.concatenate([x ^ (1 << i) for i in range(n)])
-    cols = np.tile(x, n)
-    vals = rates.T.ravel()
-    return rows, cols, vals, energies
+def _rates(model: LatticeModel, beta: float, keys: np.ndarray) -> np.ndarray:
+    """The :func:`flip_rates` entry of each class key, for the mean-field kind
+    at each state's magnetization M (a spin's key is the spin; M steps by 2)."""
+    M = keys.sum(axis=1, keepdims=True) if model.kind == "IsingMeanField" else np.zeros((1, 1))
+    m0 = int(M.min())
+    tables = [flip_rates(model, beta, m) for m in range(m0, int(M.max()) + 1, 2)]
+    k0 = min(tables[0])
+    lut = np.zeros((len(tables), max(tables[0]) - k0 + 1))
+    for j, table in enumerate(tables):
+        for k, rate in table.items():
+            lut[j, k - k0] = rate
+    return lut[((M - m0) // 2).astype(np.intp), keys - k0]
 
 
-def _plaquette_parity(model: LatticeModel, x: np.ndarray) -> np.ndarray:
-    """(len(x), L^2) plaquette syndrome bits of the edge sets ``x`` (bitmasks)."""
-    L2 = model.L * model.L
-    parity = np.empty((x.size, L2), dtype=np.int8)
-    for p in range(L2):
-        mask = 0
-        for e in model.plaquette_edges[p]:
-            mask |= 1 << int(e)
-        parity[:, p] = np.bitwise_count(x & mask) & 1
-    return parity
-
-
-def _kitaev_rates(model: LatticeModel, beta: float, parity: np.ndarray, e: int):
-    """Flip rate of edge ``e`` from states with the given plaquette parity."""
-    p1, p2 = model.edge_plaquettes[e]
-    rate_by_key = np.array([math.exp(-2.0 * beta), model.move_rate, 1.0])
-    return rate_by_key[parity[:, p1] + parity[:, p2]]
-
-
-def _kitaev_generator(model: LatticeModel, beta: float):
-    """One-sector toric code: states are X-error sets, energies count plaquette anyons."""
-    n_e = model.N
-    x = np.arange(1 << n_e, dtype=np.int64)
-    parity = _plaquette_parity(model, x)
-    rows = np.concatenate([x ^ (1 << e) for e in range(n_e)])
-    cols = np.tile(x, n_e)
-    vals = np.concatenate([_kitaev_rates(model, beta, parity, e) for e in range(n_e)])
-    return rows, cols, vals
-
-
-def _assemble(rows, cols, vals, dim: int):
-    """Generator from off-diagonal rates: columns sum to zero, dense below the limit."""
+def _assemble(model: LatticeModel, beta: float):
+    """(generator, energies) over all 2^N states: columns sum to zero, dense
+    below the limit."""
     import scipy.sparse as sp
 
+    n = model.N
+    dim = 1 << n
+    x = np.arange(dim, dtype=np.int64)
+    keys, energies = _flip_keys(model, x)
+    rows = np.concatenate([x ^ (1 << i) for i in range(n)])
+    cols = np.tile(x, n)
+    vals = _rates(model, beta, keys).T.ravel()
     G = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     G.setdiag(-np.asarray(G.sum(axis=0)).ravel())
-    return G.toarray() if dim < DENSE_LIMIT else G
+    return (G.toarray() if dim < DENSE_LIMIT else G), energies
 
 
 def build_generator(model: LatticeModel, beta: float) -> GeneratorMatrix:
     """Full-state-space generator with the jump rates of the dynamics module.
 
     Ising kinds enumerate all 2^N spin states; Kitaev2D enumerates one error
-    sector (2^(2L^2) edge sets).  Off-diagonal entry (y, x) is the rate of the
+    sector (2^(2L^2) edge sets), with energies that count plaquette anyons
+    only (one flipped edge reads 2; ``lattice.energy`` counts both sectors,
+    4).  Off-diagonal entry (y, x) is the ``_shared.flip_rates`` rate of the
     single flip taking x to y; diagonals make columns sum to zero.
 
     The Kitaev2D matrix and energies are built on first read of ``.matrix``
@@ -185,9 +166,7 @@ def build_generator(model: LatticeModel, beta: float) -> GeneratorMatrix:
         raise ValueError(f"state space of {dim} states is above the 2^20 limit")
     if model.kind == "Kitaev2D":
         return _KitaevGenerator(model, beta)
-    rows, cols, vals, energies = _ising_generator(model, beta)
-    return GeneratorMatrix(_assemble(rows, cols, vals, dim), energies, float(beta),
-                           model.kind, int(model.N))
+    return GeneratorMatrix(*_assemble(model, beta), float(beta), model.kind, int(model.N))
 
 
 def _symmetric_part(S, scale: float):
@@ -246,7 +225,8 @@ class StarBlocks:
         model: the Kitaev2D lattice.
         beta: inverse temperature.
         reps: coset representatives as edge bitmasks, one per block row.
-        energies: anyon count of each representative.
+        energies: plaquette anyon count of each representative, as in
+            :func:`build_generator` (``lattice.energy`` counts both sectors).
         characters: the even star subsets as star bitmasks, one per block.
         flip: per edge, the mask that takes each representative to the
             representative of its edge-flipped coset.
@@ -283,14 +263,14 @@ class StarBlocks:
         chars = np.arange(1 << n_s, dtype=np.int64)
         self.characters = chars[np.bitwise_count(chars) % 2 == 0]
 
-        parity = _plaquette_parity(model, self.reps)
-        self.energies = parity.sum(axis=1).astype(np.float64)
+        keys, self.energies = _flip_keys(model, self.reps)
+        rates = _rates(model, self.beta, keys)
         n = self.reps.size
         src = np.arange(n, dtype=np.int64)
         rows, vals, exit_rate = [], [], np.zeros(n)
         for e in range(n_e):
             dst = self._index(self.reps ^ self.flip[e])
-            rate = _kitaev_rates(model, self.beta, parity, e)
+            rate = rates[:, e]
             exit_rate += rate
             rows.append(dst)
             vals.append(rate * np.exp(0.5 * self.beta * (self.energies[dst] - self.energies)))

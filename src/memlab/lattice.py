@@ -19,6 +19,7 @@ arguments without a separate code path.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -199,6 +200,16 @@ def _kitaev_tables(L: int):
                                          np.array(star_edges, dtype=np.int64)))
 
 
+def _size(kind: str, name: str, value, least: int, note: str = "") -> int:
+    """A model size as an int; a bool or 3.9 is no size."""
+    if value is not None and not (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool)):
+        raise ValueError(f"{kind} size {name} must be an integer, got {value!r}")
+    if value is None or value < least:
+        raise ValueError(f"{kind} needs {name} >= {least}{note}")
+    return int(value)
+
+
 def build_model(kind: str, N: int | None = None, L: int | None = None,
                 J: float = 1.0, beta: float | None = None,
                 move_rate: float = 1.0) -> LatticeModel:
@@ -218,24 +229,16 @@ def build_model(kind: str, N: int | None = None, L: int | None = None,
     if kind not in KINDS:
         raise ValueError(f"unsupported model kind: {kind!r}")
     if kind == "Ising1D":
-        if N is None or N < 2:
-            raise ValueError("Ising1D needs N >= 2 (a ring of at least two spins)")
-        return LatticeModel(kind, int(N), float(J), None, beta,
-                            neighbours=_neighbours(np.arange(int(N))))
+        N = _size(kind, "N", N, 2, " (a ring of at least two spins)")
+        return LatticeModel(kind, N, float(J), None, beta,
+                            neighbours=_neighbours(np.arange(N)))
     if kind == "IsingMeanField":
-        if N is None or N < 1:
-            raise ValueError("IsingMeanField needs N >= 1")
-        return LatticeModel(kind, int(N), float(J), None, beta)
+        N = _size(kind, "N", N, 1)
+        return LatticeModel(kind, N, float(J), None, beta)
+    L = _size(kind, "L", L, 2)
     if kind == "Ising2D":
-        if L is None or L < 2:
-            raise ValueError("Ising2D needs L >= 2")
-        L = int(L)
         return LatticeModel(kind, L * L, float(J), L, beta,
                             neighbours=_neighbours(np.arange(L * L).reshape(L, L)))
-    # Kitaev2D
-    if L is None or L < 2:
-        raise ValueError("Kitaev2D needs L >= 2")
-    L = int(L)
     ep, es, pe, se = _kitaev_tables(L)
     return LatticeModel(kind, 2 * L * L, float(J), L, beta,
                         move_rate=float(move_rate),
@@ -292,17 +295,23 @@ def energy(model: LatticeModel, config) -> float:
     Ising kinds take a :class:`SpinConfiguration`.  ``Kitaev2D`` takes an
     error set (edges flipped from the reference frame) or a SpinConfiguration,
     and returns the total anyon count over both sectors -- one energy unit per
-    anyon, so that creating one excitation pair costs 2.
+    anyon, so that creating one excitation pair costs 2 and one flipped edge
+    reads 4.  ``exact`` counts plaquette anyons only: 2 for that edge.
     """
     if model.kind == "Kitaev2D":
         edges = _as_error_set(model, config)
         return float(len(syndrome(model, edges, "star").anyons)
                      + len(syndrome(model, edges, "plaquette").anyons))
-    s = _as_spins(model, config).spins.astype(np.float64)
+    return float(ising_energies(model, _as_spins(model, config).spins))
+
+
+def ising_energies(model: LatticeModel, spins) -> np.ndarray:
+    """Energies of a stack of +-1 spin rows, shape (..., N), of an Ising model."""
+    s = np.asarray(spins)  # integer sums are exact; the float product comes last
     if model.kind == "IsingMeanField":
-        return float(-(model.J / (2 * model.N)) * s.sum() ** 2)
+        return -(model.J / (2 * model.N)) * s.sum(axis=-1) ** 2
     # the neighbour table counts every bond twice
-    return float(-0.5 * model.J * np.dot(s, s[model.neighbours].sum(axis=1)))
+    return -0.5 * model.J * np.sum(s * s[..., model.neighbours].sum(axis=-1), axis=-1)
 
 
 def block_flip_delta(model: LatticeModel, k: int) -> float:

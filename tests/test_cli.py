@@ -24,6 +24,12 @@ def _write_config(path, **entries):
     return str(path)
 
 
+def _rows(path):
+    """The CSV's rows as dicts; the file is closed again."""
+    with path.open(newline="") as f:
+        return list(csv.DictReader(f))
+
+
 def _gap_config(tmp_path, **extra):
     out = tmp_path / "gap.csv"
     cfg = dict(experiment="gap", model="IsingMeanField", sizes=[1], beta=2.0,
@@ -88,7 +94,7 @@ def test_ising_lifetime_reports_site_counts(tmp_path):
         tmp_path / "life.json", experiment="ising-lifetime", model="Ising2D",
         sizes=[2], beta=0.4, n_traj=10, t_max=50.0, output=str(out), seed=1)
     assert main(["run", cfg]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _rows(out)
     assert len(rows) == 1
     assert rows[0]["model"] == "Ising2D"
     assert rows[0]["N"] == "4"  # a 2x2 grid
@@ -101,7 +107,7 @@ def test_kitaev_lifetime_both_decoders(tmp_path):
         tmp_path / "kit.json", experiment="kitaev-lifetime", sizes=[3],
         beta=0.8, n_traj=8, t_max=20.0, decoder="both", output=str(out))
     assert main(["run", cfg]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _rows(out)
     assert [r["decoder"] for r in rows] == ["matching", "bare"]
     assert all(r["L"] == "3" for r in rows)
 
@@ -112,7 +118,7 @@ def test_szilard_rows_round_trip_floats(tmp_path):
         tmp_path / "sz.json", experiment="szilard", p_init=[0.0, 0.25],
         beta_E=5.0, ramp_time=[0.0, 50.0], beta=1.0, output=str(out))
     assert main(["run", cfg]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _rows(out)
     assert len(rows) == 4
     assert rows[0].keys() == {"p_init", "beta_E", "ramp_time", "work_on",
                               "heat_in", "net_extracted", "violation_flag"}
@@ -131,7 +137,7 @@ def test_cycle_flags_violation_for_stable_memory(tmp_path):
         tmp_path / "cyc.json", experiment="cycle", p_init=[0.0, 0.5],
         beta_E=5.0, ramp_time=300.0, beta=1.0, stable=True, output=str(out))
     assert main(["run", cfg]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _rows(out)
     assert rows[0]["violation_flag"] == "1"
     assert float(rows[0]["net_extracted"]) > 0.6
     assert rows[1]["violation_flag"] == "0"
@@ -143,7 +149,7 @@ def test_toolkit_check_rows(tmp_path):
     cfg = _write_config(tmp_path / "tk.json", experiment="toolkit-check",
                         n_samples=40, output=str(out), seed=2)
     assert main(["run", cfg]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = _rows(out)
     assert [r["check"] for r in rows] == [
         "cp-contraction", "repetition-distance", "fannes-slack", "first-law"]
     assert all(r["pass"] == "1" for r in rows)
@@ -447,7 +453,7 @@ def test_stable_must_be_a_json_boolean(tmp_path, capsys):
         assert "'stable'" in capsys.readouterr().err
         assert not out.exists()
     assert main(["run", cfg, "--override", "stable=false"]) == 0
-    row = next(csv.DictReader(out.open()))
+    row = _rows(out)[0]
     assert row["violation_flag"] == "0"
     assert float(row["net_extracted"]) < 0.0
 
@@ -465,7 +471,7 @@ def test_t_max_may_be_infinity(tmp_path):
     cfg = dict(_SIZED["ising-lifetime"], experiment="ising-lifetime", output=str(out))
     assert main(["run", _write_config(tmp_path / "c.json", **cfg),
                  "--override", "t_max=Infinity"]) == 0
-    assert next(csv.DictReader(out.open()))["censored"] == "0"
+    assert _rows(out)[0]["censored"] == "0"
 
 
 @pytest.mark.skipif(shutil.which("memlab") is None,

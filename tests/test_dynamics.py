@@ -35,6 +35,9 @@ from _oracles import absorbing_mfpt, heat_bath, mean_field_mfpt
     dict(beta=1.0, t_max=1.0, n_traj=0),
     dict(beta=math.nan, t_max=1.0),
     dict(beta=math.inf, t_max=1.0),
+    dict(beta=1.0, t_max=1.0, n_traj=2.5),
+    dict(beta=1.0, t_max=1.0, n_traj=True),
+    dict(beta=1.0, t_max=1.0, n_traj=3.0),
 ])
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):

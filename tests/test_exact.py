@@ -62,33 +62,44 @@ def test_generator_matches_loop_built_reference():
         assert np.allclose(G.energies, states, atol=1e-13)
 
 
+def _single_flip_rates(model, state_of):
+    """Off-diagonal generator built entry by entry from ``classify_flip``."""
+    n = model.N
+    ref = np.zeros((1 << n, 1 << n))
+    for x in range(1 << n):
+        for i in range(n):
+            ref[x ^ (1 << i), x] = classify_flip(model, state_of(x), i).rate
+    return ref
+
+
+def _off_diagonal(G):
+    M = np.array(G.matrix)  # a copy; these sizes are below the dense limit
+    np.fill_diagonal(M, 0.0)
+    return M
+
+
 def test_generator_entries_equal_simulation_rates():
-    """The exact generator and the Monte Carlo rate classes are one arithmetic."""
-    rng = np.random.default_rng(6)
-    for kind, kw in [("Ising1D", dict(N=6)), ("Ising2D", dict(L=2)),
-                     ("IsingMeanField", dict(N=5))]:
-        beta = 1.1
-        model = build_model(kind, beta=beta, **kw)
-        G = build_generator(model, beta)
-        n = model.N
-        for _ in range(20):
-            x = int(rng.integers(1 << n))
-            i = int(rng.integers(n))
-            ev = classify_flip(model, SpinConfiguration(_spins_of(x, n)), i)
-            assert G.matrix[x ^ (1 << i), x] == ev.rate
+    """The exact generator and the Monte Carlo rate classes are one arithmetic:
+    every off-diagonal entry equals the sampler's rate bit for bit."""
+    for beta in (0.2, 0.7, 1.1, 1.3, 2.5):
+        for J in (1.0, 0.7):
+            for kind, kw in [("Ising1D", dict(N=4)), ("Ising1D", dict(N=6)),
+                             ("Ising2D", dict(L=2)), ("IsingMeanField", dict(N=5))]:
+                model = build_model(kind, J=J, beta=beta, **kw)
+                ref = _single_flip_rates(
+                    model, lambda x: SpinConfiguration(_spins_of(x, model.N)))
+                G = build_generator(model, beta)
+                assert np.array_equal(_off_diagonal(G), ref), (kind, kw, beta, J)
 
 
 def test_kitaev_generator_entries_equal_simulation_rates():
-    beta = 0.9
-    model = build_model("Kitaev2D", L=2, beta=beta, move_rate=0.6)
-    G = build_generator(model, beta)
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        x = int(rng.integers(256))
-        e = int(rng.integers(8))
-        error = frozenset(k for k in range(8) if (x >> k) & 1)
-        ev = classify_flip(model, error, e)
-        assert G.matrix[x ^ (1 << e), x] == ev.rate
+    for beta in (0.2, 0.9, 2.5):
+        for move_rate in (0.6, 1.0):
+            model = build_model("Kitaev2D", L=2, beta=beta, move_rate=move_rate)
+            ref = _single_flip_rates(
+                model, lambda x: frozenset(k for k in range(8) if (x >> k) & 1))
+            G = build_generator(model, beta)
+            assert np.array_equal(_off_diagonal(G), ref), (beta, move_rate)
 
 
 def test_two_spin_ring_has_doubled_bond_energies():
@@ -236,12 +247,13 @@ def test_irreversible_rates_are_rejected():
 
 def test_irreversible_rates_are_rejected_by_the_blocks(monkeypatch):
     model = build_model("Kitaev2D", L=2)
-    rates = exact._kitaev_rates
+    rates = exact.flip_rates
 
-    def half_barrier(model, beta, parity, e):
-        return np.sqrt(rates(model, beta, parity, e))  # creation at e^-beta, not e^-2beta
+    def half_barrier(model, beta, M=0):
+        table = rates(model, beta, M)
+        return {**table, 0: math.sqrt(table[0])}  # creation at e^-beta, not e^-2beta
 
-    monkeypatch.setattr(exact, "_kitaev_rates", half_barrier)
+    monkeypatch.setattr(exact, "flip_rates", half_barrier)
     with pytest.raises(RuntimeError, match="not reversible"):
         spectral_gap(build_generator(model, 1.0))
 

@@ -26,6 +26,14 @@ def test_build_model_validation():
         build_model("Ising2D", L=1)
     with pytest.raises(ValueError, match="L >= 2"):
         build_model("Kitaev2D", L=1)
+    # a size is not truncated: 3.9 is no ring of 3 spins, True no ring at all
+    for kind, name, size in [("Ising1D", "N", 3.9), ("IsingMeanField", "N", 2.5),
+                             ("Ising2D", "L", 2.0), ("Kitaev2D", "L", 3.5),
+                             ("Ising1D", "N", True), ("Kitaev2D", "L", np.bool_(True))]:
+        with pytest.raises(ValueError, match=f"size {name} must be an integer"):
+            build_model(kind, **{name: size})
+    assert build_model("Ising1D", N=np.int64(5)).N == 5
+    assert build_model("Kitaev2D", L=np.int32(3)).L == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])
