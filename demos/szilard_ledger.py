@@ -5,7 +5,7 @@ A two-level system sits in its ground state.  Raise the empty level high
 coupled to the bath: the system extracts heat and delivers work, at most
 kT ln 2 of it.  Every protocol run returns a ledger -- work, heat, and
 internal-energy change for each stroke -- with the first law holding to
-integrator accuracy.
+quadrature accuracy.
 
 The second half closes the loop Landauer-style: if the extracting engine
 runs off a *memory* of the bit, either the memory is stable (and perfect

@@ -262,7 +262,7 @@ EXPERIMENTS = {
     "fluctuation": Experiment(
         "duration,n_traj,mean_sigma,ift_estimate,p_sigma_negative", _run_fluctuation,
         {"n_periods": Key(INT_GE1, listed=True), "period": Key(POSITIVE),
-         "e_max": Key(NUMBER), "beta": Key(NUMBER, 1.0), "gamma": Key(POSITIVE, 1.0),
+         "e_max": Key(NUMBER), "beta": Key(POSITIVE, 1.0), "gamma": Key(POSITIVE, 1.0),
          "n_traj": Key(INT_GE1), "rates": Key(RATES, "heat-bath")}),
     "toolkit-check": Experiment(
         "check,detail,value,threshold,pass", _run_toolkit_check,

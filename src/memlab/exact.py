@@ -3,12 +3,13 @@
 Markov generators over the full configuration space (column convention:
 ``G[y, x]`` is the rate x -> y, columns sum to zero), their spectral gaps
 via Gibbs symmetrization, and a driven two-level master equation with
-work/heat integration for protocol ledgers.  The stationary law of a
-reversible generator is its Gibbs vector, checked rather than solved for.
+work/heat ledgers for protocols.  The stationary law of a reversible
+generator is its Gibbs vector, checked rather than solved for.
 A ``ProtocolSchedule`` merges its segments and jumps once into the steps
-that the integrator and the trajectory sampler of ``thermo`` both walk.
-The scipy imports sit inside the functions that build and solve, so
-``import memlab`` and the Monte Carlo paths never load scipy.
+that the master solve and the trajectory sampler of ``thermo`` both walk;
+the master solve is Gauss-Legendre panel quadrature, with no scipy.  The
+scipy imports sit inside the functions that build and solve generators, so
+``import memlab``, the Monte Carlo paths and the ledgers never load scipy.
 
 The toric-code gap never needs the 2^(2L^2) matrix.  Its rates depend only
 on the plaquette syndrome, so the symmetrized generator commutes with every
@@ -21,12 +22,13 @@ takes 32 sparse solves of size 1024 instead of one of size 262144.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import flip_rates, heat_bath
+from ._shared import flip_rates
 from .lattice import LatticeModel, ising_energies
 
 MAX_STATES = 1 << 20
@@ -416,18 +418,14 @@ class Jump:
         return self.eps0[1], self.eps1[1]
 
 
-def _frozen_work(step, p1: float) -> float:
-    """Work of a jump or decoupled segment on populations frozen at (1 - p1, p1)."""
-    return (1.0 - p1) * (step.eps0[1] - step.eps0[0]) + p1 * (step.eps1[1] - step.eps1[0])
-
-
 @dataclass(frozen=True)
 class ProtocolSchedule:
     """Contiguous segments plus explicit jumps for a driven two-level system.
 
     ``steps`` is the timeline that every consumer walks, merged once here:
     the jumps at ``t_start``, then each segment followed by the jumps at its
-    end.
+    end.  Times, energies, ``gamma`` and ``beta`` must be finite, and
+    ``gamma`` and ``beta`` positive.
     """
 
     segments: tuple
@@ -439,10 +437,16 @@ class ProtocolSchedule:
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "jumps", tuple(self.jumps))
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        for name in ("gamma", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite value > 0, got {value!r}")
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
+        for name in ("segments", "jumps"):
+            if not all(map(math.isfinite, (v for s in getattr(self, name)
+                                           for v in (s.t0, s.t1, *s.eps0, *s.eps1)))):
+                raise ValueError(f"{name} need finite times and energies")
         if any(a.t > b.t for a, b in zip(self.jumps[:-1], self.jumps[1:])):
             raise ValueError("jumps must be time-ordered")
         steps, todo = [], list(self.jumps)[::-1]  # the next jump last
@@ -485,19 +489,28 @@ class ProtocolSchedule:
         return self.steps[0].eps0[0], self.steps[0].eps1[0]
 
 
-def two_level_rates(delta: float, gamma: float, beta: float,
-                    convention: str = "heat-bath"):
-    """(up rate 0->1, down rate 1->0) for level splitting ``delta``.
+def two_level_rates(delta, gamma: float, beta: float, convention: str = "heat-bath"):
+    """(up rate 0->1, down rate 1->0) for level splitting ``delta``, a float
+    or an ndarray.
 
-    Heat-bath rates sum to gamma; Metropolis moves downhill at gamma.
-    Both satisfy detailed balance with the instantaneous Gibbs ratio.
+    With u = e^{-beta |delta|}, the downhill rate is gamma / (1 + u) under
+    heat bath (the two rates sum to gamma) and gamma under Metropolis; the
+    uphill rate is u times the downhill one, the instantaneous Gibbs ratio.
     """
     x = beta * delta
+    array = type(x) is np.ndarray  # an identity test keeps the scalar path fast
+    u = np.exp(-np.abs(x)) if array else math.exp(-abs(x))
     if convention == "heat-bath":
-        return gamma * heat_bath(x), gamma * heat_bath(-x)
-    if convention == "metropolis":
-        return gamma * min(1.0, math.exp(-x)), gamma * min(1.0, math.exp(x))
-    raise ValueError(f"unknown rate convention: {convention!r}")
+        downhill = gamma / (1.0 + u)
+    elif convention == "metropolis":
+        downhill = gamma
+    else:
+        raise ValueError(f"unknown rate convention: {convention!r} "
+                         "(rates must be 'heat-bath' or 'metropolis')")
+    uphill = downhill * u
+    if array:
+        return np.where(x >= 0.0, uphill, downhill), np.where(x >= 0.0, downhill, uphill)
+    return (uphill, downhill) if x >= 0.0 else (downhill, uphill)
 
 
 @dataclass(frozen=True)
@@ -526,74 +539,126 @@ class MasterSolution:
     p_final: np.ndarray
 
 
-MASTER_RTOL = 1e-8  # relative tolerance of the adaptive master-equation solve
+PANEL_NODES = 24  # Gauss-Legendre nodes per quadrature panel
+MAX_PANELS = 1 << 20
+_PANEL_CHUNK = 256  # panels per array pass: bounds memory on long schedules, and is faster
+
+
+@functools.cache
+def _gauss_panel():
+    """Gauss-Legendre nodes and weights on [0, 1], and the transposed spectral
+    matrix that maps node values to the integrals from 0 to each node."""
+    from numpy.polynomial import legendre as leg
+
+    xi, w = leg.leggauss(PANEL_NODES)
+    to_coef = np.linalg.inv(leg.legvander(xi, PANEL_NODES - 1))
+    antiderivative = leg.legvander(xi, PANEL_NODES) @ leg.legint(np.eye(PANEL_NODES), lbnd=-1)
+    return (xi + 1.0) / 2.0, w / 2.0, (antiderivative @ to_coef).T / 2.0
+
+
+def _solve_panels(h, delta, slope, q, gamma, beta, rates):
+    """q1 at the ends of consecutive panels from q1 = ``q``, and per panel the
+    integrals of q1 and of the heat flow (eps1 - eps0) dq1/dt.  Panel i is
+    ``h[i]`` long and starts at splitting ``delta[i]``, moving at ``slope[i]``.
+    With B = int b from the panel start, q1 = e^{-B} (q1_start + int a e^B)."""
+    s, w, cumulative = _gauss_panel()
+    out = []
+    for lo in range(0, len(h) or 1, _PANEL_CHUNK):
+        hn = h[lo:lo + _PANEL_CHUNK, None]
+        d = delta[lo:lo + _PANEL_CHUNK, None] + slope[lo:lo + _PANEL_CHUNK, None] * (hn * s)
+        a, down = two_level_rates(d, gamma, beta, rates)
+        b = a + down
+        B = (b @ cumulative) * hn
+        f = a * np.exp(B)
+        decay = np.exp(-(b @ w) * hn[:, 0])
+        ends = list(itertools.accumulate(zip(decay.tolist(), (decay * (f @ w) * hn[:, 0]).tolist()),
+                                         lambda q1, dc: dc[0] * q1 + dc[1], initial=q))
+        q = ends[-1]
+        q1 = np.exp(-B) * (np.array(ends[:-1])[:, None] + (f @ cumulative) * hn)
+        out.append((ends[1:], (q1 @ w) * hn[:, 0], ((d * (a - b * q1)) @ w) * hn[:, 0]))
+    return [np.concatenate(v) for v in zip(*out)]
 
 
 def integrate_master(schedule: ProtocolSchedule, p0,
                      rates: str = "heat-bath") -> MasterSolution:
-    """Solve dp/dt = G(t) p along the schedule's steps, with work/heat integrands.
+    """Solve the two-level master equation along the schedule's steps, with
+    work/heat ledgers.
 
-    Populations are propagated as p1 (p0 = 1 - p1), so normalization is exact
-    by construction.  Work accumulates as sum_i p_i d(eps_i)/dt inside
-    coupled segments plus sum_i p_i delta(eps_i) over jumps and decoupled
-    segments, where populations are frozen; heat accumulates as
-    sum_i eps_i dp_i/dt.  Adaptive integration at relative tolerance
-    ``MASTER_RTOL``.
+    The upper population q1 (p0 = 1 - q1, so normalization is exact) obeys
+    dq1/dt = a - b q1 on a coupled segment (a = up, b = up + down), solved by
+    24-node Gauss-Legendre quadrature on panels: the 32-interval output grid,
+    each interval split to width <= 1 / (2 max b) and to a splitting change
+    <= 4 / beta, plus a break where the splitting changes sign (a kink of the
+    Metropolis rates).  One array pass covers every panel of the schedule; a
+    scalar recurrence carries q1 across panels, and jumps and decoupled
+    segments freeze it.  Work is sum_i delta(eps_i) times the mean p_i of a
+    step, eps0' T + (eps1' - eps0') int q1 on a coupled segment; heat is its
+    own quadrature of (eps1 - eps0) dq1/dt, so dU = W + Q is a check.
+
+    Raises:
+        ValueError: unknown ``rates``, ``p0`` not a finite 2-state probability
+            vector, or more than ``MAX_PANELS`` panels.
     """
-    from scipy.integrate import solve_ivp
-
-    p = np.asarray(p0, dtype=np.float64)
-    if p.shape != (2,) or abs(p.sum() - 1.0) > 1e-9 or np.any(p < -1e-12):
-        raise ValueError("p0 must be a 2-state probability vector")
-    p1 = float(p[1])
     gamma, beta = schedule.gamma, schedule.beta
+    b_max = sum(two_level_rates(0.0, gamma, beta, rates))  # b peaks at zero splitting
+    p = np.asarray(p0, dtype=np.float64)
+    if p.shape != (2,) or not np.isfinite(p).all() or abs(p.sum() - 1.0) > 1e-9 \
+            or np.any(p < -1e-12):
+        raise ValueError(f"p0 must be a finite 2-state probability vector, got {p0!r}")
+    p1 = float(p[1])
+
+    # panels of every coupled segment in time order, timed from the segment start
+    coupled = [s for s in schedule.steps if s.coupled]
+    T, d0, dd = np.array([(s.t1 - s.t0, s.eps1[0] - s.eps0[0], s.slopes[1] - s.slopes[0])
+                          for s in coupled]).reshape(-1, 3).T
+    m = np.ceil(np.maximum(2.0 * b_max, beta * np.abs(dd) / 4.0) * T / 32).clip(1)
+    if 32 * m.sum() > MAX_PANELS:
+        raise ValueError(f"schedule needs {32 * m.sum():.3g} quadrature panels, above the "
+                         f"limit of {MAX_PANELS}: gamma times its duration is too large")
+    n = 32 * m.astype(np.int64)  # m panels per output interval
+    seg = np.repeat(np.arange(len(coupled)), n)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)
+    tl, tr = (T[seg] * (j / n[seg]) for j in (k, k + 1))
+    on_grid = (k + 1) % (n // 32)[seg] == 0
+    dl, dr = (d0[seg] + dd[seg] * t for t in (tl, tr))
+    cut = np.flatnonzero(np.sign(dl) * np.sign(dr) < 0)
+    kink = tl[cut] - dl[cut] * (tr[cut] - tl[cut]) / (dr[cut] - dl[cut])
+    tl, tr = np.insert(tl, cut + 1, kink), np.insert(tr, cut, kink)
+    seg, on_grid = np.insert(seg, cut, seg[cut]), np.insert(on_grid, cut, False)
+    q_end, q_int, heat_flow = _solve_panels(tr - tl, d0[seg] + dd[seg] * tl, dd[seg], p1,
+                                            gamma, beta, rates)
+    per_segment = zip(q_end[on_grid].reshape(-1, 32),
+                      (np.bincount(seg, q_int, len(coupled)) / T).tolist(),
+                      np.bincount(seg, heat_flow, len(coupled)).tolist())
 
     eps = schedule.start_energies
-    ts, ps, eps_track, records = [schedule.t_start], [(1.0 - p1, p1)], [eps], []
-    work_total = heat_total = 0.0
+    u_first = (1.0 - p1) * eps[0] + p1 * eps[1]
+    ts, qs, eps_track = [np.array([schedule.t_start])], [np.array([p1])], [np.array([eps])]
+    records, work_total, heat_total = [], 0.0, 0.0
     for step in schedule.steps:
-        if not step.coupled:
-            # populations frozen, so dU = W
-            w = _frozen_work(step, p1)
-            jump = isinstance(step, Jump)
-            records.append(SegmentRecord("jump" if jump else "decoupled",
-                                         step.t0, step.t1, w, 0.0, w))
-            work_total += w
-            grid = [step.t] if jump else np.linspace(step.t0, step.t1, 9)[1:]
-            q1s = [p1] * len(grid)
-        else:
-            seg = step
-            de0, de1 = seg.slopes
-
-            def rhs(t, y):
-                q1, _, _ = y
-                e0, e1 = seg.energies(t)
-                up, down = two_level_rates(e1 - e0, gamma, beta, rates)
-                dq1 = up * (1.0 - q1) - down * q1
-                return dq1, (1.0 - q1) * de0 + q1 * de1, e0 * (-dq1) + e1 * dq1
-
-            sol = solve_ivp(rhs, (seg.t0, seg.t1), (p1, 0.0, 0.0),
-                            method="DOP853", rtol=MASTER_RTOL, atol=1e-12,
-                            dense_output=True)
-            if not sol.success:
-                raise RuntimeError(f"master-equation integration failed: {sol.message}")
-            grid = np.linspace(seg.t0, seg.t1, 33)[1:]
-            q1s = sol.sol(grid)[0]
-            u_before = (1.0 - p1) * eps[0] + p1 * eps[1]
-            p1 = float(sol.y[0, -1])
-            w, q = float(sol.y[1, -1]), float(sol.y[2, -1])
-            records.append(SegmentRecord("coupled", seg.t0, seg.t1, w, q,
-                                         (1.0 - p1) * seg.eps0[1] + p1 * seg.eps1[1] - u_before))
-            work_total += w
-            heat_total += q
-        for tg, q1 in zip(grid, q1s):
-            ts.append(float(tg))
-            ps.append((1.0 - q1, q1))
-            eps_track.append(step.energies(tg))
+        u_before = (1.0 - p1) * eps[0] + p1 * eps[1]
+        if step.coupled:
+            grid = np.linspace(step.t0, step.t1, 33)[1:]
+            q1s, q_mean, heat = next(per_segment)
+            label = "coupled"
+        else:  # populations frozen: no heat, and dU = W
+            q_mean, heat, label = p1, 0.0, "jump" if isinstance(step, Jump) else "decoupled"
+            grid = np.array([step.t]) if label == "jump" else np.linspace(step.t0, step.t1, 9)[1:]
+            q1s = np.full(grid.size, p1)
+        w = (1.0 - q_mean) * (step.eps0[1] - step.eps0[0]) + q_mean * (step.eps1[1] - step.eps1[0])
+        p1 = float(q1s[-1])
+        du = (1.0 - p1) * step.eps0[1] + p1 * step.eps1[1] - u_before if step.coupled else w
+        records.append(SegmentRecord(label, step.t0, step.t1, w, heat, du))
+        work_total += w
+        heat_total += heat
+        ts.append(grid)
+        qs.append(q1s)
+        # a jump's energies are two floats
+        eps_track.append(np.column_stack(np.broadcast_arrays(*step.energies(grid), grid)[:2]))
         eps = (step.eps0[1], step.eps1[1])
 
-    u_first = ps[0][0] * eps_track[0][0] + ps[0][1] * eps_track[0][1]
+    q = np.concatenate(qs)
     u_last = (1.0 - p1) * eps[0] + p1 * eps[1]
-    return MasterSolution(np.asarray(ts), np.asarray(ps), np.asarray(eps_track),
-                          work_total, heat_total, u_last - u_first,
-                          tuple(records), np.array([1.0 - p1, p1]))
+    return MasterSolution(np.concatenate(ts), np.column_stack([1.0 - q, q]),
+                          np.concatenate(eps_track), work_total, heat_total,
+                          u_last - u_first, tuple(records), np.array([1.0 - p1, p1]))

@@ -19,6 +19,7 @@ arguments without a separate code path.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -219,15 +220,20 @@ def build_model(kind: str, N: int | None = None, L: int | None = None,
         kind: one of ``Ising1D``, ``IsingMeanField``, ``Ising2D``, ``Kitaev2D``.
         N: site count (Ising1D, IsingMeanField).
         L: linear size (Ising2D, Kitaev2D).
-        J: coupling energy.
+        J: coupling energy, finite.
         beta: optional inverse temperature to store on the model.
-        move_rate: anyon hop rate override (Kitaev2D only; default 1).
+        move_rate: anyon hop rate override, finite and >= 0 (Kitaev2D only;
+            default 1).
 
     Returns:
         An immutable :class:`LatticeModel`.
     """
     if kind not in KINDS:
         raise ValueError(f"unsupported model kind: {kind!r}")
+    if not math.isfinite(J):
+        raise ValueError(f"J must be a finite number, got {J!r}")
+    if not (math.isfinite(move_rate) and move_rate >= 0):
+        raise ValueError(f"move_rate must be a finite value >= 0, got {move_rate!r}")
     if kind == "Ising1D":
         N = _size(kind, "N", N, 2, " (a ring of at least two spins)")
         return LatticeModel(kind, N, float(J), None, beta,

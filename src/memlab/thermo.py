@@ -1,10 +1,11 @@
 """Work and heat bookkeeping for driven two-level protocols.
 
-Builds on the exact master-equation integrator: the Szilard-style extraction
-ramp, an engine cycle powered by a read-out memory register, and trajectory
-entropy-production statistics for the fluctuation relation.  Trajectories
-walk the same ``ProtocolSchedule.steps`` as the integrator and read the level
-energies from ``Segment.energies``, so both see identical drives.
+Builds on the master-equation solve of ``exact.integrate_master``: the
+Szilard-style extraction ramp, an engine cycle powered by a read-out memory
+register, and trajectory entropy-production statistics for the fluctuation
+relation.  Trajectories walk the same ``ProtocolSchedule.steps`` as the
+master solve and read ``Segment.energies`` and ``two_level_rates``, so both
+see identical drives.
 
 Sign convention: ``work_on_system`` is positive when energy flows into the
 system; extracted work is its negative.
@@ -13,6 +14,7 @@ system; extracted work is its negative.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +51,7 @@ class WorkLedger:
     def first_law_residual(self) -> float:
         """Relative size of dU - W - Q, over the whole run and per segment.
 
-        Zero up to integrator tolerance; the ledger invariant.
+        Zero up to quadrature rounding; the ledger invariant.
         """
         def rel(du, w, q):
             return abs(du - w - q) / max(abs(du), abs(w), abs(q), 1.0)
@@ -261,8 +263,8 @@ def entropy_production_samples(schedule: ProtocolSchedule, n_traj: int,
     Returns samples plus the integral-fluctuation-theorem estimate
     <exp(-sigma)> and the empirical P(sigma < 0).
     """
-    if n_traj < 1:
-        raise ValueError("n_traj must be positive")
+    if isinstance(n_traj, bool) or not isinstance(n_traj, numbers.Integral) or n_traj < 1:
+        raise ValueError(f"n_traj must be an integer of at least 1, got {n_traj!r}")
     if p0 is None:
         e0, e1 = schedule.start_energies
         p1 = heat_bath(schedule.beta * (e1 - e0))

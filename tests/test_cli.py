@@ -303,6 +303,8 @@ _SIZED = {
     ("fluctuation", "period", math.inf),
     ("fluctuation", "beta", -math.inf),
     pytest.param("szilard", "gamma", 10**400, id="szilard-gamma-int-beyond-float"),
+    # out of range: a protocol schedule needs beta > 0
+    ("fluctuation", "beta", 0),
 ])
 def test_non_integer_sizes_and_samples_rejected(tmp_path, capsys, experiment, key,
                                                 value):

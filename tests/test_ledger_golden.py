@@ -3,7 +3,7 @@
 Each fingerprint is the sha256 of the repr of ``MasterSolution`` fields or
 of 200 entropy-production samples.  The energy track has a fingerprint of
 its own: it is evaluated with ``Segment.energies``, the float operations of
-the integrator's right-hand side, and does not depend on the rate
+the trajectory sampler, and does not depend on the rate
 convention; the other fields (time grid, populations, totals, per-interval
 records, final populations) share one.  The schedules put jumps
 at the start, at an interior boundary (two at once) and at the end, and
@@ -53,13 +53,13 @@ SCHEDULES = {
 
 SOLUTION_CASES = {
     ("start-interior-end", "heat-bath"):
-        "8571bf89ca3b32f6cdb01034b6c35b0fe4d671c5755abbc4e7f88f920bb0309c",
+        "c12aa22078afca90e7557de6126fb98c478144dde5ba7f7008255129f967b670",
     ("start-interior-end", "metropolis"):
-        "dc559c7032c7065332ce08f644fec3066111eccdee5ec7a48725f375108ec576",
+        "98afc5b90a4dceb8b545be5e9fd87534bfc85e898009d0b8f9b9eefdf3d8e4af",
     ("double-jump", "heat-bath"):
-        "e345567d0dd9d1db4ddeebab8d047921b4b3e64299e605933f597cbcb9d4f8a9",
+        "7cfd53cd34f02b9bf0825cafa94d5a869c6021bc0cc1edfda278d384daf47366",
     ("double-jump", "metropolis"):
-        "4086b1fbcbbcecf5ebc9cde4823d85e0def9eb2b2993a3b644ac91d234e2b4df",
+        "389a0ac631ac755c256aef0ce65adc27b22c73f0ac35652e263934722a6e38fb",
 }
 
 ENERGY_TRACKS = {
@@ -77,13 +77,13 @@ def test_master_solution_ledger(name, rates):
 
 SIGMA_CASES = {
     ("start-interior-end", "heat-bath"):
-        "c127d3c5b8ae49bcb3c1b1b270f5844e142ccd312a68bf1faeaa93b606c520ec",
+        "a4ac47d297b665485d37245e26ae5ac848e4fa3aa12a7b6544456e2b77457636",
     ("start-interior-end", "metropolis"):
-        "23f27e91c2ce0b8be47756a5df6edc0ce16520ce9efdd0305e4c14977e41642f",
+        "6ebfa35f9de7e465f00af2fa766818a19b59deff4006cf0887297f35693d7101",
     ("double-jump", "heat-bath"):
-        "0de4b9f8e993f18f078de3721fe81038e429680fce4c6739845503d72e3aba8c",
+        "dc73bfaed4c45f056dfc2f718b34d3cf075e53e37dd6b5cb84cab0d682451bc6",
     ("double-jump", "metropolis"):
-        "305312e59b7402bab13a105de51f4f2547c65f64a3ce785cbde964f134692663",
+        "a2c1b1237c2cf412ffb81283e9dc6eca6f11bc8146ad90848fd60c695ddb8016",
 }
 
 
@@ -93,15 +93,19 @@ def test_entropy_production_ledger(name, rates):
     assert _sha(res.samples.tolist()) == SIGMA_CASES[name, rates]
 
 
-@pytest.mark.parametrize("ramp_time,rates,expected", [
-    (0.0, "heat-bath",
-     "daad1d0b4c1d25d4c1cbbf4b4513ea514438ef0d4fd6048c529b555fe28a8c2b"),
-    (3.0, "heat-bath",
-     "8b353c85714db97d873c13abe683785b0bb3a59347a4b7f4aad98dbfac86d593"),
-    (3.0, "metropolis",
-     "cb11f4ff239afc65329cefda9e0f50242438943abc3fae9d7fa236f9a7eee4f1"),
-])
-def test_szilard_stroke_ledger(ramp_time, rates, expected):
+SZILARD_CASES = {
+    (0.0, "heat-bath"):
+        "daad1d0b4c1d25d4c1cbbf4b4513ea514438ef0d4fd6048c529b555fe28a8c2b",
+    (3.0, "heat-bath"):
+        "0c07bcd7a0d17cf2675e1bff27e13fefe5f11a6316bd47d6b887499feb7cc090",
+    (3.0, "metropolis"):
+        "52181f4178cdf0f6879100fc756b6ecc15270ec885e8024682c642354a27666d",
+}
+
+
+@pytest.mark.parametrize("ramp_time,rates", sorted(SZILARD_CASES))
+def test_szilard_stroke_ledger(ramp_time, rates):
     ledger = szilard_run(2.0, ramp_time, 1.2, 0.15, gamma=0.9, rates=rates)
-    assert _sha((ledger.work_on_system, ledger.heat_into_system,
-                 ledger.internal_energy_change, ledger.segments)) == expected
+    fields = (ledger.work_on_system, ledger.heat_into_system,
+              ledger.internal_energy_change, ledger.segments)
+    assert _sha(fields) == SZILARD_CASES[ramp_time, rates]
