@@ -16,9 +16,9 @@ key a flip can change, and the flip itself with its tracked observable
 The geometry comes from the model's tables: ring and torus Ising read one
 ``neighbours`` table, the toric code its edge/plaquette incidence tables.
 
-Every trajectory reads its randomness from a tape (:class:`_Tape`): per
-event one exponential e and two uniforms u1, u2, drawn ``BLOCK`` events at
-a time.  The draw rule is fixed so that any implementation reproduces it
+Every trajectory reads one (e, u1, u2) triple per event from its tape
+(``_shared._Tape``; the ``_shared`` docstring fixes how tapes are drawn and
+seeded).  The draw rule is fixed so that any implementation reproduces it
 exactly: ``total`` is the sum of bucket size times rate in class-key order,
 added one class at a time from 0.0; the waiting time is e / total; the
 class is the first one of positive weight whose running sum exceeds
@@ -29,21 +29,17 @@ members in ascending site order.
 One event loop drives every trajectory.  Recorded runs, first-passage runs
 and toric-code memory runs differ only in the hooks they pass to it: one per
 probe, one per event before the flip, and a stop test after the flip.
-
-Ensembles derive every trajectory's tape from (master seed, trajectory
-index) alone, so results never depend on how many workers ran them.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import flip_rates, run_chunks
+from ._shared import _Tape, check_count, flip_rates, run_chunks
 from .lattice import (LatticeModel, SpinConfiguration, Syndrome, _as_error_set,
                       _as_spins, build_model, crossing_sign)
 from . import decoder as _decoder_mod
@@ -63,9 +59,7 @@ class SimulationParams:
             raise ValueError(f"beta must be finite and nonnegative, got {self.beta!r}")
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
-        if isinstance(self.n_traj, bool) or not isinstance(self.n_traj, numbers.Integral) \
-                or self.n_traj < 1:
-            raise ValueError(f"n_traj must be an integer of at least 1, got {self.n_traj!r}")
+        check_count("n_traj", self.n_traj)
         if self.probe_cadence is not None and not (
                 math.isfinite(self.probe_cadence) and self.probe_cadence > 0):
             raise ValueError("probe_cadence must be None or a finite value > 0, "
@@ -112,33 +106,6 @@ class LifetimeResult:
 
 # ---------------------------------------------------------------------------
 # the n-fold-way sampler
-
-BLOCK = 64  # events per tape refill; part of the stream's definition
-
-
-class _Tape:
-    """A trajectory's random numbers: ``next(tape)`` gives one (e, u1, u2) per event.
-
-    Refills ``BLOCK`` events at a time from ``default_rng(ss)``:
-    ``standard_exponential(BLOCK)``, then ``random((BLOCK, 2))``.
-    """
-
-    __slots__ = ("rng", "exps", "unis", "i")
-
-    def __init__(self, ss):
-        self.rng = np.random.default_rng(ss)
-        self.i = BLOCK
-
-    def __next__(self):
-        i = self.i
-        if i == BLOCK:
-            self.exps = self.rng.standard_exponential(BLOCK).tolist()
-            self.unis = self.rng.random((BLOCK, 2)).tolist()
-            i = 0
-        self.i = i + 1
-        u1, u2 = self.unis[i]
-        return self.exps[i], u1, u2
-
 
 class _Sampler:
     """Rate-class buckets and the draw, shared by every model kind.
@@ -411,7 +378,7 @@ def magnetization_nonpositive(state) -> bool:
     return int(np.sum(state)) <= 0
 
 
-def _first_passage_once(model, params, predicate, ss) -> float:
+def _first_passage_once(model, params, predicate, tape) -> float:
     sampler = _sampler(model, params.beta)
     if predicate is None:
         # magnetization_nonpositive, read from the tracked magnetization
@@ -422,7 +389,7 @@ def _first_passage_once(model, params, predicate, ss) -> float:
             return predicate(sampler.state_view())
     if stop():
         raise ValueError("predicate already true in the initial state")
-    return _evolve(sampler, _Tape(ss), params.t_max, stop=stop)
+    return _evolve(sampler, tape, params.t_max, stop=stop)
 
 
 def _summarize(times: np.ndarray, t_max: float) -> LifetimeResult:
@@ -468,7 +435,7 @@ def _resolve_decoder(decoder):
     raise ValueError(f"unknown decoder: {decoder!r}")
 
 
-def _kitaev_lifetime_once(model, params, decoder, op, ss) -> float:
+def _kitaev_lifetime_once(model, params, decoder, op, tape) -> float:
     """First probe time at which the (possibly dressed) logical reads -1."""
     sampler = _KitaevSampler(model, params.beta, None)
     op_support = op.support
@@ -504,8 +471,7 @@ def _kitaev_lifetime_once(model, params, decoder, op, ss) -> float:
             sign_cache[key] = sign
         return bare * sign == -1
 
-    return _evolve(sampler, _Tape(ss), params.t_max, cadence,
-                   probe, event)
+    return _evolve(sampler, tape, params.t_max, cadence, probe, event)
 
 
 def kitaev_memory_lifetime(L: int, params: SimulationParams, decoder="matching",

@@ -51,16 +51,6 @@ class SpinConfiguration:
     def n(self) -> int:
         return int(self.spins.size)
 
-    def pack(self) -> bytes:
-        """Bit-packed form (1 bit per spin, set bit = spin down)."""
-        return np.packbits(self.spins < 0).tobytes()
-
-    @classmethod
-    def unpack(cls, data: bytes, n: int) -> "SpinConfiguration":
-        """Inverse of :meth:`pack`; ``n`` is the spin count."""
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
-        return cls(np.where(bits == 1, -1, 1).astype(np.int8))
-
     @classmethod
     def all_up(cls, n: int) -> "SpinConfiguration":
         return cls(np.ones(n, dtype=np.int8))
@@ -136,10 +126,6 @@ class LatticeModel:
     star_edges: np.ndarray | None = field(default=None, repr=False)
     # Ising1D / Ising2D neighbour table
     neighbours: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def n_sites(self) -> int:
-        return self.N
 
     def with_beta(self, beta: float) -> "LatticeModel":
         """Copy of the model with the inverse-temperature slot set."""

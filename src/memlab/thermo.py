@@ -5,7 +5,8 @@ Szilard-style extraction ramp, an engine cycle powered by a read-out memory
 register, and trajectory entropy-production statistics for the fluctuation
 relation.  Trajectories walk the same ``ProtocolSchedule.steps`` as the
 master solve and read ``Segment.energies`` and ``two_level_rates``, so both
-see identical drives.
+see identical drives.  A trajectory's randomness is its tape from
+``_shared.run_chunks``, read by the rule in the ``_shared`` docstring.
 
 Sign convention: ``work_on_system`` is positive when energy flows into the
 system; extracted work is its negative.
@@ -14,12 +15,11 @@ system; extracted work is its negative.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import heat_bath, run_chunks
+from ._shared import check_count, heat_bath, run_chunks
 from .exact import (Jump, MasterSolution, ProtocolSchedule, Segment,
                     integrate_master, two_level_rates)
 
@@ -169,8 +169,14 @@ def cycle_zero_crossing(E_max: float, ramp_time: float, beta: float,
                         tol: float = 1e-4) -> float:
     """Bisect the occupancy error p* where the cycle's net work changes sign.
 
-    Requires a sign change of net(p) over [lo, hi].
+    Requires finite lo < hi, a sign change of net(p) over [lo, hi] and a
+    finite tol > 0; stops early once lo and hi are adjacent floats.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got lo={lo!r}, hi={hi!r}")
+
     def net(p):
         return memory_engine_cycle(MemoryModel(p), E_max, ramp_time, beta,
                                    gamma=gamma).net_extracted
@@ -180,6 +186,8 @@ def cycle_zero_crossing(E_max: float, ramp_time: float, beta: float,
         raise ValueError("net work does not change sign over [lo, hi]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if f_lo * net(mid) > 0:
             lo = mid
         else:
@@ -197,8 +205,9 @@ def sawtooth_schedule(n_periods: int, period: float, e_max: float,
 
     Doubling ``n_periods`` doubles the protocol duration at fixed ramp shape.
     """
-    if n_periods < 1 or period <= 0:
-        raise ValueError("need n_periods >= 1 and period > 0")
+    check_count("n_periods", n_periods)
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be finite and positive, got {period!r}")
     half = period / 2.0
     segs = []
     for k in range(n_periods):
@@ -208,10 +217,10 @@ def sawtooth_schedule(n_periods: int, period: float, e_max: float,
     return ProtocolSchedule(tuple(segs), gamma=gamma, beta=beta)
 
 
-def _sigma_one(schedule: ProtocolSchedule, p_init, p_fin, rates, ss) -> float:
-    rng = np.random.default_rng(ss)
+def _sigma_one(schedule: ProtocolSchedule, p_init, p_fin, rates, tape) -> float:
+    """One sample of sigma, read from ``tape`` by the rule in ``_shared``."""
     gamma, beta = schedule.gamma, schedule.beta
-    x = 0 if rng.random() < p_init[0] else 1
+    x = 0 if next(tape)[1] < p_init[0] else 1
     sigma = math.log(p_init[x])
     for step in schedule.steps:
         if not step.coupled:
@@ -220,13 +229,14 @@ def _sigma_one(schedule: ProtocolSchedule, p_init, p_fin, rates, ss) -> float:
         # thinning: both directional rates are bounded by gamma in either
         # rate convention, so propose at gamma and accept proportionally
         while True:
-            t += rng.exponential(1.0 / gamma)
+            e, u1, _ = next(tape)
+            t += e / gamma
             if t >= step.t1:
                 break
             e0, e1 = step.energies(t)
             up, down = two_level_rates(e1 - e0, gamma, beta, rates)
             fwd = up if x == 0 else down
-            if rng.random() * gamma < fwd:
+            if u1 * gamma < fwd:
                 bwd = down if x == 0 else up
                 if bwd <= 0.0:
                     raise ValueError("zero backward rate: schedule is "
@@ -263,8 +273,7 @@ def entropy_production_samples(schedule: ProtocolSchedule, n_traj: int,
     Returns samples plus the integral-fluctuation-theorem estimate
     <exp(-sigma)> and the empirical P(sigma < 0).
     """
-    if isinstance(n_traj, bool) or not isinstance(n_traj, numbers.Integral) or n_traj < 1:
-        raise ValueError(f"n_traj must be an integer of at least 1, got {n_traj!r}")
+    check_count("n_traj", n_traj)
     if p0 is None:
         e0, e1 = schedule.start_energies
         p1 = heat_bath(schedule.beta * (e1 - e0))

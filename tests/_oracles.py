@@ -278,6 +278,53 @@ def master_dop853(schedule, p0, rates="heat-bath"):
     return np.array(ts), np.array(qs), ledger, p1
 
 
+def sigma_samples_by_rule(schedule, n_traj, seed, p0, rates="heat-bath"):
+    """Entropy-production samples rebuilt by the draw rule of the ``_shared``
+    docstring, trajectory i straight from
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.
+
+    The rates are the library's ``two_level_rates`` and p_fin its
+    ``integrate_master``, so agreement by ``==`` checks the stream and the
+    thinning, not the rate law.
+    """
+    from memlab.exact import integrate_master, two_level_rates
+
+    gamma, beta = schedule.gamma, schedule.beta
+    p_fin = integrate_master(schedule, p0, rates=rates).p_final
+    samples = []
+    for i in range(n_traj):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        exps, unis = [], []
+
+        def triple():
+            if not exps:  # a block: 64 exponentials, then 64 uniform pairs
+                exps.extend(rng.standard_exponential(64)[::-1].tolist())
+                unis.extend(rng.random((64, 2))[::-1].tolist())
+            return exps.pop(), unis.pop()
+
+        x = 0 if triple()[1][0] < p0[0] else 1
+        sigma = math.log(p0[x])
+        for seg in schedule.segments:
+            if not seg.coupled:
+                continue
+            T = seg.t1 - seg.t0
+            t = seg.t0
+            while True:
+                e, (u1, _) = triple()
+                t += e / gamma
+                if t >= seg.t1:
+                    break
+                e0 = seg.eps0[0] + (seg.eps0[1] - seg.eps0[0]) / T * (t - seg.t0)
+                e1 = seg.eps1[0] + (seg.eps1[1] - seg.eps1[0]) / T * (t - seg.t0)
+                up, down = two_level_rates(e1 - e0, gamma, beta, rates)
+                fwd, bwd = (up, down) if x == 0 else (down, up)
+                if u1 * gamma < fwd:
+                    sigma += math.log(fwd / bwd)
+                    x = 1 - x
+        samples.append(sigma - math.log(p_fin[x]))
+    return np.array(samples)
+
+
 # ---------------------------------------------------------------------------
 # the toolkit sweep, one sample at a time
 

@@ -19,7 +19,8 @@ from memlab import (
     syndrome,
 )
 
-from memlab.dynamics import BLOCK, _sampler, _Tape
+from memlab._shared import BLOCK, _Tape
+from memlab.dynamics import _sampler
 
 from _oracles import absorbing_mfpt, heat_bath, mean_field_mfpt
 

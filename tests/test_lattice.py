@@ -73,15 +73,6 @@ def test_spin_configuration_rejects_non_integer_spins():
         assert cfg.spins.tolist() == [1, -1]
 
 
-def test_spin_configuration_pack_roundtrip():
-    rng = np.random.default_rng(7)
-    for n in (1, 3, 8, 9, 17, 50):
-        for _ in range(20):
-            cfg = random_spins(rng, n)
-            again = SpinConfiguration.unpack(cfg.pack(), n)
-            assert np.array_equal(cfg.spins, again.spins)
-
-
 def test_with_beta_and_require_beta():
     model = build_model("Ising1D", N=6)
     with pytest.raises(ValueError, match="no inverse temperature"):

@@ -16,7 +16,9 @@ import hashlib
 import pytest
 
 from memlab import (Jump, ProtocolSchedule, Segment, entropy_production_samples,
-                    integrate_master, szilard_run)
+                    integrate_master, sawtooth_schedule, szilard_run)
+
+from _oracles import sigma_samples_by_rule
 
 
 def _sha(obj) -> str:
@@ -77,13 +79,13 @@ def test_master_solution_ledger(name, rates):
 
 SIGMA_CASES = {
     ("start-interior-end", "heat-bath"):
-        "a4ac47d297b665485d37245e26ae5ac848e4fa3aa12a7b6544456e2b77457636",
+        "e09992c03312cbf4a5db188f54b4352259514f916f511f1e916ec38dbefe1bb0",
     ("start-interior-end", "metropolis"):
-        "6ebfa35f9de7e465f00af2fa766818a19b59deff4006cf0887297f35693d7101",
+        "6357612077708b7013261563d1a137420889853ee574e0b02f7285ca47b34b6d",
     ("double-jump", "heat-bath"):
-        "dc73bfaed4c45f056dfc2f718b34d3cf075e53e37dd6b5cb84cab0d682451bc6",
+        "b9e8436f8efe12c1122fbbafcf9d54770657cb64ab2b5915e768c832685dfa53",
     ("double-jump", "metropolis"):
-        "a2c1b1237c2cf412ffb81283e9dc6eca6f11bc8146ad90848fd60c695ddb8016",
+        "a4f55e6161cfd7e6d744290a1cad1e5e853a1f855b6613d8b2230b1e2b837e44",
 }
 
 
@@ -91,6 +93,16 @@ SIGMA_CASES = {
 def test_entropy_production_ledger(name, rates):
     res = entropy_production_samples(SCHEDULES[name], 200, seed=11, rates=rates)
     assert _sha(res.samples.tolist()) == SIGMA_CASES[name, rates]
+
+
+@pytest.mark.parametrize("rates", ["heat-bath", "metropolis"])
+@pytest.mark.parametrize("name", ["sawtooth", "double-jump"])
+def test_entropy_production_follows_the_draw_rule(name, rates):
+    schedule = sawtooth_schedule(4, 1.0, 2.0) if name == "sawtooth" else SCHEDULES[name]
+    p0 = (0.7, 0.3)
+    res = entropy_production_samples(schedule, 200, seed=11, p0=p0, rates=rates)
+    expected = sigma_samples_by_rule(schedule, 200, 11, p0, rates)
+    assert res.samples.tolist() == expected.tolist()
 
 
 SZILARD_CASES = {

@@ -80,4 +80,4 @@ def test_entropy_production_stream():
     schedule = sawtooth_schedule(3, 1.0, 2.0, beta=1.0)
     res = entropy_production_samples(schedule, 200, seed=5)
     assert _sha(res.samples.tolist()) == \
-        "25131b51ed3f591538f2908fef525728ed676bdbd3ab3c6031e7a6ee9bc64cd3"
+        "3e8e7643efc3e349229d58a0c5f1d62c6dbc536f0df338023714423aba0994ef"

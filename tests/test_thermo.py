@@ -146,14 +146,30 @@ def test_net_work_monotone_in_error_probability():
     assert nets[-1] < 0.0
 
 
-def test_zero_crossing_by_bisection():
-    p_star = cycle_zero_crossing(5.0, 150.0, 1.0, tol=1e-4)
+@pytest.mark.parametrize("kwargs,error", [
+    (dict(tol=1e-4), None),
+    # a tol below one ulp stops at adjacent floats instead of looping forever
+    (dict(tol=1e-300), None),
+    (dict(lo=0.4, hi=0.5), "does not change sign"),
+    (dict(tol=0.0), "tol"),
+    (dict(tol=-1e-4), "tol"),
+    (dict(tol=math.nan), "tol"),
+    (dict(tol=math.inf), "tol"),
+    (dict(lo=0.5, hi=0.0), "lo"),
+    (dict(lo=0.25, hi=0.25), "lo"),
+    (dict(lo=math.nan), "lo"),
+    (dict(hi=math.inf), "hi"),
+])
+def test_zero_crossing_by_bisection(kwargs, error):
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            cycle_zero_crossing(5.0, 150.0, 1.0, **kwargs)
+        return
+    p_star = cycle_zero_crossing(5.0, 150.0, 1.0, **kwargs)
     assert 0.0 < p_star < 0.5
     below = memory_engine_cycle(MemoryModel(p_star - 0.02), 5.0, 150.0, 1.0)
     above = memory_engine_cycle(MemoryModel(p_star + 0.02), 5.0, 150.0, 1.0)
     assert below.net_extracted > 0.0 > above.net_extracted
-    with pytest.raises(ValueError, match="does not change sign"):
-        cycle_zero_crossing(5.0, 150.0, 1.0, lo=0.4, hi=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +184,13 @@ def test_sawtooth_schedule_shape():
     peak = sched.segments[0]
     assert peak.eps1 == (0.0, 4.0)
     assert sched.segments[1].eps1 == (4.0, 0.0)
-    with pytest.raises(ValueError):
-        sawtooth_schedule(0, 2.0, 4.0)
-    with pytest.raises(ValueError):
-        sawtooth_schedule(2, -1.0, 4.0)
+    assert len(sawtooth_schedule(np.int64(2), 1.0, 2.0).segments) == 4
+    for n_periods in (0, -1, 2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="n_periods"):
+            sawtooth_schedule(n_periods, 1.0, 2.0)
+    for period in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="period"):
+            sawtooth_schedule(2, period, 4.0)
 
 
 def test_undriven_schedule_produces_zero_entropy_pathwise():
