@@ -92,8 +92,12 @@ def run_chunks(one, common: tuple, master_seed, n_traj: int, workers: int) -> li
     With ``workers > 1`` the index range is split into contiguous chunks run
     in a process pool (``one`` and ``common`` must pickle).  Each trajectory
     depends only on its index, so the result is the same for any worker count.
+
+    Raises:
+        ValueError: ``workers`` is not an integer >= 1.
     """
-    if workers <= 1:
+    check_count("workers", workers)
+    if workers == 1:
         return _chunk((one, common, master_seed, 0, n_traj))
     from multiprocessing import Pool
 

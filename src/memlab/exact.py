@@ -1,10 +1,10 @@
 """Exact numerics for small systems.
 
-Markov generators over the full configuration space (column convention:
-``G[y, x]`` is the rate x -> y, columns sum to zero), their spectral gaps
-via Gibbs symmetrization, and a driven two-level master equation with
-work/heat ledgers for protocols.  The stationary law of a reversible
-generator is its Gibbs vector, checked rather than solved for.
+Markov generators over the full configuration space, CSR at every size
+(column convention: ``G[y, x]`` is the rate x -> y, columns sum to zero),
+their spectral gaps via Gibbs symmetrization, and a driven two-level master
+equation with work/heat ledgers for protocols.  The stationary law of a
+reversible generator is its Gibbs vector, checked rather than solved for.
 A ``ProtocolSchedule`` merges its segments and jumps once into the steps
 that the master solve and the trajectory sampler of ``thermo`` both walk;
 the master solve is Gauss-Legendre panel quadrature, with no scipy.  The
@@ -32,23 +32,25 @@ from ._shared import flip_rates
 from .lattice import LatticeModel, ising_energies
 
 MAX_STATES = 1 << 20
-DENSE_LIMIT = 512  # below it dense storage and LAPACK; from it on CSR and eigsh, the faster one
+DENSE_LIMIT = 512  # below it LAPACK, from it on eigsh: the faster one
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
     """Transition-rate matrix of a model at fixed inverse temperature.
 
+    Equality is identity, and the repr prints neither array.
+
     Attributes:
-        matrix: (dim, dim) ndarray, or CSR matrix above the dense limit.
+        matrix: (dim, dim) CSR matrix.
         energies: per-state energies defining the Gibbs weights.
         beta: inverse temperature the rates were built at.
         kind: model kind string.
         size: N (Ising kinds) or L (Kitaev2D).
     """
 
-    matrix: object
-    energies: np.ndarray
+    matrix: object = field(repr=False)
+    energies: np.ndarray = field(repr=False)
     beta: float
     kind: str
     size: int
@@ -56,10 +58,6 @@ class GeneratorMatrix:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def is_sparse(self) -> bool:
-        return not isinstance(self.matrix, np.ndarray)
 
     def gibbs(self) -> np.ndarray:
         """Normalized Boltzmann vector e^{-beta E} / Z."""
@@ -91,14 +89,6 @@ class _KitaevGenerator(GeneratorMatrix):
     @property
     def dimension(self) -> int:
         return 1 << self.model.N
-
-    @property
-    def is_sparse(self) -> bool:
-        return self.dimension >= DENSE_LIMIT
-
-    def __repr__(self) -> str:
-        # the dataclass repr would print, and so build, the whole matrix
-        return f"{type(self).__name__}(kind={self.kind!r}, size={self.size}, beta={self.beta})"
 
 
 def _flip_keys(model: LatticeModel, x: np.ndarray):
@@ -132,8 +122,7 @@ def _rates(model: LatticeModel, beta: float, keys: np.ndarray) -> np.ndarray:
 
 
 def _assemble(model: LatticeModel, beta: float):
-    """(generator, energies) over all 2^N states: columns sum to zero, dense
-    below the limit."""
+    """(CSR generator, energies) over all 2^N states: columns sum to zero."""
     import scipy.sparse as sp
 
     n = model.N
@@ -145,7 +134,7 @@ def _assemble(model: LatticeModel, beta: float):
     vals = _rates(model, beta, keys).T.ravel()
     G = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     G.setdiag(-np.asarray(G.sum(axis=0)).ravel())
-    return (G.toarray() if dim < DENSE_LIMIT else G), energies
+    return G, energies
 
 
 def build_generator(model: LatticeModel, beta: float) -> GeneratorMatrix:
@@ -161,8 +150,10 @@ def build_generator(model: LatticeModel, beta: float) -> GeneratorMatrix:
     or ``.energies``; :func:`spectral_gap` reads neither.
 
     Raises:
-        ValueError: state space above 2^20 states.
+        ValueError: non-finite ``beta``, or state space above 2^20 states.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     dim = 1 << model.N
     if dim > MAX_STATES:
         raise ValueError(f"state space of {dim} states is above the 2^20 limit")
@@ -180,13 +171,10 @@ def _symmetric_part(S, scale: float):
 
 
 def _symmetrized(G: GeneratorMatrix):
-    d = np.sqrt(G.gibbs())
-    if G.is_sparse:
-        import scipy.sparse as sp
+    import scipy.sparse as sp
 
-        S = sp.diags(1.0 / d) @ G.matrix @ sp.diags(d)
-    else:
-        S = G.matrix * (d[None, :] / d[:, None])
+    d = np.sqrt(G.gibbs())
+    S = sp.diags(1.0 / d) @ G.matrix @ sp.diags(d)
     return _symmetric_part(S, np.abs(G.matrix.diagonal()).max() or 1.0), d
 
 
@@ -198,7 +186,7 @@ def _top_eigen(S, k: int, v0=None):
     the same digits.
     """
     if S.shape[0] < DENSE_LIMIT:
-        return np.linalg.eigvalsh(S if isinstance(S, np.ndarray) else S.toarray())[-k:]
+        return np.linalg.eigvalsh(S.toarray())[-k:]
     import scipy.sparse.linalg as spla
 
     if v0 is None:

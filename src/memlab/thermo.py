@@ -113,10 +113,10 @@ def szilard_run(E_max: float, ramp_time: float, beta: float, p_init: float,
     Returns the WorkLedger; the quasi-static limit extracts
     (ln 2 - ln(1 + e^(-beta E_max))) / beta.
     """
-    if E_max <= 0:
-        raise ValueError("E_max must be positive")
-    if ramp_time < 0:
-        raise ValueError("ramp_time must be nonnegative")
+    if not (math.isfinite(E_max) and E_max > 0):
+        raise ValueError(f"E_max must be finite and positive, got {E_max!r}")
+    if not (math.isfinite(ramp_time) and ramp_time >= 0):
+        raise ValueError(f"ramp_time must be finite and nonnegative, got {ramp_time!r}")
     if not 0.0 <= p_init <= 1.0:
         raise ValueError("p_init must be a probability")
     raise_jump = Jump(0.0, eps0=(0.0, 0.0), eps1=(0.0, E_max))

@@ -53,8 +53,7 @@ def absorbing_mfpt(model, beta):
     """
     from memlab.exact import build_generator
 
-    G = build_generator(model, beta).matrix
-    Q = G.toarray() if hasattr(G, "toarray") else np.asarray(G)
+    Q = build_generator(model, beta).matrix.toarray()
     n = model.N
     x = np.arange(1 << n)
     M = n - 2 * np.array([bin(v).count("1") for v in x])

@@ -134,7 +134,7 @@ def test_criterion_03_gibbs_stationarity_detailed_balance():
         worst_pi = max(worst_pi,
                        np.abs(stationary_distribution(G) - boltzmann(G.energies, 1.0)).max())
         pi = G.gibbs()
-        flux = np.asarray(G.matrix) * pi[None, :]
+        flux = G.matrix.toarray() * pi[None, :]
         off = ~np.eye(G.dimension, dtype=bool)
         worst_db = max(worst_db, np.abs(flux - flux.T)[off].max() / flux[off].max())
     ok = worst_pi < 1e-10 and worst_db < 1e-13

@@ -421,6 +421,13 @@ def test_first_passage_worker_invariance():
     assert serial.mean == parallel.mean
 
 
+@pytest.mark.parametrize("workers", [2.5, 0, -3, True])
+def test_first_passage_rejects_bad_workers(workers):
+    params = SimulationParams(beta=1.0, t_max=1.0, n_traj=2)
+    with pytest.raises(ValueError, match="workers"):
+        first_passage(build_model("Ising1D", N=4), params, seed=0, workers=workers)
+
+
 def test_first_passage_rejects_satisfied_predicate():
     model = build_model("IsingMeanField", N=4)
     params = SimulationParams(beta=1.0, t_max=1.0)
@@ -504,6 +511,13 @@ def test_kitaev_lifetime_worker_invariance():
     serial = kitaev_memory_lifetime(3, params, seed=5, workers=1)
     parallel = kitaev_memory_lifetime(3, params, seed=5, workers=3)
     assert np.array_equal(serial.times, parallel.times)
+
+
+@pytest.mark.parametrize("workers", [2.5, 0, -3, True])
+def test_kitaev_lifetime_rejects_bad_workers(workers):
+    params = SimulationParams(beta=0.7, t_max=1.0, n_traj=2)
+    with pytest.raises(ValueError, match="workers"):
+        kitaev_memory_lifetime(3, params, seed=0, workers=workers)
 
 
 def test_unknown_decoder_rejected():

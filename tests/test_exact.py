@@ -57,7 +57,7 @@ def test_generator_matches_loop_built_reference():
                 ref[y, x] = heat_bath(beta * (ey - ex))
             ref[x, x] = 0.0
         ref -= np.diag(ref.sum(axis=0))
-        assert np.allclose(G.matrix, ref, atol=1e-13)
+        assert np.allclose(G.matrix.toarray(), ref, atol=1e-13)
         states = [energy(model, SpinConfiguration(_spins_of(x, n))) for x in range(dim)]
         assert np.allclose(G.energies, states, atol=1e-13)
 
@@ -73,7 +73,7 @@ def _single_flip_rates(model, state_of):
 
 
 def _off_diagonal(G):
-    M = np.array(G.matrix)  # a copy; these sizes are below the dense limit
+    M = G.matrix.toarray()
     np.fill_diagonal(M, 0.0)
     return M
 
@@ -118,21 +118,36 @@ def test_kitaev_energies_count_anyons():
     assert np.all(G.energies % 2 == 0)
 
 
-def test_columns_sum_to_zero():
-    for kind, kw in [("IsingMeanField", dict(N=6)), ("Kitaev2D", dict(L=2))]:
-        model = build_model(kind, **kw)
-        G = build_generator(model, 0.7)
-        assert np.abs(np.asarray(G.matrix.sum(axis=0))).max() < 1e-12
-
-
-def test_sparse_format_above_dense_limit():
-    model = build_model("Ising1D", N=9)  # 512 states, the first sparse size
-    G = build_generator(model, 0.5)
-    assert G.is_sparse
-    assert G.dimension == exact.DENSE_LIMIT == 512
+@pytest.mark.parametrize("kind,kw,dim", [
+    ("IsingMeanField", dict(N=6), 64),
+    ("Kitaev2D", dict(L=2), 256),
+    ("Ising1D", dict(N=8), exact.DENSE_LIMIT // 2),  # the last size that LAPACK solves
+    ("Ising1D", dict(N=9), exact.DENSE_LIMIT),       # the first that eigsh solves
+])
+def test_columns_sum_to_zero(kind, kw, dim):
+    """Every generator is one CSR matrix, on both sides of the eigensolver limit."""
+    G = build_generator(build_model(kind, **kw), 0.7)
+    assert sp.issparse(G.matrix) and G.matrix.format == "csr"
+    assert G.dimension == G.matrix.shape[0] == dim
     assert np.abs(np.asarray(G.matrix.sum(axis=0))).max() < 1e-12
-    small = build_generator(build_model("Ising1D", N=8), 0.5)
-    assert not small.is_sparse
+
+
+def test_generator_equality_is_identity():
+    model = build_model("Ising1D", N=4)
+    G, H = build_generator(model, 1.0), build_generator(model, 1.0)
+    assert G == G and G != H
+    assert {G, H, G} == {G, H}
+    K = build_generator(build_model("Kitaev2D", L=2), 1.0)
+    assert K == K and hash(K) == hash(K)
+    assert "matrix" not in vars(K)
+    assert repr(G) == "GeneratorMatrix(beta=1.0, kind='Ising1D', size=4)"
+
+
+@pytest.mark.parametrize("kind,kw", [("Ising1D", dict(N=4)), ("Kitaev2D", dict(L=2))])
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_non_finite_beta_rejected(kind, kw, beta):
+    with pytest.raises(ValueError, match="beta"):
+        build_generator(build_model(kind, **kw), beta)
 
 
 def test_state_space_cap():
@@ -175,9 +190,9 @@ def test_stationary_distribution_is_gibbs_at_low_temperature(beta):
 def test_stationary_distribution_rejects_a_leaking_generator():
     model = build_model("Ising1D", N=3)
     G = build_generator(model, 1.0)
-    M = np.asarray(G.matrix).copy()
+    M = G.matrix.toarray()
     M[0, 0] -= 0.5  # column 0 no longer sums to zero; still Gibbs-symmetric
-    bad = GeneratorMatrix(M, G.energies, G.beta, G.kind, G.size)
+    bad = GeneratorMatrix(sp.csr_matrix(M), G.energies, G.beta, G.kind, G.size)
     with pytest.raises(RuntimeError, match="not stationary"):
         stationary_distribution(bad)
 
@@ -189,8 +204,7 @@ def test_detailed_balance_identity():
         beta = 0.9
         G = build_generator(model, beta)
         pi = G.gibbs()
-        M = np.asarray(G.matrix)
-        flux = M * pi[None, :]
+        flux = G.matrix.toarray() * pi[None, :]
         off = ~np.eye(len(pi), dtype=bool)
         scale = flux[off].max()
         assert np.abs(flux - flux.T)[off].max() < 1e-14 * scale
@@ -200,7 +214,7 @@ def test_single_spin_generator_and_gap():
     # one free spin: flip rate 1/2 both ways, eigenvalues {0, -1}
     model = build_model("IsingMeanField", N=1)
     G = build_generator(model, 2.0)
-    assert np.allclose(G.matrix, [[-0.5, 0.5], [0.5, -0.5]], atol=1e-15)
+    assert np.allclose(G.matrix.toarray(), [[-0.5, 0.5], [0.5, -0.5]], atol=1e-15)
     assert np.isclose(spectral_gap(G), 1.0, atol=1e-12)
 
 
@@ -208,8 +222,7 @@ def test_gap_agrees_with_direct_eigenvalues():
     # 16 states take LAPACK, 512 and 1024 states eigsh
     for kind, N in [("Ising1D", 4), ("Ising1D", 9), ("IsingMeanField", 10)]:
         G = build_generator(build_model(kind, N=N), 0.8)
-        M = G.matrix.toarray() if G.is_sparse else G.matrix
-        w = np.sort(np.linalg.eigvals(M).real)
+        w = np.sort(np.linalg.eigvals(G.matrix.toarray()).real)
         assert np.isclose(spectral_gap(G), -w[-2], atol=1e-10), (kind, N)
 
 
@@ -231,16 +244,15 @@ def test_kitaev_gap_anchor_small():
 def test_kitaev_gap_anchor_sparse():
     """L=3 (2^18 states) runs through sparse solves of its star-character blocks."""
     G = build_generator(build_model("Kitaev2D", L=3), 1.0)
-    assert G.is_sparse
     assert abs(spectral_gap(G) - 0.861114) < 1e-5
 
 
 def test_irreversible_rates_are_rejected():
     model = build_model("Ising1D", N=3)
     G = build_generator(model, 1.0)
-    M = np.asarray(G.matrix).copy()
+    M = G.matrix.toarray()
     M[1, 0] *= 3.0  # break detailed balance by hand
-    bad = GeneratorMatrix(M, G.energies, G.beta, G.kind, G.size)
+    bad = GeneratorMatrix(sp.csr_matrix(M), G.energies, G.beta, G.kind, G.size)
     with pytest.raises(RuntimeError, match="not reversible"):
         spectral_gap(bad)
 
@@ -265,7 +277,7 @@ def test_irreversible_rates_are_rejected_by_the_blocks(monkeypatch):
 def _full_spectrum(G):
     """Eigenvalues of the whole generator, ascending, from a hand-built copy."""
     whole = GeneratorMatrix(G.matrix, G.energies, G.beta, G.kind, G.size)
-    return np.sort(np.linalg.eigvals(np.asarray(whole.matrix)).real), whole
+    return np.sort(np.linalg.eigvals(whole.matrix.toarray()).real), whole
 
 
 @settings(max_examples=25, deadline=None)
@@ -281,9 +293,9 @@ def test_block_gap_equals_full_gap(beta, move_rate):
 def test_kitaev_generator_defers_its_matrix():
     G = build_generator(build_model("Kitaev2D", L=2), 1.0)
     spectral_gap(G)
-    repr(G)
+    assert repr(G) == "_KitaevGenerator(beta=1.0, kind='Kitaev2D', size=2)"
     assert "matrix" not in vars(G) and "energies" not in vars(G)
-    assert G.dimension == 256 and not G.is_sparse
+    assert G.dimension == 256
     assert G.matrix.shape == (256, 256) and G.energies.shape == (256,)
 
 

@@ -27,14 +27,25 @@ LN2 = math.log(2.0)
 # extraction stroke
 
 
+_STROKE = dict(E_max=5.0, ramp_time=1.0, beta=1.0, p_init=0.0)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(E_max=0.0, ramp_time=1.0, beta=1.0, p_init=0.0),
     dict(E_max=5.0, ramp_time=-1.0, beta=1.0, p_init=0.0),
     dict(E_max=5.0, ramp_time=1.0, beta=1.0, p_init=1.5),
+    dict(E_max=math.nan, ramp_time=1.0, beta=1.0, p_init=0.0),
+    dict(E_max=math.inf, ramp_time=1.0, beta=1.0, p_init=0.0),
+    dict(E_max=5.0, ramp_time=math.nan, beta=1.0, p_init=0.0),
+    dict(E_max=5.0, ramp_time=math.inf, beta=1.0, p_init=0.0),
 ])
 def test_szilard_run_validation(kwargs):
-    with pytest.raises(ValueError):
+    bad = next(k for k, v in kwargs.items() if v != _STROKE[k])
+    with pytest.raises(ValueError, match=bad):
         szilard_run(**kwargs)
+    if bad != "p_init":  # the engine cycle runs the same stroke
+        with pytest.raises(ValueError, match=bad):
+            memory_engine_cycle(MemoryModel(0.1), kwargs["E_max"], kwargs["ramp_time"], 1.0)
 
 
 def test_slow_stroke_approaches_quasistatic_value():
@@ -229,6 +240,12 @@ def test_entropy_samples_worker_invariance():
     serial = entropy_production_samples(sched, n_traj=80, seed=5, workers=1)
     parallel = entropy_production_samples(sched, n_traj=80, seed=5, workers=4)
     assert np.array_equal(serial.samples, parallel.samples)
+
+
+@pytest.mark.parametrize("workers", [2.5, 0, -3, True])
+def test_entropy_samples_reject_bad_workers(workers):
+    with pytest.raises(ValueError, match="workers"):
+        entropy_production_samples(sawtooth_schedule(1, 1.0, 2.0), n_traj=2, workers=workers)
 
 
 def test_metropolis_sampling_also_satisfies_ift():
