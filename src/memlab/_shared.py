@@ -5,17 +5,19 @@ convention of every sampler, and the one process fan-out that runs an
 ensemble of independent trajectories in chunks.
 
 Every trajectory reads its randomness from a tape (:class:`_Tape`) and from
-nothing else.  Trajectory i of an ensemble with master seed s reads the tape
-of ``SeedSequence(s, spawn_key=(i,))``, so results never depend on how many
-workers ran them.  ``next(tape)`` gives one triple (e, u1, u2): an exponential
-and two uniforms, drawn ``BLOCK`` triples at a time from ``default_rng``,
-first ``standard_exponential(BLOCK)``, then ``random((BLOCK, 2))``.  The
-lattice samplers read one triple per event (``dynamics`` gives that rule).
-The two-level entropy-production sampler reads them as follows: x_0 = 0 iff
-u1 of the first triple < p_init[0]; each coupled step starts its clock at the
-step's start and every thinning proposal reads the next triple: t += e /
-gamma, the step ends when t reaches its end, and otherwise the proposal
-flips the state iff u1 * gamma < the forward rate at t.  It does not use u2.
+nothing else.  A seed is an integer >= 0.  Trajectory i of an ensemble with
+master seed s reads the tape of ``SeedSequence(s, spawn_key=(i,))``, so
+results never depend on how many workers ran them; a lone recorded trajectory
+reads ``SeedSequence(s)``.  ``next(tape)`` gives one triple (e, u1, u2): an
+exponential and two uniforms, drawn ``BLOCK`` triples at a time from
+``default_rng``, first ``standard_exponential(BLOCK)``, then
+``random((BLOCK, 2))``.  The lattice samplers read one triple per event
+(``dynamics`` gives that rule).  The two-level entropy-production sampler
+reads them as follows: x_0 = 0 iff u1 of the first triple < p_init[0]; each
+coupled step starts its clock at the step's start and every thinning proposal
+reads the next triple: t += e / gamma, the step ends when t reaches its end,
+and otherwise the proposal flips the state iff u1 * gamma < the forward rate
+at t.  It does not use u2.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ def flip_rates(model, beta: float, M: int = 0) -> dict:
     return {k: heat_bath(beta * (2.0 * model.J * k)) for k in range(-z, z + 1, 2)}
 
 
-def check_count(name: str, value) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+def check_count(name: str, value, least: int = 1) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a non-bool integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 BLOCK = 64  # triples per tape refill; part of the stream's definition
@@ -94,8 +96,9 @@ def run_chunks(one, common: tuple, master_seed, n_traj: int, workers: int) -> li
     depends only on its index, so the result is the same for any worker count.
 
     Raises:
-        ValueError: ``workers`` is not an integer >= 1.
+        ValueError: ``master_seed`` < 0, ``workers`` < 1, or either not an integer.
     """
+    check_count("seed", master_seed, least=0)
     check_count("workers", workers)
     if workers == 1:
         return _chunk((one, common, master_seed, 0, n_traj))

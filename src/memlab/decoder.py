@@ -65,20 +65,6 @@ def _torus_distance(a: int, b: int, L: int) -> int:
     return min(dx, L - dx) + min(dy, L - dy)
 
 
-def _geodesic_path(a: int, b: int, L: int, sector: str = "plaquette") -> list:
-    """Shortest path of edges from stabilizer a to b, deterministic.
-
-    Among all torus geodesics this picks the lexicographically smallest edge
-    sequence: at every step the distance-reducing move with the smallest edge
-    index is taken (wrap-direction ties at distance L/2 are resolved the same
-    way).  The walk starts from the lower stabilizer index.  Returns a fresh
-    list; the walk itself is cached.
-    """
-    if a > b:
-        a, b = b, a
-    return list(_geodesic_edges(a, b, L, sector))
-
-
 @functools.lru_cache(maxsize=None)
 def _steps(L: int, sector: str) -> list:
     """Per stabilizer, its (edge, stabilizer across that edge) pairs, read off
@@ -93,7 +79,13 @@ def _steps(L: int, sector: str) -> list:
 
 @functools.lru_cache(maxsize=1 << 14)
 def _geodesic_edges(a: int, b: int, L: int, sector: str) -> tuple:
-    """Cached edge tuple of :func:`_geodesic_path` for ``a <= b``."""
+    """Shortest path of edges from stabilizer a to b (``a <= b``), cached.
+
+    Among all torus geodesics this picks the lexicographically smallest edge
+    sequence: at every step the distance-reducing move with the smallest edge
+    index is taken (wrap-direction ties at distance L/2 are resolved the same
+    way).  The walk starts from ``a``, the lower stabilizer index.
+    """
     steps = _steps(L, sector)
     path = []
     d = _torus_distance(a, b, L)
@@ -125,10 +117,8 @@ def _pair_exact(anyons: list, dist):
 
     Args:
         anyons: stabilizer indices, in the order ``dist`` is indexed.
-        dist: k x k distances, nested lists or an ndarray.
+        dist: k x k distances as nested lists.
     """
-    if isinstance(dist, np.ndarray):
-        dist = dist.tolist()
     best = {0: 0}
     partner = {}
 

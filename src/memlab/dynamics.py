@@ -28,7 +28,9 @@ members in ascending site order.
 
 One event loop drives every trajectory.  Recorded runs, first-passage runs
 and toric-code memory runs differ only in the hooks they pass to it: one per
-probe, one per event before the flip, and a stop test after the flip.
+probe, one per event before the flip, and a stop test after the flip.  Each
+entry point takes beta as an argument and a seed as an integer >= 0, and
+every decode, ``"matching"`` included, is one call of a decoder function.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ from .lattice import (LatticeModel, SpinConfiguration, Syndrome, _as_error_set,
 from . import decoder as _decoder_mod
 
 
+def _check_beta(beta) -> None:
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
+
+
 @dataclass(frozen=True)
 class SimulationParams:
     """Ensemble parameters: inverse temperature, horizon, size, probe interval."""
@@ -55,8 +62,7 @@ class SimulationParams:
     probe_cadence: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValueError(f"beta must be finite and nonnegative, got {self.beta!r}")
+        _check_beta(self.beta)
         if not self.t_max > 0:
             raise ValueError("t_max must be positive")
         check_count("n_traj", self.n_traj)
@@ -80,7 +86,7 @@ class TrajectoryRecord:
     """One simulated trajectory.
 
     Attributes:
-        seed: 64-bit token the trajectory's tape was derived from.
+        seed: the integer seed the trajectory's tape was derived from.
         events: list of (time, EventClass), strictly increasing times.
         probes: list of (time, observable) sampled on the probe cadence
             (magnetization for Ising kinds, anyon count for Kitaev2D).
@@ -318,12 +324,12 @@ def _evolve(sampler: _Sampler, tape: _Tape, t_max: float, cadence=None,
 # public operations
 
 
-def classify_flip(model: LatticeModel, state, site: int) -> EventClass:
-    """Rate and event class of flipping one site in the given state, by the
-    rate law ``_shared.flip_rates``; the inverse temperature is taken from
-    the model (see ``with_beta``).
+def classify_flip(model: LatticeModel, state, site: int, beta: float) -> EventClass:
+    """Rate and event class of flipping one site in the given state at
+    inverse temperature ``beta`` (finite, >= 0), by the rate law
+    ``_shared.flip_rates``.
     """
-    beta = model.require_beta()
+    _check_beta(beta)
     if not 0 <= site < model.N:
         noun = "edge" if model.kind == "Kitaev2D" else "site"
         raise ValueError(f"invalid {noun} index: {site}")
@@ -337,10 +343,9 @@ def simulate_trajectory(model: LatticeModel, params: SimulationParams,
     """One exact Gillespie trajectory with a full event record.
 
     Args:
-        model: lattice model (its beta slot is overridden by ``params.beta``).
+        model: lattice model.
         params: simulation parameters.
-        seed: integer token or SeedSequence; identical inputs give
-            bit-identical records.
+        seed: integer >= 0; identical inputs give bit-identical records.
         initial: optional starting state (default: all-up / no errors): a
             SpinConfiguration or a +-1 sequence of the model's size for Ising
             kinds, an edge iterable or SpinConfiguration for Kitaev2D.
@@ -350,16 +355,11 @@ def simulate_trajectory(model: LatticeModel, params: SimulationParams,
         anyon count (Kitaev) on the cadence grid.
 
     Raises:
-        ValueError: if ``initial`` does not fit the model.
+        ValueError: for a bad ``seed``, or an ``initial`` that does not fit.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        ss = seed
-        token = int(ss.generate_state(1, np.uint64)[0])
-    else:
-        ss = np.random.SeedSequence(seed)
-        token = int(seed) if np.isscalar(seed) else int(ss.generate_state(1, np.uint64)[0])
+    check_count("seed", seed, least=0)
     sampler = _sampler(model, params.beta, initial)
-    record = TrajectoryRecord(seed=token)
+    record = TrajectoryRecord(seed=int(seed))
 
     def probe(t):
         record.probes.append((t, float(sampler.obs)))
@@ -368,7 +368,8 @@ def simulate_trajectory(model: LatticeModel, params: SimulationParams,
         tag = sampler.tags[sampler.key_of[site]]
         record.events.append((t, EventClass(tag, site, rate)))
 
-    _evolve(sampler, _Tape(ss), params.t_max, params.probe_cadence, probe, event)
+    _evolve(sampler, _Tape(np.random.SeedSequence(seed)), params.t_max,
+            params.probe_cadence, probe, event)
     record.final_state = sampler.final_state()
     return record
 
@@ -414,12 +415,12 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
         model: lattice model.
         params: ensemble parameters (beta, t_max, n_traj).
         predicate: state -> bool, false initially (picklable if workers > 1).
-        seed: master seed; trajectory i uses (seed, i) regardless of workers.
+        seed: master seed >= 0; trajectory i uses (seed, i) for any workers.
         workers: process count (results are identical for any value).
 
     Raises:
-        ValueError: for Kitaev2D without a predicate, or a predicate already
-            true in the initial state.
+        ValueError: for Kitaev2D without a predicate, a predicate already
+            true in the initial state, or a bad ``seed`` or ``workers``.
     """
     if predicate is None and model.kind == "Kitaev2D":
         raise ValueError("Kitaev2D needs an explicit predicate: the default "
@@ -427,12 +428,6 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
     times = np.asarray(run_chunks(
         _first_passage_once, (model, params, predicate), seed, params.n_traj, workers))
     return _summarize(times, params.t_max)
-
-
-def _resolve_decoder(decoder):
-    if decoder in ("matching", "bare") or callable(decoder):
-        return decoder
-    raise ValueError(f"unknown decoder: {decoder!r}")
 
 
 def _kitaev_lifetime_once(model, params, decoder, op, tape) -> float:
@@ -443,6 +438,8 @@ def _kitaev_lifetime_once(model, params, decoder, op, tape) -> float:
     cadence = params.probe_cadence
     if cadence is None:
         cadence = 0.5 * math.exp(2.0 * params.beta) / (2 * L * L)
+    if decoder == "matching":  # looked up on the module, where tracers wrap it
+        decoder = _decoder_mod.decode_matching
     bare = 1
     sign_cache = {}
 
@@ -458,15 +455,11 @@ def _kitaev_lifetime_once(model, params, decoder, op, tape) -> float:
         sign = sign_cache.get(key)
         if sign is None:
             syn = Syndrome(frozenset(key), "plaquette")
-            if decoder == "matching":
-                corr = _decoder_mod.decode_matching(syn, L)
-            else:
-                try:
-                    corr = decoder(syn, L)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"decoder failed at t={t:g} "
-                        f"on syndrome {sorted(syn.anyons)}") from exc
+            try:
+                corr = decoder(syn, L)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"decoder failed at t={t:g} on syndrome {sorted(syn.anyons)}") from exc
             sign = crossing_sign(corr.edges, op)
             sign_cache[key] = sign
         return bare * sign == -1
@@ -490,7 +483,7 @@ def kitaev_memory_lifetime(L: int, params: SimulationParams, decoder="matching",
         params: ensemble parameters.
         decoder: ``"matching"``, ``"bare"``, or a callable (Syndrome, L) ->
             Correction.
-        seed: master seed (per-trajectory derivation as in first_passage).
+        seed: master seed >= 0 (per-trajectory derivation as in first_passage).
         workers: process count.
         mu: tracked logical direction (1 or 2).
         move_rate: anyon hop rate override.
@@ -499,8 +492,9 @@ def kitaev_memory_lifetime(L: int, params: SimulationParams, decoder="matching",
 
     model = build_model("Kitaev2D", L=L, move_rate=move_rate)
     op = logical_operator(model, mu, "Z-type")
-    dec = _resolve_decoder(decoder)
+    if not (callable(decoder) or isinstance(decoder, str) and decoder in ("matching", "bare")):
+        raise ValueError(f"unknown decoder: {decoder!r}")
     times = np.asarray(run_chunks(
-        _kitaev_lifetime_once, (model, params, dec, op), seed,
+        _kitaev_lifetime_once, (model, params, decoder, op), seed,
         params.n_traj, workers))
     return _summarize(times, params.t_max)

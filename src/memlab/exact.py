@@ -55,6 +55,15 @@ class GeneratorMatrix:
     kind: str
     size: int
 
+    def __post_init__(self):
+        import scipy.sparse as sp
+        m = self.matrix
+        if not (sp.issparse(m) and m.format == "csr" and m.shape[0] == m.shape[1]):
+            raise ValueError(f"matrix must be a square CSR matrix, got {type(m).__name__}")
+        if np.shape(self.energies) != m.shape[:1]:
+            raise ValueError(f"energies must have shape {m.shape[:1]}, "
+                             f"got {np.shape(self.energies)}")
+
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]

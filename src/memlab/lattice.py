@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,15 +109,13 @@ class LatticeModel:
     Fields `edge_stars` etc. are precomputed incidence tables (Kitaev2D only);
     ``neighbours`` lists each site's nearest neighbours (Ising1D, Ising2D).
     The tables are read-only; models of one Kitaev2D size share theirs.
-    ``beta`` is the inverse-temperature slot used by rate computations; it may
-    be left unset and supplied later through simulation parameters.
+    A model holds no temperature: every rate computation takes ``beta``.
     """
 
     kind: str
     N: int
     J: float = 1.0
     L: int | None = None
-    beta: float | None = None
     move_rate: float = 1.0
     # Kitaev2D incidence tables (None for Ising kinds)
     edge_plaquettes: np.ndarray | None = field(default=None, repr=False)
@@ -126,16 +124,6 @@ class LatticeModel:
     star_edges: np.ndarray | None = field(default=None, repr=False)
     # Ising1D / Ising2D neighbour table
     neighbours: np.ndarray | None = field(default=None, repr=False)
-
-    def with_beta(self, beta: float) -> "LatticeModel":
-        """Copy of the model with the inverse-temperature slot set."""
-        return replace(self, beta=float(beta))
-
-    def require_beta(self) -> float:
-        if self.beta is None:
-            raise ValueError("model has no inverse temperature set; "
-                             "use with_beta() or pass SimulationParams")
-        return self.beta
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -198,8 +186,7 @@ def _size(kind: str, name: str, value, least: int, note: str = "") -> int:
 
 
 def build_model(kind: str, N: int | None = None, L: int | None = None,
-                J: float = 1.0, beta: float | None = None,
-                move_rate: float = 1.0) -> LatticeModel:
+                J: float = 1.0, move_rate: float = 1.0) -> LatticeModel:
     """Construct a lattice model with precomputed incidence tables.
 
     Args:
@@ -207,7 +194,6 @@ def build_model(kind: str, N: int | None = None, L: int | None = None,
         N: site count (Ising1D, IsingMeanField).
         L: linear size (Ising2D, Kitaev2D).
         J: coupling energy, finite.
-        beta: optional inverse temperature to store on the model.
         move_rate: anyon hop rate override, finite and >= 0 (Kitaev2D only;
             default 1).
 
@@ -222,20 +208,17 @@ def build_model(kind: str, N: int | None = None, L: int | None = None,
         raise ValueError(f"move_rate must be a finite value >= 0, got {move_rate!r}")
     if kind == "Ising1D":
         N = _size(kind, "N", N, 2, " (a ring of at least two spins)")
-        return LatticeModel(kind, N, float(J), None, beta,
-                            neighbours=_neighbours(np.arange(N)))
+        return LatticeModel(kind, N, float(J), neighbours=_neighbours(np.arange(N)))
     if kind == "IsingMeanField":
         N = _size(kind, "N", N, 1)
-        return LatticeModel(kind, N, float(J), None, beta)
+        return LatticeModel(kind, N, float(J))
     L = _size(kind, "L", L, 2)
     if kind == "Ising2D":
-        return LatticeModel(kind, L * L, float(J), L, beta,
+        return LatticeModel(kind, L * L, float(J), L,
                             neighbours=_neighbours(np.arange(L * L).reshape(L, L)))
     ep, es, pe, se = _kitaev_tables(L)
-    return LatticeModel(kind, 2 * L * L, float(J), L, beta,
-                        move_rate=float(move_rate),
-                        edge_plaquettes=ep, edge_stars=es,
-                        plaquette_edges=pe, star_edges=se)
+    return LatticeModel(kind, 2 * L * L, float(J), L, move_rate=float(move_rate),
+                        edge_plaquettes=ep, edge_stars=es, plaquette_edges=pe, star_edges=se)
 
 
 def _as_error_set(model: LatticeModel, config) -> frozenset:

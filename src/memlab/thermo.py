@@ -93,9 +93,11 @@ class MemoryModel:
 
     @classmethod
     def from_lifetime(cls, t_cycle: float, tau: float, stable: bool = True) -> "MemoryModel":
-        """p(t_cycle, tau) = (1 - e^(-2 t_cycle / tau)) / 2."""
-        if t_cycle < 0 or tau <= 0:
-            raise ValueError("need t_cycle >= 0 and tau > 0")
+        """p(t_cycle, tau) = (1 - e^(-2 t_cycle / tau)) / 2; ``tau = inf`` gives 0."""
+        if not t_cycle >= 0:  # written so that NaN fails too
+            raise ValueError(f"t_cycle must be >= 0, got {t_cycle!r}")
+        if not tau > 0:
+            raise ValueError(f"tau must be > 0, got {tau!r}")
         p = 0.5 * (1.0 - math.exp(-2.0 * t_cycle / tau))
         return cls(p, "derived-from-lifetime", stable)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from memlab.decoder import (_geodesic_path, _pair_exact, crossing_sign,
+from memlab.decoder import (_geodesic_edges, _pair_exact, crossing_sign,
                             decode_matching, dressed_logical,
                             is_logical_failure)
 from memlab.lattice import (Syndrome, build_model, logical_operator, syndrome)
@@ -72,8 +72,8 @@ def test_exact_pairing_matches_brute_force_minimum():
     for k in (2, 4, 6, 8, 10, 12):
         for _ in range(20):
             anyons = sorted(rng.choice(L * L, size=k, replace=False).tolist())
-            dist = np.array([[torus_dist((a % L, a // L), (b % L, b // L), L)
-                              for b in anyons] for a in anyons], dtype=float)
+            dist = [[torus_dist((a % L, a // L), (b % L, b // L), L) for b in anyons]
+                    for a in anyons]
             pairs = _pair_exact(anyons, dist)
             got = sum(torus_dist((a % L, a // L), (b % L, b // L), L)
                       for a, b in pairs)
@@ -95,21 +95,16 @@ def test_greedy_fallback_above_the_exact_limit():
     assert syndrome(model, corr.edges) == syn  # still a valid correction
 
 
-def test_geodesic_path_is_deterministic_and_lex_smallest():
+def test_geodesic_edges_are_deterministic_and_lex_smallest():
     L = 4
     # one step in x: unique geodesic across the shared vertical edge
-    assert _geodesic_path(0, 1, L) == [L * L + 1]
+    assert _geodesic_edges(0, 1, L, "plaquette") == (L * L + 1,)
     # antipodal in x (distance L/2 both ways): wrap via the smaller edge v(0,0)
-    assert _geodesic_path(0, 2, L) == [L * L, L * L + 3]
+    assert _geodesic_edges(0, 2, L, "plaquette") == (L * L, L * L + 3)
     # diagonal neighbour: the y-move (edge 4) beats the x-move (edge 17)
-    assert _geodesic_path(0, L + 1, L) == [4, L * L + L + 1]
+    assert _geodesic_edges(0, L + 1, L, "plaquette") == (4, L * L + L + 1)
     # antipodal in y: wrap via the smaller edge 0
-    assert _geodesic_path(0, 2 * L, L) == [0, 3 * L]
-    # the walk starts from the lower index regardless of argument order
-    assert _geodesic_path(2, 0, L) == _geodesic_path(0, 2, L)
-    # paths are cached: a caller's edit must not reach the next caller
-    _geodesic_path(0, 2, L).append(99)
-    assert _geodesic_path(0, 2, L) == [L * L, L * L + 3]
+    assert _geodesic_edges(0, 2 * L, L, "plaquette") == (0, 3 * L)
 
 
 def test_path_endpoints_are_the_only_excitations():
@@ -117,8 +112,8 @@ def test_path_endpoints_are_the_only_excitations():
     L = 5
     model = build_model("Kitaev2D", L=L)
     for _ in range(60):
-        a, b = rng.choice(L * L, size=2, replace=False)
-        path = _geodesic_path(int(a), int(b), L)
+        a, b = sorted(rng.choice(L * L, size=2, replace=False).tolist())
+        path = _geodesic_edges(a, b, L, "plaquette")
         assert syndrome(model, path).anyons == frozenset({int(a), int(b)})
 
 

@@ -19,7 +19,9 @@ from memlab import (
     syndrome,
 )
 
+import memlab.decoder
 from memlab._shared import BLOCK, _Tape
+from memlab.decoder import decode_matching
 from memlab.dynamics import _sampler
 
 from _oracles import absorbing_mfpt, heat_bath, mean_field_mfpt
@@ -52,22 +54,22 @@ def test_probe_cadence_must_be_finite_and_positive(cadence):
         SimulationParams(beta=0.5, t_max=5.0, probe_cadence=cadence)
 
 
-def test_classify_flip_requires_beta():
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -0.5])
+def test_classify_flip_rejects_bad_beta(beta):
     model = build_model("Ising1D", N=6)
-    state = SpinConfiguration.all_up(6)
-    with pytest.raises(ValueError, match="no inverse temperature"):
-        classify_flip(model, state, 0)
+    with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+        classify_flip(model, SpinConfiguration.all_up(6), 0, beta)
 
 
 def test_classify_flip_rejects_bad_site():
-    model = build_model("Ising1D", N=6, beta=1.0)
+    model = build_model("Ising1D", N=6)
     with pytest.raises(ValueError, match="invalid site index"):
-        classify_flip(model, SpinConfiguration.all_up(6), 6)
-    kit = build_model("Kitaev2D", L=3, beta=1.0)
+        classify_flip(model, SpinConfiguration.all_up(6), 6, 1.0)
+    kit = build_model("Kitaev2D", L=3)
     with pytest.raises(ValueError, match="invalid edge index"):
-        classify_flip(kit, frozenset(), 18)
+        classify_flip(kit, frozenset(), 18, 1.0)
     with pytest.raises(ValueError, match="invalid edge index"):
-        classify_flip(kit, frozenset({30}), 2)
+        classify_flip(kit, frozenset({30}), 2, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +80,8 @@ def test_ring_flip_rate_from_ordered_state():
     # flipping inside the ordered ring costs 4J, so the heat-bath rate
     # is 1/(1 + e^{4 beta J})
     beta, J = 0.7, 1.0
-    model = build_model("Ising1D", N=10, J=J, beta=beta)
-    ev = classify_flip(model, SpinConfiguration.all_up(10), 3)
+    model = build_model("Ising1D", N=10, J=J)
+    ev = classify_flip(model, SpinConfiguration.all_up(10), 3, beta)
     assert ev.tag == "ising-flip"
     assert ev.site == 3
     assert np.isclose(ev.rate, heat_bath(4.0 * beta * J), rtol=1e-14)
@@ -87,21 +89,21 @@ def test_ring_flip_rate_from_ordered_state():
 
 def test_domain_wall_spin_flips_at_rate_half():
     # a spin with one aligned and one anti-aligned neighbour has dE = 0
-    model = build_model("Ising1D", N=8, beta=2.3)
+    model = build_model("Ising1D", N=8)
     spins = np.ones(8, dtype=int)
     spins[4:] = -1
-    ev = classify_flip(model, SpinConfiguration(spins), 4)
+    ev = classify_flip(model, SpinConfiguration(spins), 4, 2.3)
     assert np.isclose(ev.rate, 0.5, rtol=1e-14)
 
 
 def test_mean_field_rate_uses_global_magnetization():
     beta, J, N = 1.1, 1.0, 12
-    model = build_model("IsingMeanField", N=N, J=J, beta=beta)
+    model = build_model("IsingMeanField", N=N, J=J)
     spins = np.ones(N, dtype=int)
     spins[:3] = -1  # M = 6
     m = int(spins.sum())
-    up = classify_flip(model, SpinConfiguration(spins), 5)     # +1 spin
-    down = classify_flip(model, SpinConfiguration(spins), 0)   # -1 spin
+    up = classify_flip(model, SpinConfiguration(spins), 5, beta)     # +1 spin
+    down = classify_flip(model, SpinConfiguration(spins), 0, beta)   # -1 spin
     assert np.isclose(up.rate, heat_bath(beta * (2.0 * J / N) * (m - 1)), rtol=1e-14)
     assert np.isclose(down.rate, heat_bath(beta * (2.0 * J / N) * (-m - 1)), rtol=1e-14)
 
@@ -114,7 +116,7 @@ def test_mean_field_rate_uses_global_magnetization():
 def test_detailed_balance_on_random_states(kind, size_kw):
     """Forward/backward rate ratios must equal the Boltzmann factor."""
     beta = 0.9
-    model = build_model(kind, beta=beta, **size_kw)
+    model = build_model(kind, **size_kw)
     rng = np.random.default_rng(42)
     for _ in range(25):
         spins = rng.choice([-1, 1], size=model.N)
@@ -123,27 +125,27 @@ def test_detailed_balance_on_random_states(kind, size_kw):
         flipped = spins.copy()
         flipped[site] = -flipped[site]
         y = SpinConfiguration(flipped)
-        fwd = classify_flip(model, x, site).rate
-        bwd = classify_flip(model, y, site).rate
+        fwd = classify_flip(model, x, site, beta).rate
+        bwd = classify_flip(model, y, site, beta).rate
         de = energy(model, y) - energy(model, x)
         assert np.isclose(fwd / bwd, math.exp(-beta * de), rtol=1e-10)
 
 
 def test_kitaev_flip_classes_and_rates():
     beta = 1.3
-    model = build_model("Kitaev2D", L=3, beta=beta, move_rate=0.7)
+    model = build_model("Kitaev2D", L=3, move_rate=0.7)
     # no errors anywhere: flipping any edge creates a pair
-    ev = classify_flip(model, frozenset(), 5)
+    ev = classify_flip(model, frozenset(), 5, beta)
     assert ev.tag == "create-pair"
     assert np.isclose(ev.rate, math.exp(-2.0 * beta), rtol=1e-14)
     # flipping the same edge back annihilates the pair at rate 1
-    ev = classify_flip(model, frozenset({5}), 5)
+    ev = classify_flip(model, frozenset({5}), 5, beta)
     assert ev.tag == "annihilate-pair"
     assert ev.rate == 1.0
     # an edge bordering exactly one excited plaquette moves the anyon
     p1, p2 = model.edge_plaquettes[5]
     neighbour = next(int(e) for e in model.plaquette_edges[p1] if e != 5)
-    ev = classify_flip(model, frozenset({5}), neighbour)
+    ev = classify_flip(model, frozenset({5}), neighbour, beta)
     assert ev.tag == "move-anyon"
     assert ev.rate == 0.7
 
@@ -152,9 +154,9 @@ def test_kitaev_rate_ratios_satisfy_detailed_balance():
     # creation/annihilation of an anyon pair changes the energy by 2,
     # so the rate ratio must be e^{-2 beta}; hops are isoenergetic
     beta = 0.85
-    model = build_model("Kitaev2D", L=3, beta=beta)
-    create = classify_flip(model, frozenset(), 7).rate
-    annihilate = classify_flip(model, frozenset({7}), 7).rate
+    model = build_model("Kitaev2D", L=3)
+    create = classify_flip(model, frozenset(), 7, beta).rate
+    annihilate = classify_flip(model, frozenset({7}), 7, beta).rate
     assert np.isclose(create / annihilate, math.exp(-2.0 * beta), rtol=1e-14)
 
 
@@ -262,12 +264,11 @@ def test_event_replay_matches_classify_flip_and_probes(case, beta, seed):
     model = build_model(kind, **{_SIZES[kind][0]: size})
     params = SimulationParams(beta=beta, t_max=3.0, probe_cadence=0.25)
     rec = simulate_trajectory(model, params, seed=seed)
-    hot = model.with_beta(beta)
     kitaev = kind == "Kitaev2D"
     state = frozenset() if kitaev else SpinConfiguration.all_up(model.N)
     states = [(0.0, state)]
     for t, ev in rec.events:
-        assert classify_flip(hot, state, ev.site) == ev
+        assert classify_flip(model, state, ev.site, beta) == ev
         if kitaev:
             state = state ^ {ev.site}
         else:
@@ -520,10 +521,74 @@ def test_kitaev_lifetime_rejects_bad_workers(workers):
         kitaev_memory_lifetime(3, params, seed=0, workers=workers)
 
 
+def test_decode_matching_passed_as_a_callable_equals_matching():
+    params = SimulationParams(beta=1.0, t_max=300.0, n_traj=8)
+    named = kitaev_memory_lifetime(4, params, decoder="matching", seed=13)
+    passed = kitaev_memory_lifetime(4, params, decoder=decode_matching, seed=13)
+    assert passed.times.tolist() == named.times.tolist()
+
+
+def _broken_decoder(syn, L):
+    raise KeyError("no pairing")
+
+
+def test_failing_decoder_names_time_and_syndrome():
+    params = SimulationParams(beta=0.5, t_max=50.0, n_traj=1, probe_cadence=0.5)
+    with pytest.raises(RuntimeError, match=r"decoder failed at t=0\.5 on syndrome") as info:
+        kitaev_memory_lifetime(3, params, decoder=_broken_decoder, seed=0)
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+def test_matching_is_looked_up_on_the_decoder_module(monkeypatch):
+    # "matching" takes the same call path as a callable, through the module
+    # attribute, so a wrapper put there sees every decode
+    monkeypatch.setattr(memlab.decoder, "decode_matching", _broken_decoder)
+    params = SimulationParams(beta=0.5, t_max=50.0, n_traj=1, probe_cadence=0.5)
+    with pytest.raises(RuntimeError, match="decoder failed at t=") as info:
+        kitaev_memory_lifetime(3, params, decoder="matching", seed=0)
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+_BAD_SEEDS = [2.5, -1, True, [1, 2], "3"]
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS)
+def test_simulate_trajectory_rejects_bad_seed(seed):
+    params = SimulationParams(beta=1.0, t_max=1.0)
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        simulate_trajectory(build_model("Ising1D", N=4), params, seed=seed)
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS)
+def test_first_passage_rejects_bad_seed(seed):
+    params = SimulationParams(beta=1.0, t_max=1.0, n_traj=2)
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        first_passage(build_model("Ising1D", N=4), params, seed=seed)
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS)
+def test_kitaev_lifetime_rejects_bad_seed(seed):
+    params = SimulationParams(beta=0.7, t_max=1.0, n_traj=2)
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        kitaev_memory_lifetime(3, params, seed=seed)
+
+
+def test_numpy_integer_seeds_equal_python_ints():
+    model = build_model("Ising1D", N=6)
+    params = SimulationParams(beta=0.5, t_max=5.0, n_traj=3, probe_cadence=1.0)
+    a = simulate_trajectory(model, params, seed=np.uint32(7))
+    b = simulate_trajectory(model, params, seed=7)
+    assert type(a.seed) is int and a.seed == b.seed == 7
+    assert a.events == b.events and a.probes == b.probes
+    assert (first_passage(model, params, seed=np.int64(4)).times.tolist()
+            == first_passage(model, params, seed=4).times.tolist())
+
+
 def test_unknown_decoder_rejected():
     params = SimulationParams(beta=0.7, t_max=1.0)
-    with pytest.raises(ValueError, match="unknown decoder"):
-        kitaev_memory_lifetime(3, params, decoder="fancy")
+    for decoder in ("fancy", np.array(["matching", "bare"])):
+        with pytest.raises(ValueError, match="unknown decoder"):
+            kitaev_memory_lifetime(3, params, decoder=decoder)
 
 
 def test_none_is_not_a_decoder_alias():

@@ -42,7 +42,7 @@ def test_generator_matches_loop_built_reference():
     beta = 0.8
     for kind, kw in [("Ising1D", dict(N=4)), ("Ising1D", dict(N=2)),
                      ("Ising1D", dict(N=3)), ("Ising2D", dict(L=2))]:
-        model = build_model(kind, beta=beta, **kw)
+        model = build_model(kind, **kw)
         G = build_generator(model, beta)
         n = model.N
         dim = 1 << n
@@ -62,13 +62,13 @@ def test_generator_matches_loop_built_reference():
         assert np.allclose(G.energies, states, atol=1e-13)
 
 
-def _single_flip_rates(model, state_of):
+def _single_flip_rates(model, beta, state_of):
     """Off-diagonal generator built entry by entry from ``classify_flip``."""
     n = model.N
     ref = np.zeros((1 << n, 1 << n))
     for x in range(1 << n):
         for i in range(n):
-            ref[x ^ (1 << i), x] = classify_flip(model, state_of(x), i).rate
+            ref[x ^ (1 << i), x] = classify_flip(model, state_of(x), i, beta).rate
     return ref
 
 
@@ -85,9 +85,9 @@ def test_generator_entries_equal_simulation_rates():
         for J in (1.0, 0.7):
             for kind, kw in [("Ising1D", dict(N=4)), ("Ising1D", dict(N=6)),
                              ("Ising2D", dict(L=2)), ("IsingMeanField", dict(N=5))]:
-                model = build_model(kind, J=J, beta=beta, **kw)
+                model = build_model(kind, J=J, **kw)
                 ref = _single_flip_rates(
-                    model, lambda x: SpinConfiguration(_spins_of(x, model.N)))
+                    model, beta, lambda x: SpinConfiguration(_spins_of(x, model.N)))
                 G = build_generator(model, beta)
                 assert np.array_equal(_off_diagonal(G), ref), (kind, kw, beta, J)
 
@@ -95,9 +95,9 @@ def test_generator_entries_equal_simulation_rates():
 def test_kitaev_generator_entries_equal_simulation_rates():
     for beta in (0.2, 0.9, 2.5):
         for move_rate in (0.6, 1.0):
-            model = build_model("Kitaev2D", L=2, beta=beta, move_rate=move_rate)
+            model = build_model("Kitaev2D", L=2, move_rate=move_rate)
             ref = _single_flip_rates(
-                model, lambda x: frozenset(k for k in range(8) if (x >> k) & 1))
+                model, beta, lambda x: frozenset(k for k in range(8) if (x >> k) & 1))
             G = build_generator(model, beta)
             assert np.array_equal(_off_diagonal(G), ref), (beta, move_rate)
 
@@ -141,6 +141,18 @@ def test_generator_equality_is_identity():
     assert K == K and hash(K) == hash(K)
     assert "matrix" not in vars(K)
     assert repr(G) == "GeneratorMatrix(beta=1.0, kind='Ising1D', size=4)"
+
+
+def test_hand_built_generator_is_checked():
+    G = build_generator(build_model("Ising1D", N=3), 1.0)
+    for matrix in (G.matrix.toarray(), sp.csc_matrix(G.matrix), G.matrix[:, :4]):
+        with pytest.raises(ValueError, match="^matrix must be a square CSR matrix"):
+            GeneratorMatrix(matrix, G.energies, G.beta, G.kind, G.size)
+    for energies in (G.energies[:-1], G.energies[:, None]):
+        with pytest.raises(ValueError, match=r"^energies must have shape \(8,\)"):
+            GeneratorMatrix(G.matrix, energies, G.beta, G.kind, G.size)
+    same = GeneratorMatrix(sp.csr_array(G.matrix), G.energies, G.beta, G.kind, G.size)
+    assert spectral_gap(same) == spectral_gap(G)
 
 
 @pytest.mark.parametrize("kind,kw", [("Ising1D", dict(N=4)), ("Kitaev2D", dict(L=2))])

@@ -1,10 +1,12 @@
 """Geometry, energies, syndromes, and logical loops of the lattice models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from memlab.lattice import (SpinConfiguration, Syndrome, block_flip_delta,
-                            build_model, energy, logical_bare,
+from memlab.lattice import (LatticeModel, SpinConfiguration, Syndrome,
+                            block_flip_delta, build_model, energy, logical_bare,
                             logical_operator, syndrome)
 
 from _oracles import (brute_plaquette_syndrome, mean_field_energy,
@@ -73,13 +75,11 @@ def test_spin_configuration_rejects_non_integer_spins():
         assert cfg.spins.tolist() == [1, -1]
 
 
-def test_with_beta_and_require_beta():
-    model = build_model("Ising1D", N=6)
-    with pytest.raises(ValueError, match="no inverse temperature"):
-        model.require_beta()
-    assert model.with_beta(1.5).require_beta() == 1.5
-    # the original stays untouched
-    assert model.beta is None
+def test_model_holds_no_temperature():
+    # beta is an argument of every rate computation, never model state
+    assert "beta" not in {f.name for f in dataclasses.fields(LatticeModel)}
+    with pytest.raises(TypeError, match="beta"):
+        build_model("Ising1D", N=6, beta=1.0)
 
 
 # --- energies ---------------------------------------------------------------

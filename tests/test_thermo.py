@@ -128,10 +128,16 @@ def test_memory_from_lifetime():
     assert all(b > a for a, b in zip(ps, ps[1:]))
     p = MemoryModel.from_lifetime(1.0, 4.0).error_probability
     assert np.isclose(p, 0.5 * (1.0 - math.exp(-0.5)), rtol=1e-14)
-    with pytest.raises(ValueError):
-        MemoryModel.from_lifetime(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        MemoryModel.from_lifetime(1.0, 0.0)
+    assert MemoryModel.from_lifetime(3.0, math.inf).error_probability == 0.0
+
+
+@pytest.mark.parametrize("t_cycle,tau,name", [
+    (-1.0, 1.0, "t_cycle"), (math.nan, 1.0, "t_cycle"),
+    (1.0, 0.0, "tau"), (1.0, -2.0, "tau"), (1.0, math.nan, "tau"),
+])
+def test_memory_from_lifetime_names_the_bad_argument(t_cycle, tau, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        MemoryModel.from_lifetime(t_cycle, tau)
 
 
 def test_perfect_stable_memory_flags_violation():
@@ -246,6 +252,12 @@ def test_entropy_samples_worker_invariance():
 def test_entropy_samples_reject_bad_workers(workers):
     with pytest.raises(ValueError, match="workers"):
         entropy_production_samples(sawtooth_schedule(1, 1.0, 2.0), n_traj=2, workers=workers)
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, True, [1, 2], "3"])
+def test_entropy_samples_reject_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        entropy_production_samples(sawtooth_schedule(1, 1.0, 2.0), n_traj=2, seed=seed)
 
 
 def test_metropolis_sampling_also_satisfies_ift():
