@@ -1,8 +1,14 @@
-"""Helpers shared by ``dynamics``, ``exact`` and ``thermo``.
+"""Helpers shared by memlab's modules.
 
-The heat-bath rate, each model kind's flip-rate law, the random-stream
-convention of every sampler, and the one process fan-out that runs an
-ensemble of independent trajectories in chunks.
+The heat-bath rate, each model kind's flip-rate law, the one number rule,
+the random-stream convention of every sampler, and the one process fan-out
+that runs an ensemble of independent trajectories in chunks.
+
+The number rule of the library and of the ``cli`` config schema: a real
+(:func:`check_real`) is a non-bool real number within float range, not NaN,
+within its argument's bounds and finite unless the argument allows inf; a
+count (:func:`check_count`) is a non-bool integer of at least its least
+value.  Anything else raises a ValueError that starts with the argument's name.
 
 Every trajectory reads its randomness from a tape (:class:`_Tape`) and from
 nothing else.  A seed is an integer >= 0.  Trajectory i of an ensemble with
@@ -53,10 +59,29 @@ def flip_rates(model, beta: float, M: int = 0) -> dict:
     return {k: heat_bath(beta * (2.0 * model.J * k)) for k in range(-z, z + 1, 2)}
 
 
-def check_count(name: str, value, least: int = 1) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is a non-bool integer >= ``least``."""
+def check_count(name: str, value, least: int = 1) -> int:
+    """``int(value)``; a ValueError naming ``name`` unless a non-bool integer >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def check_real(name: str, value, least=None, above=None, most=None, inf=False) -> float:
+    """``float(value)``; a ValueError naming ``name`` unless it is a real by the
+    number rule, >= ``least``, > ``above`` and <= ``most``, finite unless ``inf``."""
+    x = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond float range
+            pass
+    if (math.isnan(x) or not (inf or math.isfinite(x)) or least is not None and x < least
+            or above is not None and x <= above or most is not None and x > most):
+        bounds = " and".join(f" {op} {b!r}" for op, b in
+                             ((">=", least), (">", above), ("<=", most)) if b is not None)
+        raise ValueError(f"{name} must be a {'' if inf else 'finite '}real number{bounds}, "
+                         f"got {value!r}")
+    return x
 
 
 BLOCK = 64  # triples per tape refill; part of the stream's definition

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _shared
 from .dynamics import SimulationParams, first_passage, kitaev_memory_lifetime
 from .exact import build_generator, spectral_gap
 from .lattice import KINDS, build_model
@@ -40,45 +40,43 @@ class ConfigError(ValueError):
     """Config problem; maps to exit code 1 with the offending key named."""
 
 
-def _num(v):
-    """A finite number: not a bool, NaN, +-Infinity or an int beyond float range."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-# A kind is (test, error text formatted with key and v, stored form or None).
-def _takes(what, ok, cast=None):
-    return ok, f"key '{{key}}' takes {what}, got {{v!r}}", cast
+# A kind maps (key, value) to the stored value or raises a ValueError that
+# names the key.  Numbers and counts follow the library's rule in ``_shared``.
+def _kind(ok, error):
+    def kind(key, v):
+        if not ok(v):
+            raise ValueError(error.format(key=key, v=v))
+        return v
+    return kind
 
 
 def _enum(*choices):
     """One of ``choices``, of the same type: ``true`` is not 1, nor 1.0."""
-    return (lambda v: any(type(v) is type(c) and v == c for c in choices),
-            f"unknown {{key}}: {{v!r}} (key '{{key}}' takes "
-            f"{' / '.join(map(repr, choices))})", None)
+    return _kind(lambda v: any(type(v) is type(c) and v == c for c in choices),
+                 f"unknown {{key}}: {{v!r}} (key '{{key}}' takes "
+                 f"{' / '.join(map(repr, choices))})")
 
 
-STRING = _takes("a string", lambda v: isinstance(v, str))
-INT_GE0 = _takes("integers >= 0", lambda v: type(v) is int and v >= 0)
-INT_GE1 = _takes("integers >= 1", lambda v: type(v) is int and v >= 1)
-NUMBER = _takes("finite numbers", _num, float)
-NUM_GE0 = _takes("finite numbers >= 0", lambda v: _num(v) and v >= 0, float)
-POSITIVE = _takes("finite positive numbers", lambda v: _num(v) and v > 0, float)
-HORIZON = _takes("positive numbers or Infinity",
-                 lambda v: v == math.inf or _num(v) and v > 0, float)
-PROBABILITY = _takes("probabilities in [0, 1]", lambda v: _num(v) and 0 <= v <= 1, float)
-BOOLEAN = _takes("true or false", lambda v: isinstance(v, bool))
+def _real(**bounds):
+    return lambda key, v: _shared.check_real(f"key '{key}'", v, **bounds)
+
+
+def _count(least):
+    return lambda key, v: _shared.check_count(f"key '{key}'", v, least)
+
+
+STRING = _kind(lambda v: isinstance(v, str), "key '{key}' takes a string, got {v!r}")
+INT_GE0, INT_GE1 = _count(0), _count(1)
+NUMBER, NUM_GE0, POSITIVE = _real(), _real(least=0), _real(above=0)
+HORIZON, PROBABILITY = _real(above=0, inf=True), _real(least=0, most=1)
+BOOLEAN = _kind(lambda v: isinstance(v, bool), "key '{key}' takes true or false, got {v!r}")
 RATES = _enum("heat-bath", "metropolis")
 
 REQUIRED = object()  # default of a key the config must give
 
 
 class Key(NamedTuple):
-    kind: tuple
+    kind: Callable
     default: object = REQUIRED
     listed: bool = False  # takes a list; a scalar is a list of one
 
@@ -101,13 +99,6 @@ def _fmt(v):
     return str(v)
 
 
-def _check(key, v, kind):
-    ok, error, cast = kind
-    if not ok(v):
-        raise ConfigError(error.format(key=key, v=v))
-    return cast(v) if cast else v
-
-
 def _derive(keys, build, *args, **kwargs):
     """``build(*args, **kwargs)``, its ValueError a ConfigError naming ``keys``."""
     try:
@@ -122,7 +113,7 @@ def _validate(config):
     name = config.get("experiment")
     if name is None:
         raise ConfigError("missing required key 'experiment'")
-    _check("experiment", name, _enum(*EXPERIMENTS))
+    _enum(*EXPERIMENTS)("experiment", name)
     schema = {**_COMMON, **EXPERIMENTS[name].keys}
     for key in config:
         if key not in schema:
@@ -135,10 +126,9 @@ def _validate(config):
             c[key] = default
         elif listed:
             v = config[key]
-            c[key] = [_check(key, x, kind)
-                      for x in (v if isinstance(v, (list, tuple)) else [v])]
+            c[key] = [kind(key, x) for x in (v if isinstance(v, (list, tuple)) else [v])]
         else:
-            c[key] = _check(key, config[key], kind)
+            c[key] = kind(key, config[key])
     if "sizes" in c:  # Ising2D and Kitaev2D sizes are L, the others N
         model = c.get("model", "Kitaev2D")
         dim = "L" if model in ("Ising2D", "Kitaev2D") else "N"
@@ -286,22 +276,20 @@ def _workers(config, flag):
     """The ``--workers`` flag, then the config key, then MEMLAB_WORKERS, then 1."""
     if flag is not None or "workers" in config:
         return config["workers"] if flag is None else flag
-    env = os.environ.get("MEMLAB_WORKERS", "1")
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"key 'workers' (MEMLAB_WORKERS={env!r}) "
-                          "must be a positive integer") from None
+    return _derive("'workers' (MEMLAB_WORKERS)", int, os.environ.get("MEMLAB_WORKERS", "1"))
 
 
 def run(config: dict, workers_flag: int | None = None) -> tuple[str, str]:
-    """Validate, dispatch, and write outputs; returns (csv_path, manifest_path)."""
-    experiment, c = _validate({**config, "workers": _workers(config, workers_flag)})
-    start = time.monotonic()
+    """Validate, dispatch, and write outputs; returns (csv_path, manifest_path).
+
+    A ValueError, from a key's check or from the run (a size limit, say), is
+    raised as a ConfigError.
+    """
     try:
+        experiment, c = _validate({**config, "workers": _workers(config, workers_flag)})
+        start = time.monotonic()
         rows = experiment.runner(c)
     except ValueError as exc:
-        # invalid parameter combinations surface as validation errors
         raise ConfigError(str(exc)) from None
     wall = time.monotonic() - start
 

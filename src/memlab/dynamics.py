@@ -41,20 +41,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import _Tape, check_count, flip_rates, run_chunks
+from ._shared import _Tape, check_count, check_real, flip_rates, run_chunks
 from .lattice import (LatticeModel, SpinConfiguration, Syndrome, _as_error_set,
                       _as_spins, build_model, crossing_sign)
 from . import decoder as _decoder_mod
 
 
-def _check_beta(beta) -> None:
-    if not (math.isfinite(beta) and beta >= 0):
-        raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
-
-
 @dataclass(frozen=True)
 class SimulationParams:
-    """Ensemble parameters: inverse temperature, horizon, size, probe interval."""
+    """Ensemble parameters: inverse temperature (finite, >= 0), horizon (> 0,
+    inf allowed), size, and probe interval (None or finite, > 0)."""
 
     beta: float
     t_max: float
@@ -62,14 +58,11 @@ class SimulationParams:
     probe_cadence: float | None = None
 
     def __post_init__(self):
-        _check_beta(self.beta)
-        if not self.t_max > 0:
-            raise ValueError("t_max must be positive")
+        check_real("beta", self.beta, least=0)
+        check_real("t_max", self.t_max, above=0, inf=True)
         check_count("n_traj", self.n_traj)
-        if self.probe_cadence is not None and not (
-                math.isfinite(self.probe_cadence) and self.probe_cadence > 0):
-            raise ValueError("probe_cadence must be None or a finite value > 0, "
-                             f"got {self.probe_cadence!r}")
+        if self.probe_cadence is not None:
+            check_real("probe_cadence", self.probe_cadence, above=0)
 
 
 @dataclass(frozen=True)
@@ -329,7 +322,7 @@ def classify_flip(model: LatticeModel, state, site: int, beta: float) -> EventCl
     inverse temperature ``beta`` (finite, >= 0), by the rate law
     ``_shared.flip_rates``.
     """
-    _check_beta(beta)
+    check_real("beta", beta, least=0)
     if not 0 <= site < model.N:
         noun = "edge" if model.kind == "Kitaev2D" else "site"
         raise ValueError(f"invalid {noun} index: {site}")
@@ -437,7 +430,8 @@ def _kitaev_lifetime_once(model, params, decoder, op, tape) -> float:
     L = model.L
     cadence = params.probe_cadence
     if cadence is None:
-        cadence = 0.5 * math.exp(2.0 * params.beta) / (2 * L * L)
+        cadence = (0.5 * math.exp(2.0 * params.beta) / (2 * L * L)
+                   if params.beta < 354.89 else math.inf)
     if decoder == "matching":  # looked up on the module, where tracers wrap it
         decoder = _decoder_mod.decode_matching
     bare = 1
@@ -476,7 +470,8 @@ def kitaev_memory_lifetime(L: int, params: SimulationParams, decoder="matching",
     syndrome is extracted, decoded (unless ``decoder="bare"``), and the run
     fails at the first probe where the corrected (or bare) logical reads -1.
     The probe cadence defaults to half the mean first-event time,
-    e^{2 beta} / (4 L^2).
+    e^{2 beta} / (4 L^2), or to +inf (no probe: the run is censored) from
+    beta = 354.89 on, where e^{2 beta} nears the float limit.
 
     Args:
         L: linear lattice size (>= 2).

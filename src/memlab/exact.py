@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import flip_rates
+from ._shared import check_real, flip_rates
 from .lattice import LatticeModel, ising_energies
 
 MAX_STATES = 1 << 20
@@ -159,16 +159,15 @@ def build_generator(model: LatticeModel, beta: float) -> GeneratorMatrix:
     or ``.energies``; :func:`spectral_gap` reads neither.
 
     Raises:
-        ValueError: non-finite ``beta``, or state space above 2^20 states.
+        ValueError: ``beta`` not finite and >= 0, or state space above 2^20 states.
     """
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta!r}")
+    beta = check_real("beta", beta, least=0)
     dim = 1 << model.N
     if dim > MAX_STATES:
         raise ValueError(f"state space of {dim} states is above the 2^20 limit")
     if model.kind == "Kitaev2D":
         return _KitaevGenerator(model, beta)
-    return GeneratorMatrix(*_assemble(model, beta), float(beta), model.kind, int(model.N))
+    return GeneratorMatrix(*_assemble(model, beta), beta, model.kind, int(model.N))
 
 
 def _symmetric_part(S, scale: float):
@@ -235,7 +234,7 @@ class StarBlocks:
     def __init__(self, model: LatticeModel, beta: float):
         if model.kind != "Kitaev2D":
             raise ValueError(f"star blocks need a Kitaev2D model, got {model.kind!r}")
-        self.model, self.beta = model, float(beta)
+        self.model, self.beta = model, check_real("beta", beta, least=0)
         n_e, n_s = model.N, model.L * model.L
         # reduced echelon form of the star masks: pivot -> (row mask, star combination)
         basis = {}
@@ -435,9 +434,7 @@ class ProtocolSchedule:
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "jumps", tuple(self.jumps))
         for name in ("gamma", "beta"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite value > 0, got {value!r}")
+            check_real(name, getattr(self, name), above=0)
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
         for name in ("segments", "jumps"):

@@ -19,11 +19,11 @@ arguments without a separate code path.
 from __future__ import annotations
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._shared import check_count, check_real
 
 KINDS = ("Ising1D", "IsingMeanField", "Ising2D", "Kitaev2D")
 
@@ -175,24 +175,14 @@ def _kitaev_tables(L: int):
                                          np.array(star_edges, dtype=np.int64)))
 
 
-def _size(kind: str, name: str, value, least: int, note: str = "") -> int:
-    """A model size as an int; a bool or 3.9 is no size."""
-    if value is not None and not (isinstance(value, numbers.Integral)
-                                  and not isinstance(value, bool)):
-        raise ValueError(f"{kind} size {name} must be an integer, got {value!r}")
-    if value is None or value < least:
-        raise ValueError(f"{kind} needs {name} >= {least}{note}")
-    return int(value)
-
-
 def build_model(kind: str, N: int | None = None, L: int | None = None,
                 J: float = 1.0, move_rate: float = 1.0) -> LatticeModel:
     """Construct a lattice model with precomputed incidence tables.
 
     Args:
         kind: one of ``Ising1D``, ``IsingMeanField``, ``Ising2D``, ``Kitaev2D``.
-        N: site count (Ising1D, IsingMeanField).
-        L: linear size (Ising2D, Kitaev2D).
+        N: site count (Ising1D, at least 2; IsingMeanField, at least 1).
+        L: linear size (Ising2D, Kitaev2D), at least 2.
         J: coupling energy, finite.
         move_rate: anyon hop rate override, finite and >= 0 (Kitaev2D only;
             default 1).
@@ -202,22 +192,19 @@ def build_model(kind: str, N: int | None = None, L: int | None = None,
     """
     if kind not in KINDS:
         raise ValueError(f"unsupported model kind: {kind!r}")
-    if not math.isfinite(J):
-        raise ValueError(f"J must be a finite number, got {J!r}")
-    if not (math.isfinite(move_rate) and move_rate >= 0):
-        raise ValueError(f"move_rate must be a finite value >= 0, got {move_rate!r}")
-    if kind == "Ising1D":
-        N = _size(kind, "N", N, 2, " (a ring of at least two spins)")
-        return LatticeModel(kind, N, float(J), neighbours=_neighbours(np.arange(N)))
+    J = check_real("J", J)
+    move_rate = check_real("move_rate", move_rate, least=0)
+    if kind == "Ising1D":  # a ring of at least two spins
+        N = check_count(f"{kind} size N", N, 2)
+        return LatticeModel(kind, N, J, neighbours=_neighbours(np.arange(N)))
     if kind == "IsingMeanField":
-        N = _size(kind, "N", N, 1)
-        return LatticeModel(kind, N, float(J))
-    L = _size(kind, "L", L, 2)
+        return LatticeModel(kind, check_count(f"{kind} size N", N), J)
+    L = check_count(f"{kind} size L", L, 2)
     if kind == "Ising2D":
-        return LatticeModel(kind, L * L, float(J), L,
+        return LatticeModel(kind, L * L, J, L,
                             neighbours=_neighbours(np.arange(L * L).reshape(L, L)))
     ep, es, pe, se = _kitaev_tables(L)
-    return LatticeModel(kind, 2 * L * L, float(J), L, move_rate=float(move_rate),
+    return LatticeModel(kind, 2 * L * L, J, L, move_rate=move_rate,
                         edge_plaquettes=ep, edge_stars=es, plaquette_edges=pe, star_edges=se)
 
 

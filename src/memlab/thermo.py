@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import check_count, heat_bath, run_chunks
+from ._shared import check_count, check_real, heat_bath, run_chunks
 from .exact import (Jump, MasterSolution, ProtocolSchedule, Segment,
                     integrate_master, two_level_rates)
 
@@ -85,19 +85,15 @@ class MemoryModel:
     def __post_init__(self):
         if self.source not in ("ideal", "derived-from-lifetime"):
             raise ValueError(f"unknown memory source: {self.source!r}")
-        p = self.error_probability
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("error_probability must be in [0, 1]")
+        p = check_real("error_probability", self.error_probability, least=0, most=1)
         if self.source == "derived-from-lifetime" and p > 0.5 + 1e-12:
             raise ValueError("lifetime-derived error probability cannot exceed 1/2")
 
     @classmethod
     def from_lifetime(cls, t_cycle: float, tau: float, stable: bool = True) -> "MemoryModel":
         """p(t_cycle, tau) = (1 - e^(-2 t_cycle / tau)) / 2; ``tau = inf`` gives 0."""
-        if not t_cycle >= 0:  # written so that NaN fails too
-            raise ValueError(f"t_cycle must be >= 0, got {t_cycle!r}")
-        if not tau > 0:
-            raise ValueError(f"tau must be > 0, got {tau!r}")
+        t_cycle = check_real("t_cycle", t_cycle, least=0, inf=True)
+        tau = check_real("tau", tau, above=0, inf=True)
         p = 0.5 * (1.0 - math.exp(-2.0 * t_cycle / tau))
         return cls(p, "derived-from-lifetime", stable)
 
@@ -115,12 +111,9 @@ def szilard_run(E_max: float, ramp_time: float, beta: float, p_init: float,
     Returns the WorkLedger; the quasi-static limit extracts
     (ln 2 - ln(1 + e^(-beta E_max))) / beta.
     """
-    if not (math.isfinite(E_max) and E_max > 0):
-        raise ValueError(f"E_max must be finite and positive, got {E_max!r}")
-    if not (math.isfinite(ramp_time) and ramp_time >= 0):
-        raise ValueError(f"ramp_time must be finite and nonnegative, got {ramp_time!r}")
-    if not 0.0 <= p_init <= 1.0:
-        raise ValueError("p_init must be a probability")
+    E_max = check_real("E_max", E_max, above=0)
+    ramp_time = check_real("ramp_time", ramp_time, least=0)
+    p_init = check_real("p_init", p_init, least=0, most=1)
     raise_jump = Jump(0.0, eps0=(0.0, 0.0), eps1=(0.0, E_max))
     if ramp_time > 0:
         schedule = ProtocolSchedule(
@@ -159,9 +152,9 @@ def memory_engine_cycle(mem: MemoryModel, E_max: float, ramp_time: float,
     cycle — re-equilibrating the engine at degenerate levels — moves heat but
     no work.  A positive net marks a Second-Law-violating ledger.
     """
-    measurement_cost = 0.0 if mem.stable else LN2 / beta
     ledger = szilard_run(E_max, ramp_time, beta, mem.error_probability,
-                         gamma=gamma, rates=rates)
+                         gamma=gamma, rates=rates)  # checks beta before LN2 / beta
+    measurement_cost = 0.0 if mem.stable else LN2 / beta
     net = ledger.extracted_work - measurement_cost
     return CycleResult(net, net > 0.0, measurement_cost, ledger, mem)
 
@@ -174,10 +167,10 @@ def cycle_zero_crossing(E_max: float, ramp_time: float, beta: float,
     Requires finite lo < hi, a sign change of net(p) over [lo, hi] and a
     finite tol > 0; stops early once lo and hi are adjacent floats.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"need finite lo < hi, got lo={lo!r}, hi={hi!r}")
+    tol = check_real("tol", tol, above=0)
+    lo, hi = check_real("lo", lo), check_real("hi", hi)
+    if not lo < hi:
+        raise ValueError(f"lo must be below hi, got lo={lo!r}, hi={hi!r}")
 
     def net(p):
         return memory_engine_cycle(MemoryModel(p), E_max, ramp_time, beta,
@@ -207,9 +200,9 @@ def sawtooth_schedule(n_periods: int, period: float, e_max: float,
 
     Doubling ``n_periods`` doubles the protocol duration at fixed ramp shape.
     """
-    check_count("n_periods", n_periods)
-    if not (math.isfinite(period) and period > 0):
-        raise ValueError(f"period must be finite and positive, got {period!r}")
+    n_periods = check_count("n_periods", n_periods)
+    period = check_real("period", period, above=0)
+    e_max = check_real("e_max", e_max)
     half = period / 2.0
     segs = []
     for k in range(n_periods):
@@ -276,6 +269,8 @@ def entropy_production_samples(schedule: ProtocolSchedule, n_traj: int,
     <exp(-sigma)> and the empirical P(sigma < 0).
     """
     check_count("n_traj", n_traj)
+    check_count("seed", seed, least=0)  # here, not after the master solve in run_chunks
+    check_count("workers", workers)
     if p0 is None:
         e0, e1 = schedule.start_energies
         p1 = heat_bath(schedule.beta * (e1 - e0))

@@ -476,6 +476,41 @@ def test_t_max_may_be_infinity(tmp_path):
     assert _rows(out)[0]["censored"] == "0"
 
 
+@pytest.mark.parametrize("cfg,limit", [
+    (dict(experiment="gap", model="Ising1D", sizes=[12, 21], beta=1.0), "2^20"),
+    (dict(experiment="szilard", p_init=[0.0], beta_E=5.0, ramp_time=[10.0, 1e9]),
+     "panels"),
+])
+def test_run_time_limits_exit_one_without_a_csv(tmp_path, capsys, cfg, limit):
+    """These limits surface only at run time, after the earlier rows have run."""
+    out = tmp_path / "out.csv"
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg, output=str(out))]) == 1
+    assert limit in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kitaev_lifetime_at_large_beta_runs_censored(tmp_path):
+    out = tmp_path / "out.csv"
+    cfg = dict(_SIZED["kitaev-lifetime"], experiment="kitaev-lifetime", beta=400,
+               decoder="both", output=str(out))
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 0
+    rows = _rows(out)
+    assert [(r["decoder"], r["censored"], r["mean_lifetime"]) for r in rows] == [
+        ("matching", "2", "1.0"), ("bare", "2", "1.0")]
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("beta", True, "key 'beta' must be a finite real number >= 0, got True"),
+    ("J", "2", "key 'J' must be a finite real number, got '2'"),
+    ("sizes", [3.5], "key 'sizes' must be an integer of at least 1, got 3.5"),
+])
+def test_number_keys_fail_with_the_library_rule(tmp_path, capsys, key, value, message):
+    """A number or count key fails as the library does, named as the key."""
+    cfg, _ = _gap_config(tmp_path, **{key: value})
+    assert main(["run", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.skipif(shutil.which("memlab") is None,
                     reason="console script not on PATH")
 def test_console_entry_point(tmp_path):

@@ -57,7 +57,7 @@ def test_probe_cadence_must_be_finite_and_positive(cadence):
 @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, -0.5])
 def test_classify_flip_rejects_bad_beta(beta):
     model = build_model("Ising1D", N=6)
-    with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+    with pytest.raises(ValueError, match="^beta must be a finite real number >= 0, got"):
         classify_flip(model, SpinConfiguration.all_up(6), 0, beta)
 
 
@@ -382,6 +382,19 @@ def test_kitaev_probes_track_anyon_count():
         assert count == int(count)
         assert 0 <= count <= 9
         assert int(count) % 2 == 0
+
+
+@pytest.mark.parametrize("decoder", ["matching", "bare"])
+def test_kitaev_lifetime_at_large_beta_is_censored(decoder):
+    # the default cadence e^{2 beta} / (4 L^2) overflows above beta = 354.89;
+    # it saturates to +inf, so no probe comes before t_max
+    res = kitaev_memory_lifetime(3, SimulationParams(beta=400.0, t_max=5.0, n_traj=3),
+                                 decoder=decoder)
+    assert res.mean == 5.0
+    assert res.censored == res.n_traj == 3
+    with pytest.raises(RuntimeError, match="absorbing state"):
+        kitaev_memory_lifetime(3, SimulationParams(beta=400.0, t_max=math.inf),
+                               decoder=decoder)
 
 
 def test_absorbing_state_with_infinite_horizon_raises():

@@ -20,13 +20,14 @@ def random_spins(rng, n):
 def test_build_model_validation():
     with pytest.raises(ValueError, match="unsupported model kind"):
         build_model("Heisenberg", N=4)
-    with pytest.raises(ValueError, match="N >= 2"):
+    with pytest.raises(ValueError, match="^Ising1D size N must be an integer of at least 2"):
         build_model("Ising1D", N=1)
-    with pytest.raises(ValueError, match="N >= 1"):
+    with pytest.raises(ValueError,
+                       match="^IsingMeanField size N must be an integer of at least 1"):
         build_model("IsingMeanField", N=0)
-    with pytest.raises(ValueError, match="L >= 2"):
+    with pytest.raises(ValueError, match="^Ising2D size L must be an integer of at least 2"):
         build_model("Ising2D", L=1)
-    with pytest.raises(ValueError, match="L >= 2"):
+    with pytest.raises(ValueError, match="^Kitaev2D size L must be an integer of at least 2"):
         build_model("Kitaev2D", L=1)
     # a size is not truncated: 3.9 is no ring of 3 spins, True no ring at all
     for kind, name, size in [("Ising1D", "N", 3.9), ("IsingMeanField", "N", 2.5),

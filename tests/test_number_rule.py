@@ -1,0 +1,109 @@
+"""One number rule at every library boundary: ``_shared.check_real`` and
+``_shared.check_count``.
+
+Each number argument rejects a bool, a numeric string, NaN, an int beyond
+float range, a value outside its bounds and, unless the argument allows it,
+inf -- with a ValueError whose message starts with the argument's name.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from memlab.dynamics import SimulationParams, classify_flip
+from memlab.exact import ProtocolSchedule, Segment, StarBlocks, build_generator
+from memlab.lattice import SpinConfiguration, build_model
+from memlab.thermo import (MemoryModel, cycle_zero_crossing, memory_engine_cycle,
+                           sawtooth_schedule, szilard_run)
+
+RING = build_model("Ising1D", N=4)
+SEG = Segment(0.0, 1.0, (0.0, 0.0), (0.0, 1.0))
+
+# (entry point, argument, call with the argument set to v, out-of-range values,
+#  inf allowed)
+_REALS = [
+    ("SimulationParams", "beta", lambda v: SimulationParams(v, 1.0), [-0.5], False),
+    ("SimulationParams", "t_max", lambda v: SimulationParams(1.0, v), [0.0, -1.0], True),
+    ("SimulationParams", "probe_cadence",
+     lambda v: SimulationParams(1.0, 1.0, probe_cadence=v), [0.0, -1.0], False),
+    ("classify_flip", "beta",
+     lambda v: classify_flip(RING, SpinConfiguration.all_up(4), 0, v), [-0.5], False),
+    ("build_model", "J", lambda v: build_model("Ising1D", N=4, J=v), [], False),
+    ("build_model", "move_rate",
+     lambda v: build_model("Kitaev2D", L=2, move_rate=v), [-1.0], False),
+    ("build_generator", "beta", lambda v: build_generator(RING, v), [-1.0], False),
+    ("StarBlocks", "beta", lambda v: StarBlocks(build_model("Kitaev2D", L=2), v),
+     [-1.0], False),
+    ("ProtocolSchedule", "gamma", lambda v: ProtocolSchedule((SEG,), gamma=v),
+     [0.0, -1.0], False),
+    ("ProtocolSchedule", "beta", lambda v: ProtocolSchedule((SEG,), beta=v),
+     [0.0, -1.0], False),
+    ("MemoryModel", "error_probability", MemoryModel, [-0.1, 1.5], False),
+    ("MemoryModel.from_lifetime", "t_cycle",
+     lambda v: MemoryModel.from_lifetime(v, 1.0), [-1.0], True),
+    ("MemoryModel.from_lifetime", "tau",
+     lambda v: MemoryModel.from_lifetime(1.0, v), [0.0, -2.0], True),
+    ("szilard_run", "E_max", lambda v: szilard_run(v, 1.0, 1.0, 0.0), [0.0, -5.0], False),
+    ("szilard_run", "ramp_time", lambda v: szilard_run(5.0, v, 1.0, 0.0), [-1.0], False),
+    ("szilard_run", "p_init", lambda v: szilard_run(5.0, 1.0, 1.0, v), [-0.1, 1.5], False),
+    ("memory_engine_cycle", "beta",  # an unstable register divides by beta
+     lambda v: memory_engine_cycle(MemoryModel(0.1, stable=False), 5.0, 1.0, v),
+     [0.0, -1.0], False),
+    ("cycle_zero_crossing", "tol",
+     lambda v: cycle_zero_crossing(5.0, 150.0, 1.0, tol=v), [0.0, -1e-4], False),
+    ("cycle_zero_crossing", "lo",
+     lambda v: cycle_zero_crossing(5.0, 150.0, 1.0, lo=v), [0.5, 0.7], False),
+    ("cycle_zero_crossing", "hi",
+     lambda v: cycle_zero_crossing(5.0, 150.0, 1.0, hi=v), [], False),
+    ("sawtooth_schedule", "period", lambda v: sawtooth_schedule(2, v, 1.0),
+     [0.0, -1.0], False),
+    ("sawtooth_schedule", "e_max", lambda v: sawtooth_schedule(2, 1.0, v), [], False),
+]
+
+BIG = 10**400  # an int beyond float range
+_BAD = [True, np.bool_(False), "1", math.nan, -math.inf, BIG]
+
+
+def _cases():
+    for entry, name, call, out_of_range, inf_ok in _REALS:
+        values = _BAD + out_of_range + ([] if inf_ok else [math.inf])
+        for value in values:
+            label = "10**400" if value is BIG else repr(value)
+            yield pytest.param(name, call, value, id=f"{entry}-{name}-{label}")
+
+
+@pytest.mark.parametrize("name,call,value", _cases())
+def test_bad_real_raises_naming_its_argument(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        call(value)
+
+
+@pytest.mark.parametrize("kind,name,least", [
+    ("Ising1D", "N", 2), ("IsingMeanField", "N", 1), ("Ising2D", "L", 2),
+    ("Kitaev2D", "L", 2)])
+@pytest.mark.parametrize("value", [True, np.bool_(True), "3", 3.0, math.nan, None, -1])
+def test_bad_size_raises_naming_its_argument(kind, name, least, value):
+    value = least - 1 if value == -1 else value  # -1 stands for one below the least
+    with pytest.raises(ValueError, match=f"^{kind} size {name} must be an integer of "
+                                         f"at least {least}"):
+        build_model(kind, **{name: value})
+
+
+def test_infinity_numpy_scalars_and_plain_ints_are_accepted():
+    assert SimulationParams(np.float64(0.5), math.inf).t_max == math.inf
+    assert SimulationParams(0, 5, n_traj=np.int64(3)).n_traj == 3
+    assert MemoryModel.from_lifetime(3, math.inf).error_probability == 0.0
+    assert MemoryModel.from_lifetime(np.float64(1.0), np.int64(2)).error_probability == \
+        MemoryModel.from_lifetime(1.0, 2.0).error_probability
+    model = build_model("Ising1D", N=np.int64(4), J=np.int64(2), move_rate=0)
+    assert (model.N, model.J) == (4, 2.0) and type(model.J) is float
+    assert build_generator(RING, 0).beta == 0.0  # beta = 0 is the infinite temperature
+    assert (build_generator(RING, np.float64(0.7)).matrix
+            != build_generator(RING, 0.7).matrix).nnz == 0
+    assert szilard_run(5, 1, np.int64(1), 0) == szilard_run(5.0, 1.0, 1.0, 0.0)
+    assert sawtooth_schedule(np.int64(2), 1, np.float64(2.0)) == sawtooth_schedule(2, 1.0, 2.0)
+    assert cycle_zero_crossing(5, 150, 1, lo=0, hi=np.float64(0.5), tol=1e-3) == \
+        cycle_zero_crossing(5.0, 150.0, 1.0, tol=1e-3)
+    assert StarBlocks(build_model("Kitaev2D", L=2), 1).beta == 1.0

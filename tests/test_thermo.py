@@ -260,6 +260,17 @@ def test_entropy_samples_reject_bad_seed(seed):
         entropy_production_samples(sawtooth_schedule(1, 1.0, 2.0), n_traj=2, seed=seed)
 
 
+@pytest.mark.parametrize("kwargs,name", [(dict(seed=-1), "seed"), (dict(workers=0), "workers")])
+def test_entropy_samples_check_seed_and_workers_before_the_master_solve(
+        monkeypatch, kwargs, name):
+    def no_solve(*args, **kw):
+        raise AssertionError("the master solve ran before the inputs were checked")
+
+    monkeypatch.setattr("memlab.thermo.integrate_master", no_solve)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        entropy_production_samples(sawtooth_schedule(400, 1.0, 2.0), 2, **kwargs)
+
+
 def test_metropolis_sampling_also_satisfies_ift():
     sched = ProtocolSchedule(
         segments=(Segment(0.0, 1.0, (0.0, 0.0), (0.0, 2.5)),), gamma=1.0, beta=1.0)
