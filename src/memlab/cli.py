@@ -57,18 +57,14 @@ def _enum(*choices):
                  f"{' / '.join(map(repr, choices))})")
 
 
-def _real(**bounds):
-    return lambda key, v: _shared.check_real(f"key '{key}'", v, **bounds)
-
-
-def _count(least):
-    return lambda key, v: _shared.check_count(f"key '{key}'", v, least)
+def _rule(check, **bounds):
+    return lambda key, v: check(f"key '{key}'", v, **bounds)
 
 
 STRING = _kind(lambda v: isinstance(v, str), "key '{key}' takes a string, got {v!r}")
-INT_GE0, INT_GE1 = _count(0), _count(1)
-NUMBER, NUM_GE0, POSITIVE = _real(), _real(least=0), _real(above=0)
-HORIZON, PROBABILITY = _real(above=0, inf=True), _real(least=0, most=1)
+INT_GE0, INT_GE1 = (_rule(_shared.check_count, least=k) for k in (0, 1))
+NUMBER, NUM_GE0, POSITIVE, HORIZON, PROBABILITY = (_rule(_shared.check_real, **b) for b in (
+    {}, {"least": 0}, {"above": 0}, {"above": 0, "inf": True}, {"least": 0, "most": 1}))
 BOOLEAN = _kind(lambda v: isinstance(v, bool), "key '{key}' takes true or false, got {v!r}")
 RATES = _enum("heat-bath", "metropolis")
 

@@ -46,6 +46,8 @@ from .lattice import (LatticeModel, SpinConfiguration, Syndrome, _as_error_set,
                       _as_spins, build_model, crossing_sign)
 from . import decoder as _decoder_mod
 
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest float
+
 
 @dataclass(frozen=True)
 class SimulationParams:
@@ -286,19 +288,21 @@ def _evolve(sampler: _Sampler, tape: _Tape, t_max: float, cadence=None,
     ``t_max``; a true return ends the run at that probe time.  ``on_event(t,
     site, rate)`` sees each event before its flip, and a true ``stop()``
     after the flip ends the run at the event time.  Otherwise the run ends
-    at ``t_max``.
+    at ``t_max``; if that is inf, a next event time beyond float range (the
+    total rate is zero or too small) raises RuntimeError.
     """
     t = 0.0
     next_probe = cadence if cadence else math.inf
+    last = _FLOAT_MAX if t_max == math.inf else math.inf  # the latest event time allowed
     while True:
         drawn = sampler.draw(tape)
         if drawn is None:
-            if math.isinf(t_max):
-                raise RuntimeError("absorbing state: total rate is zero and t_max is infinite")
             t_next = math.inf
         else:
             dt, site, rate = drawn
             t_next = t + dt
+        if t_next > last:
+            raise RuntimeError("absorbing state: no event in finite time and t_max is infinite")
         while next_probe <= min(t_next, t_max):
             if on_probe(next_probe):
                 return next_probe
@@ -429,9 +433,9 @@ def _kitaev_lifetime_once(model, params, decoder, op, tape) -> float:
     op_support = op.support
     L = model.L
     cadence = params.probe_cadence
-    if cadence is None:
+    if cadence is None:  # +inf (no probe) where e^{2 beta} is beyond float range
         cadence = (0.5 * math.exp(2.0 * params.beta) / (2 * L * L)
-                   if params.beta < 354.89 else math.inf)
+                   if 2.0 * params.beta <= math.log(_FLOAT_MAX) else math.inf)
     if decoder == "matching":  # looked up on the module, where tracers wrap it
         decoder = _decoder_mod.decode_matching
     bare = 1
@@ -470,8 +474,8 @@ def kitaev_memory_lifetime(L: int, params: SimulationParams, decoder="matching",
     syndrome is extracted, decoded (unless ``decoder="bare"``), and the run
     fails at the first probe where the corrected (or bare) logical reads -1.
     The probe cadence defaults to half the mean first-event time,
-    e^{2 beta} / (4 L^2), or to +inf (no probe: the run is censored) from
-    beta = 354.89 on, where e^{2 beta} nears the float limit.
+    e^{2 beta} / (4 L^2), or to +inf (no probe: the run is censored at
+    t_max) where e^{2 beta} is beyond float range.
 
     Args:
         L: linear lattice size (>= 2).

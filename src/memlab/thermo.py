@@ -91,9 +91,12 @@ class MemoryModel:
 
     @classmethod
     def from_lifetime(cls, t_cycle: float, tau: float, stable: bool = True) -> "MemoryModel":
-        """p(t_cycle, tau) = (1 - e^(-2 t_cycle / tau)) / 2; ``tau = inf`` gives 0."""
+        """p(t_cycle, tau) = (1 - e^(-2 t_cycle / tau)) / 2; ``tau = inf`` gives 0
+        for a finite ``t_cycle``."""
         t_cycle = check_real("t_cycle", t_cycle, least=0, inf=True)
         tau = check_real("tau", tau, above=0, inf=True)
+        if t_cycle == tau == math.inf:
+            raise ValueError("t_cycle and tau cannot both be inf: 2 t_cycle / tau is undefined")
         p = 0.5 * (1.0 - math.exp(-2.0 * t_cycle / tau))
         return cls(p, "derived-from-lifetime", stable)
 

@@ -499,6 +499,17 @@ def test_kitaev_lifetime_at_large_beta_runs_censored(tmp_path):
         ("matching", "2", "1.0"), ("bare", "2", "1.0")]
 
 
+def test_kitaev_lifetime_without_probe_or_horizon_fails(tmp_path, capsys):
+    # beta = 360 with the default t_max = Infinity: no event comes in finite time
+    out = tmp_path / "out.csv"
+    cfg = dict(_SIZED["kitaev-lifetime"], experiment="kitaev-lifetime", beta=360,
+               output=str(out))
+    del cfg["t_max"]
+    assert main(["run", _write_config(tmp_path / "c.json", **cfg)]) == 2
+    assert "absorbing state" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("beta", True, "key 'beta' must be a finite real number >= 0, got True"),
     ("J", "2", "key 'J' must be a finite real number, got '2'"),

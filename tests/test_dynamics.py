@@ -386,8 +386,8 @@ def test_kitaev_probes_track_anyon_count():
 
 @pytest.mark.parametrize("decoder", ["matching", "bare"])
 def test_kitaev_lifetime_at_large_beta_is_censored(decoder):
-    # the default cadence e^{2 beta} / (4 L^2) overflows above beta = 354.89;
-    # it saturates to +inf, so no probe comes before t_max
+    # e^{2 beta} of the default cadence e^{2 beta} / (4 L^2) is beyond float
+    # range; the cadence saturates to +inf, so no probe comes before t_max
     res = kitaev_memory_lifetime(3, SimulationParams(beta=400.0, t_max=5.0, n_traj=3),
                                  decoder=decoder)
     assert res.mean == 5.0
@@ -395,6 +395,22 @@ def test_kitaev_lifetime_at_large_beta_is_censored(decoder):
     with pytest.raises(RuntimeError, match="absorbing state"):
         kitaev_memory_lifetime(3, SimulationParams(beta=400.0, t_max=math.inf),
                                decoder=decoder)
+
+
+@pytest.mark.parametrize("decoder", ["matching", "bare"])
+def test_kitaev_lifetime_without_probe_or_horizon_raises(decoder):
+    # at beta = 360 the creation rate is subnormal but nonzero: the waiting
+    # time overflows to inf, and with t_max = inf the run could never end
+    with pytest.raises(RuntimeError, match="absorbing state"):
+        kitaev_memory_lifetime(3, SimulationParams(beta=360.0, t_max=math.inf),
+                               decoder=decoder)
+
+
+def test_absorbing_state_with_infinite_horizon_raises_before_any_probe():
+    # the probes up to the largest float would never end
+    params = SimulationParams(beta=500.0, t_max=math.inf, probe_cadence=1.0)
+    with pytest.raises(RuntimeError, match="absorbing state"):
+        kitaev_memory_lifetime(3, params, decoder="bare")
 
 
 def test_absorbing_state_with_infinite_horizon_raises():

@@ -140,6 +140,13 @@ def test_memory_from_lifetime_names_the_bad_argument(t_cycle, tau, name):
         MemoryModel.from_lifetime(t_cycle, tau)
 
 
+def test_memory_from_lifetime_rejects_infinite_cycle_and_lifetime():
+    # 2 t_cycle / tau is inf / inf: no error probability follows
+    with pytest.raises(ValueError, match="^t_cycle and tau cannot both be inf"):
+        MemoryModel.from_lifetime(math.inf, math.inf)
+    assert MemoryModel.from_lifetime(math.inf, 1.0).error_probability == 0.5
+
+
 def test_perfect_stable_memory_flags_violation():
     res = memory_engine_cycle(MemoryModel(0.0), 5.0, 400.0, 1.0)
     assert res.measurement_cost == 0.0
