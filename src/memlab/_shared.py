@@ -2,7 +2,8 @@
 
 The heat-bath rate, each model kind's flip-rate law, the one number rule,
 the random-stream convention of every sampler, and the one process fan-out
-that runs an ensemble of independent trajectories in chunks.
+that hands an ensemble of independent trajectories to a batch sampler in
+chunks.
 
 The number rule of the library and of the ``cli`` config schema: a real
 (:func:`check_real`) is a non-bool real number within float range, not NaN,
@@ -14,16 +15,18 @@ Every trajectory reads its randomness from a tape (:class:`_Tape`) and from
 nothing else.  A seed is an integer >= 0.  Trajectory i of an ensemble with
 master seed s reads the tape of ``SeedSequence(s, spawn_key=(i,))``, so
 results never depend on how many workers ran them; a lone recorded trajectory
-reads ``SeedSequence(s)``.  ``next(tape)`` gives one triple (e, u1, u2): an
-exponential and two uniforms, drawn ``BLOCK`` triples at a time from
-``default_rng``, first ``standard_exponential(BLOCK)``, then
-``random((BLOCK, 2))``.  The lattice samplers read one triple per event
-(``dynamics`` gives that rule).  The two-level entropy-production sampler
-reads them as follows: x_0 = 0 iff u1 of the first triple < p_init[0]; each
-coupled step starts its clock at the step's start and every thinning proposal
-reads the next triple: t += e / gamma, the step ends when t reaches its end,
-and otherwise the proposal flips the state iff u1 * gamma < the forward rate
-at t.  It does not use u2.
+reads ``SeedSequence(s)``.  A tape is drawn ``BLOCK`` triples (e, u1, u2) at a
+time from ``default_rng``, first ``standard_exponential(BLOCK)``, then
+``random((BLOCK, 2))`` (:meth:`_Tape.block`): ``next(tape)`` gives one triple,
+an exponential and two uniforms.  The lattice samplers read one triple per
+event (``dynamics`` gives that rule).  The two-level entropy-production
+sampler (``thermo``) reads them as follows: x_0 = 0 iff u1 of the first
+triple < p_init[0]; each coupled step starts its clock at the step's start
+and every thinning proposal reads the next triple: t += e / gamma, the step
+ends when t reaches its end, and otherwise the proposal flips the state iff
+u1 * gamma < the forward rate at t.  It does not use u2.  So every
+trajectory reads exactly one triple per round, and ``thermo`` steps a whole
+batch of trajectories in lockstep, reading each row's tape a block at a time.
 """
 
 from __future__ import annotations
@@ -70,7 +73,9 @@ def check_real(name: str, value, least=None, above=None, most=None, inf=False) -
     """``float(value)``; a ValueError naming ``name`` unless it is a real by the
     number rule, >= ``least``, > ``above`` and <= ``most``, finite unless ``inf``."""
     x = math.nan
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if type(value) is float:  # the common case, without the slower ABC test
+        x = value
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:  # an int beyond float range
@@ -88,7 +93,10 @@ BLOCK = 64  # triples per tape refill; part of the stream's definition
 
 
 class _Tape:
-    """A trajectory's random numbers: ``next(tape)`` gives one (e, u1, u2)."""
+    """A trajectory's random numbers: ``next(tape)`` gives one (e, u1, u2).
+
+    A reader takes either one triple at a time or whole blocks, never both.
+    """
 
     __slots__ = ("rng", "exps", "unis", "i")
 
@@ -96,28 +104,46 @@ class _Tape:
         self.rng = np.random.default_rng(ss)
         self.i = BLOCK
 
+    def block(self, exps=None, unis=None):
+        """The next ``BLOCK`` triples: exponentials of shape (BLOCK,) and the
+        uniform pairs (u1, u2) of shape (BLOCK, 2), written into ``exps`` and
+        ``unis`` when they are given."""
+        return (self.rng.standard_exponential(BLOCK, out=exps),
+                self.rng.random((BLOCK, 2), out=unis))
+
     def __next__(self):
         i = self.i
         if i == BLOCK:
-            self.exps = self.rng.standard_exponential(BLOCK).tolist()
-            self.unis = self.rng.random((BLOCK, 2)).tolist()
+            exps, unis = self.block()
+            self.exps, self.unis = exps.tolist(), unis.tolist()
             i = 0
         self.i = i + 1
         u1, u2 = self.unis[i]
         return self.exps[i], u1, u2
 
 
+def each(one, *args) -> list:
+    """``one(*common, tape)`` for each tape, where ``args`` is ``*common, tapes``:
+    the batch of a sampler that runs its trajectories one at a time."""
+    *common, tapes = args
+    return [one(*common, tape) for tape in tapes]
+
+
 def _chunk(args):
-    one, common, master_seed, lo, hi = args
-    return [one(*common, _Tape(np.random.SeedSequence(master_seed, spawn_key=(i,))))
-            for i in range(lo, hi)]
+    batch, common, master_seed, lo, hi = args
+    return batch(*common, (_Tape(np.random.SeedSequence(master_seed, spawn_key=(i,)))
+                           for i in range(lo, hi)))
 
 
-def run_chunks(one, common: tuple, master_seed, n_traj: int, workers: int) -> list:
-    """``one(*common, tape)`` for each trajectory's tape, in index order.
+def run_chunks(batch, common: tuple, master_seed, n_traj: int, workers: int) -> list:
+    """``batch(*common, tapes)`` on contiguous chunks of the ensemble, joined in
+    index order.
 
-    With ``workers > 1`` the index range is split into contiguous chunks run
-    in a process pool (``one`` and ``common`` must pickle).  Each trajectory
+    ``tapes`` iterates, once and lazily, over the tapes of a chunk's
+    trajectories in index order, and ``batch`` returns one result per tape
+    (:func:`each` runs a one-trajectory sampler on each).  With
+    ``workers > 1`` the index range is split into contiguous chunks run in a
+    process pool (``batch`` and ``common`` must pickle).  Each trajectory
     depends only on its index, so the result is the same for any worker count.
 
     Raises:
@@ -126,11 +152,11 @@ def run_chunks(one, common: tuple, master_seed, n_traj: int, workers: int) -> li
     check_count("seed", master_seed, least=0)
     check_count("workers", workers)
     if workers == 1:
-        return _chunk((one, common, master_seed, 0, n_traj))
+        return _chunk((batch, common, master_seed, 0, n_traj))
     from multiprocessing import Pool
 
     bounds = np.linspace(0, n_traj, workers + 1).astype(int)
-    jobs = [(one, common, master_seed, int(lo), int(hi))
+    jobs = [(batch, common, master_seed, int(lo), int(hi))
             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     with Pool(processes=workers) as pool:
         parts = pool.map(_chunk, jobs)

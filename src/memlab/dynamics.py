@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import _Tape, check_count, check_real, flip_rates, run_chunks
+from ._shared import _Tape, check_count, check_real, each, flip_rates, run_chunks
 from .lattice import (LatticeModel, SpinConfiguration, Syndrome, _as_error_set,
                       _as_spins, build_model, crossing_sign)
 from . import decoder as _decoder_mod
@@ -423,7 +423,7 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
         raise ValueError("Kitaev2D needs an explicit predicate: the default "
                          "(magnetization sign) does not apply to the toric code")
     times = np.asarray(run_chunks(
-        _first_passage_once, (model, params, predicate), seed, params.n_traj, workers))
+        each, (_first_passage_once, model, params, predicate), seed, params.n_traj, workers))
     return _summarize(times, params.t_max)
 
 
@@ -494,6 +494,6 @@ def kitaev_memory_lifetime(L: int, params: SimulationParams, decoder="matching",
     if not (callable(decoder) or isinstance(decoder, str) and decoder in ("matching", "bare")):
         raise ValueError(f"unknown decoder: {decoder!r}")
     times = np.asarray(run_chunks(
-        _kitaev_lifetime_once, (model, params, decoder, op), seed,
+        each, (_kitaev_lifetime_once, model, params, decoder, op), seed,
         params.n_traj, workers))
     return _summarize(times, params.t_max)

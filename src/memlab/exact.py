@@ -376,6 +376,8 @@ class Segment:
     coupled: bool = True
 
     def __post_init__(self):
+        for name in ("t0", "t1"):  # numbers, so that they compare; finite by the schedule
+            check_real(name, getattr(self, name), inf=True)
         if not self.t1 > self.t0:
             raise ValueError("segment needs t1 > t0")
 
@@ -420,8 +422,8 @@ class ProtocolSchedule:
 
     ``steps`` is the timeline that every consumer walks, merged once here:
     the jumps at ``t_start``, then each segment followed by the jumps at its
-    end.  Times, energies, ``gamma`` and ``beta`` must be finite, and
-    ``gamma`` and ``beta`` positive.
+    end.  Times and energies must be finite reals by the number rule, and
+    ``gamma`` and ``beta`` positive ones.
     """
 
     segments: tuple
@@ -438,9 +440,9 @@ class ProtocolSchedule:
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
         for name in ("segments", "jumps"):
-            if not all(map(math.isfinite, (v for s in getattr(self, name)
-                                           for v in (s.t0, s.t1, *s.eps0, *s.eps1)))):
-                raise ValueError(f"{name} need finite times and energies")
+            for i, step in enumerate(getattr(self, name)):
+                for v in (step.t0, step.t1, *step.eps0, *step.eps1):
+                    check_real(f"{name}[{i}] time or energy", v)
         if any(a.t > b.t for a, b in zip(self.jumps[:-1], self.jumps[1:])):
             raise ValueError("jumps must be time-ordered")
         steps, todo = [], list(self.jumps)[::-1]  # the next jump last
@@ -492,8 +494,16 @@ def two_level_rates(delta, gamma: float, beta: float, convention: str = "heat-ba
     uphill rate is u times the downhill one, the instantaneous Gibbs ratio.
     """
     x = beta * delta
-    array = type(x) is np.ndarray  # an identity test keeps the scalar path fast
-    u = np.exp(-np.abs(x)) if array else math.exp(-abs(x))
+    if type(x) is np.ndarray:  # an identity test keeps the scalar path fast
+        return _rates_from(x, np.exp(-np.abs(x)), gamma, convention)
+    return _rates_from(x, math.exp(-abs(x)), gamma, convention)
+
+
+def _rates_from(x, u, gamma: float, convention: str):
+    """The rate law of :func:`two_level_rates` at x = beta * delta, given
+    u = e^{-|x|}, on floats or arrays.  The entropy-production sampler steps
+    arrays but takes u from ``math.exp``, the float path's exponential, which
+    ``np.exp`` does not match in the last bit."""
     if convention == "heat-bath":
         downhill = gamma / (1.0 + u)
     elif convention == "metropolis":
@@ -502,7 +512,7 @@ def two_level_rates(delta, gamma: float, beta: float, convention: str = "heat-ba
         raise ValueError(f"unknown rate convention: {convention!r} "
                          "(rates must be 'heat-bath' or 'metropolis')")
     uphill = downhill * u
-    if array:
+    if type(x) is np.ndarray:
         return np.where(x >= 0.0, uphill, downhill), np.where(x >= 0.0, downhill, uphill)
     return (uphill, downhill) if x >= 0.0 else (downhill, uphill)
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._shared import check_count, check_real
+
 MAX_DIM = 64
 LN2 = math.log(2.0)
 HERM_TOL = 1e-12
@@ -119,9 +121,14 @@ def _fannes_slacks(a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
     if outside.any():
         raise ValueError(f"trace distance {d[outside][0]:.4f} is outside the Fannes "
                          f"validity window (<= 1/e)")
-    # math.log through fannes_allowance: np.log differs from it in the last bit
-    allowance = np.array([fannes_allowance(x, dim) for x in d.ravel().tolist()])
+    # math.log, one pair at a time: np.log differs from it in the last bit
+    allowance = np.array([_allowance(x, dim) for x in d.ravel().tolist()])
     return allowance.reshape(d.shape) - np.abs(_entropies(a) - _entropies(b))
+
+
+def _allowance(eps: float, dim: int) -> float:
+    """eps ln D - eps ln eps, for a checked eps >= 0 and dim (:func:`fannes_allowance`)."""
+    return 0.0 if eps == 0.0 else eps * math.log(dim) - eps * math.log(eps)
 
 
 def _gaussians(z: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -283,11 +290,7 @@ def correctable_isometry_check(channel: QuantumChannel, recovery: QuantumChannel
 
 def fannes_allowance(eps: float, dim: int) -> float:
     """Entropy change the Fannes bound permits at trace distance eps: eps ln D - eps ln eps."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0.0:
-        return 0.0
-    return eps * math.log(dim) - eps * math.log(eps)
+    return _allowance(check_real("eps", eps, least=0), check_count("dim", dim))
 
 
 def fannes_check(rho: DensityMatrix, sigma: DensityMatrix, dim: int) -> float:
@@ -299,7 +302,7 @@ def fannes_check(rho: DensityMatrix, sigma: DensityMatrix, dim: int) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    return float(_fannes_slacks(rho.matrix, sigma.matrix, dim))
+    return float(_fannes_slacks(rho.matrix, sigma.matrix, check_count("dim", dim)))
 
 
 @dataclass(frozen=True)
@@ -333,20 +336,21 @@ def erasure_balance(omega_in: DensityMatrix, omega_out: DensityMatrix,
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
     """Wishart-sampled state of the given dimension (full rank by default)."""
-    r = dim if rank is None else rank
-    if r < 1:
-        raise ValueError("rank must be positive")
+    dim = check_count("dim", dim)
+    r = dim if rank is None else check_count("rank", rank)
     return DensityMatrix(_wishart(rng.normal(size=2 * dim * r), dim, r))
 
 
 def random_channel(dim: int, n_kraus: int, rng: np.random.Generator) -> QuantumChannel:
     """Haar-style random channel from a QR-orthonormalized stacked isometry."""
+    dim, n_kraus = check_count("dim", dim), check_count("n_kraus", n_kraus)
     z = rng.normal(size=2 * dim * dim * n_kraus)
     return QuantumChannel(tuple(_isometry_kraus(z, dim, n_kraus)))
 
 
 def depolarizing_channel(dim: int) -> QuantumChannel:
     """The constant map onto the maximally mixed state."""
+    dim = check_count("dim", dim)
     ks = []
     for i in range(dim):
         for j in range(dim):
@@ -364,6 +368,7 @@ def repetition_code_channels(p_flip: float = 0.15):
     indicated flip.  ``encoder`` maps logical qubit states into the code
     space: rho -> V rho V^dagger with V = |000><0| + |111><1|.
     """
+    p_flip = check_real("p_flip", p_flip)
     if not 0.0 <= p_flip <= 1.0 / 3.0:
         raise ValueError("p_flip must lie in [0, 1/3]")
     dim = 8
@@ -422,6 +427,7 @@ def toolkit_sweep(n: int, rng: np.random.Generator) -> ToolkitSweep:
     in the order ``random_channel`` and ``random_density`` would draw them
     one at a time.
     """
+    n = check_count("n", n, least=0)
     # per sample: a 6 x 2 complex isometry (24 normals), then two qubit states
     z = rng.normal(size=(n, 40))
     kraus = _isometry_kraus(z[:, :24], 2, 3)

@@ -4,9 +4,12 @@ Builds on the master-equation solve of ``exact.integrate_master``: the
 Szilard-style extraction ramp, an engine cycle powered by a read-out memory
 register, and trajectory entropy-production statistics for the fluctuation
 relation.  Trajectories walk the same ``ProtocolSchedule.steps`` as the
-master solve and read ``Segment.energies`` and ``two_level_rates``, so both
-see identical drives.  A trajectory's randomness is its tape from
-``_shared.run_chunks``, read by the rule in the ``_shared`` docstring.
+master solve, with the float operations of ``Segment.energies`` and the rate
+law of ``two_level_rates``, so both see identical drives.  A trajectory's
+randomness is its tape from ``_shared.run_chunks``, read by the rule in the
+``_shared`` docstring.  The sampler steps up to ``_ROWS`` trajectories in
+lockstep, a tape block at a time, and each sample equals the one that rule
+gives when a trajectory is run alone, by ``==``.
 
 Sign convention: ``work_on_system`` is positive when energy flows into the
 system; extracted work is its negative.
@@ -14,14 +17,15 @@ system; extracted work is its negative.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import check_count, check_real, heat_bath, run_chunks
-from .exact import (Jump, MasterSolution, ProtocolSchedule, Segment,
-                    integrate_master, two_level_rates)
+from ._shared import BLOCK, check_count, check_real, heat_bath, run_chunks
+from .exact import (Jump, MasterSolution, ProtocolSchedule, Segment, _rates_from,
+                    integrate_master)
 
 LN2 = math.log(2.0)
 
@@ -215,34 +219,102 @@ def sawtooth_schedule(n_periods: int, period: float, e_max: float,
     return ProtocolSchedule(tuple(segs), gamma=gamma, beta=beta)
 
 
-def _sigma_one(schedule: ProtocolSchedule, p_init, p_fin, rates, tape) -> float:
-    """One sample of sigma, read from ``tape`` by the rule in ``_shared``."""
+_ROWS = 1024  # trajectories stepped together: bounds the block arrays' memory
+
+
+def _sigma_batch(schedule: ProtocolSchedule, p_init, p_fin, rates, tapes) -> list:
+    """Samples of sigma, one per tape, stepped ``_ROWS`` trajectories at a time."""
+    out = []
+    while rows := list(itertools.islice(tapes, _ROWS)):
+        out += _sigma_lockstep(schedule, p_init, p_fin, rates, rows)
+    return out
+
+
+def _blocks(tapes):
+    """The next block of each tape, one row per tape: its exponentials and its u1s."""
+    exps, unis = np.empty((len(tapes), BLOCK)), np.empty((len(tapes), BLOCK, 2))
+    for tape, e, u in zip(tapes, exps, unis):
+        tape.block(e, u)
+    return exps, unis[:, :, 0].copy()
+
+
+def _sigma_lockstep(schedule: ProtocolSchedule, p_init, p_fin, rates, tapes) -> list:
+    """One sample of sigma per tape, read by the rule in ``_shared``.
+
+    Every trajectory reads one triple per round, so all rows read the same
+    column of their current tape blocks.  A block is taken in two passes over
+    its columns: the clock (t += e / gamma, then the end of the step or a
+    proposal), which does not depend on the state, and then the state, whose
+    accept tests were computed for both states at every proposal at once.
+    The clock, energies, rates and accept tests are the float operations of
+    the one-trajectory rule in the same order (``Segment.energies``, the rate
+    law of ``two_level_rates`` with ``math.exp``), and each row adds its
+    ``math.log`` flip terms in time order, so every sample equals the rule's
+    by ``==``.
+    """
     gamma, beta = schedule.gamma, schedule.beta
-    x = 0 if next(tape)[1] < p_init[0] else 1
-    sigma = math.log(p_init[x])
-    for step in schedule.steps:
-        if not step.coupled:
-            continue  # jumps and decoupled segments freeze the state
-        t = step.t0
-        # thinning: both directional rates are bounded by gamma in either
-        # rate convention, so propose at gamma and accept proportionally
-        while True:
-            e, u1, _ = next(tape)
-            t += e / gamma
-            if t >= step.t1:
-                break
-            e0, e1 = step.energies(t)
-            up, down = two_level_rates(e1 - e0, gamma, beta, rates)
-            fwd = up if x == 0 else down
-            if u1 * gamma < fwd:
-                bwd = down if x == 0 else up
-                if bwd <= 0.0:
-                    raise ValueError("zero backward rate: schedule is "
-                                     "irreversible by construction")
-                sigma += math.log(fwd / bwd)
-                x = 1 - x
-    sigma -= math.log(p_fin[x])
-    return sigma
+    coupled = [s for s in schedule.steps if s.coupled]  # the others freeze the state
+    m = len(coupled)
+    # per coupled step, then a sentinel that never ends: start, end, start
+    # energies and slopes
+    t0s, t1s, a0s, a1s, s0s, s1s = np.array(
+        [(s.t0, s.t1, s.eps0[0], s.eps1[0], *s.slopes) for s in coupled]
+        + [(0.0, math.inf, 0.0, 0.0, 0.0, 0.0)]).T
+    out = [0.0] * len(tapes)
+    live = np.arange(len(tapes))  # the sample index of each live row
+    j = np.zeros(live.size, dtype=np.intp)  # each row's coupled step
+    t = np.full(live.size, t0s[0])
+    first = 1  # column 0 of the first block decides the initial state
+    while live.size:
+        waits, u1s = _blocks([tapes[i] for i in live.tolist()])
+        waits /= gamma
+        if first:
+            x = ~(u1s[:, 0] < p_init[0])
+            sigma = np.array([math.log(p_init[v]) for v in x.tolist()])
+        # the clock: the time and step of every triple, and whether it proposes.
+        # Thinning: both directional rates are bounded by gamma in either rate
+        # convention, so proposals come at gamma and are accepted proportionally
+        ts, js = np.zeros_like(waits), np.zeros(waits.shape, dtype=np.intp)
+        go = np.zeros(waits.shape, dtype=bool)
+        for k in range(first, BLOCK):
+            t = t + waits[:, k]
+            ts[:, k], js[:, k] = t, j
+            end = t >= t1s[j]
+            go[:, k] = ~end
+            j += end
+            t = np.where(end, t0s[j], t)
+        go &= js < m
+        # every proposal's rates, and its accept test from either state
+        p = np.flatnonzero(go)  # flat indices: row by row, each row in time order
+        jp = js.ravel()[p]
+        dt = ts.ravel()[p] - t0s[jp]
+        x_beta = beta * ((a1s[jp] + s1s[jp] * dt) - (a0s[jp] + s0s[jp] * dt))
+        up, down = _rates_from(x_beta, np.fromiter(map(math.exp, (-np.abs(x_beta)).tolist()),
+                                                   float, p.size), gamma, rates)
+        g = u1s.ravel()[p] * gamma
+        accept = np.zeros((2, go.size), dtype=bool)  # forward rate up from 0, down from 1
+        accept[0, p], accept[1, p] = g < up, g < down
+        accept = accept.reshape((2,) + go.shape)
+        # the state: x before each triple, and the flips
+        was, flip = np.zeros_like(go), np.zeros_like(go)
+        for k in range(first, BLOCK):
+            was[:, k] = x
+            flip[:, k] = np.where(x, accept[1, :, k], accept[0, :, k])
+            x = x ^ flip[:, k]
+        f = np.flatnonzero(flip.ravel()[p])
+        xf = was.ravel()[p[f]]
+        fwd, bwd = np.where(xf, down[f], up[f]), np.where(xf, up[f], down[f])
+        if (bwd <= 0.0).any():
+            raise ValueError("zero backward rate: schedule is irreversible by construction")
+        # each row's flip terms, added in time order
+        np.add.at(sigma, p[f] // BLOCK, list(map(math.log, (fwd / bwd).tolist())))
+        first = 0
+        done = j == m
+        for i, s, v in zip(live[done].tolist(), sigma[done].tolist(), x[done].tolist()):
+            out[i] = s - math.log(p_fin[v])
+        keep = ~done
+        live, j, t, x, sigma = live[keep], j[keep], t[keep], x[keep], sigma[keep]
+    return out
 
 
 @dataclass(frozen=True)
@@ -278,9 +350,9 @@ def entropy_production_samples(schedule: ProtocolSchedule, n_traj: int,
         e0, e1 = schedule.start_energies
         p1 = heat_bath(schedule.beta * (e1 - e0))
         p0 = (1.0 - p1, p1)
-    p0 = tuple(float(v) for v in p0)
+    p0 = tuple(check_real("p0", v, least=0, most=1) for v in p0)
     p_fin = tuple(integrate_master(schedule, p0, rates=rates).p_final)
-    samples = np.asarray(run_chunks(_sigma_one, (schedule, p0, p_fin, rates), seed,
+    samples = np.asarray(run_chunks(_sigma_batch, (schedule, p0, p_fin, rates), seed,
                                     n_traj, workers))
     ift = np.exp(-samples)
     n = len(samples)

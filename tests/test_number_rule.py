@@ -13,13 +13,17 @@ import numpy as np
 import pytest
 
 from memlab.dynamics import SimulationParams, classify_flip
-from memlab.exact import ProtocolSchedule, Segment, StarBlocks, build_generator
+from memlab.exact import Jump, ProtocolSchedule, Segment, StarBlocks, build_generator
 from memlab.lattice import SpinConfiguration, build_model
+from memlab.qtoolkit import (DensityMatrix, depolarizing_channel, fannes_allowance,
+                             fannes_check, random_channel, random_density,
+                             repetition_code_channels, toolkit_sweep)
 from memlab.thermo import (MemoryModel, cycle_zero_crossing, memory_engine_cycle,
                            sawtooth_schedule, szilard_run)
 
 RING = build_model("Ising1D", N=4)
 SEG = Segment(0.0, 1.0, (0.0, 0.0), (0.0, 1.0))
+_MIXED = DensityMatrix(np.eye(2, dtype=complex) / 2)
 
 # (entry point, argument, call with the argument set to v, out-of-range values,
 #  inf allowed)
@@ -107,3 +111,70 @@ def test_infinity_numpy_scalars_and_plain_ints_are_accepted():
     assert cycle_zero_crossing(5, 150, 1, lo=0, hi=np.float64(0.5), tol=1e-3) == \
         cycle_zero_crossing(5.0, 150.0, 1.0, tol=1e-3)
     assert StarBlocks(build_model("Kitaev2D", L=2), 1).beta == 1.0
+
+
+# schedule times and energies: checked where the schedule is built, since the
+# sampler copies them into float arrays
+_STEP_CASES = {
+    "energy-10**400": (lambda: ProtocolSchedule((Segment(0.0, 1.0, (0.0, BIG), (0.0, 1.0)),)),
+                       r"segments\[0\] time or energy"),
+    "energy-True": (lambda: ProtocolSchedule((Segment(0.0, 1.0, (True, 0.0), (0.0, 1.0)),)),
+                    r"segments\[0\] time or energy"),
+    "jump-energy-10**400": (lambda: ProtocolSchedule(
+        (SEG,), jumps=(Jump(1.0, (0.0, 0.0), (1.0, BIG)),)), r"jumps\[0\] time or energy"),
+    "jump-time-string": (lambda: ProtocolSchedule(
+        (SEG,), jumps=(Jump("1", (0.0, 0.0), (1.0, 1.0)),)), r"jumps\[0\] time or energy"),
+    "segment-t1-string": (lambda: Segment(0.0, "1", (0.0, 0.0), (0.0, 1.0)), "t1"),
+    "segment-t0-bool": (lambda: Segment(False, 1.0, (0.0, 0.0), (0.0, 1.0)), "t0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STEP_CASES))
+def test_schedule_times_and_energies_follow_the_number_rule(case):
+    call, name = _STEP_CASES[case]
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
+def test_schedule_takes_plain_ints_and_numpy_reals():
+    ints = ProtocolSchedule((Segment(0, 1, (0, 0), (0, 2)),), jumps=(Jump(1, (0, 1), (2, 3)),))
+    floats = ProtocolSchedule((Segment(np.float64(0.0), 1.0, (0.0, 0.0), (0.0, np.int64(2))),),
+                              jumps=(Jump(1.0, (0.0, 1.0), (2.0, 3.0)),))
+    assert ints == floats
+
+
+_RNG = np.random.default_rng(0)
+_TOOLKIT_CASES = [
+    ("fannes_allowance", "eps", lambda v: fannes_allowance(v, 2),
+     [True, math.nan, math.inf, "0.1", BIG, -0.1]),
+    ("fannes_allowance", "dim", lambda v: fannes_allowance(0.1, v), [True, 2.0, 0, "2"]),
+    ("fannes_check", "dim", lambda v: fannes_check(_MIXED, _MIXED, v), [True, 2.0, 0]),
+    ("random_density", "dim", lambda v: random_density(v, _RNG), [True, 2.0, 0, None]),
+    ("random_density", "rank", lambda v: random_density(2, _RNG, rank=v), [True, 1.5, 0]),
+    ("random_channel", "dim", lambda v: random_channel(v, 2, _RNG), [True, 2.0, 0]),
+    ("random_channel", "n_kraus", lambda v: random_channel(2, v, _RNG), [True, 2.0, 0]),
+    ("depolarizing_channel", "dim", depolarizing_channel, [True, 2.0, 0]),
+    ("repetition_code_channels", "p_flip", repetition_code_channels,
+     [True, "0.1", math.nan, BIG]),
+    ("toolkit_sweep", "n", lambda v: toolkit_sweep(v, _RNG), [True, 2.0, -1, "2"]),
+]
+
+
+def _toolkit_cases():
+    for entry, name, call, values in _TOOLKIT_CASES:
+        for value in values:
+            label = "10**400" if value is BIG else repr(value)
+            yield pytest.param(name, call, value, id=f"{entry}-{name}-{label}")
+
+
+@pytest.mark.parametrize("name,call,value", _toolkit_cases())
+def test_toolkit_numbers_follow_the_number_rule(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        call(value)
+
+
+def test_toolkit_takes_numpy_numbers_and_an_empty_sweep():
+    assert fannes_allowance(np.float64(0.1), np.int64(2)) == fannes_allowance(0.1, 2)
+    assert fannes_allowance(0, 3) == 0.0
+    assert random_density(np.int64(3), np.random.default_rng(1), rank=np.int64(2)).dim == 3
+    assert toolkit_sweep(0, np.random.default_rng(1)).min_fannes_slack == math.inf
