@@ -25,12 +25,15 @@ triple < p_init[0]; each coupled step starts its clock at the step's start
 and every thinning proposal reads the next triple: t += e / gamma, the step
 ends when t reaches its end, and otherwise the proposal flips the state iff
 u1 * gamma < the forward rate at t.  It does not use u2.  So every
-trajectory reads exactly one triple per round, and ``thermo`` steps a whole
-batch of trajectories in lockstep, reading each row's tape a block at a time.
+trajectory of that sampler, and of the mean-field first passage of
+``dynamics``, reads exactly one triple per round, and both step a batch of
+trajectories in lockstep (:func:`lockstep`), reading each row's tape a block
+at a time (:func:`blocks`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
@@ -129,6 +132,28 @@ def each(one, *args) -> list:
     return [one(*common, tape) for tape in tapes]
 
 
+_ROWS = 1024  # trajectories stepped together: bounds the block arrays' memory
+
+
+def lockstep(step, *args) -> list:
+    """``step(*common, rows)`` on successive lists of up to ``_ROWS`` tapes,
+    where ``args`` is ``*common, tapes``: the batch of a sampler that steps
+    its trajectories together."""
+    *common, tapes = args
+    out = []
+    while rows := list(itertools.islice(tapes, _ROWS)):
+        out += step(*common, rows)
+    return out
+
+
+def blocks(tapes):
+    """The next block of each tape, one row per tape: its exponentials and its u1s."""
+    exps, unis = np.empty((len(tapes), BLOCK)), np.empty((len(tapes), BLOCK, 2))
+    for tape, e, u in zip(tapes, exps, unis):
+        tape.block(e, u)
+    return exps, unis[:, :, 0].copy()
+
+
 def _chunk(args):
     batch, common, master_seed, lo, hi = args
     return batch(*common, (_Tape(np.random.SeedSequence(master_seed, spawn_key=(i,)))
@@ -141,7 +166,8 @@ def run_chunks(batch, common: tuple, master_seed, n_traj: int, workers: int) -> 
 
     ``tapes`` iterates, once and lazily, over the tapes of a chunk's
     trajectories in index order, and ``batch`` returns one result per tape
-    (:func:`each` runs a one-trajectory sampler on each).  With
+    (:func:`each` runs a one-trajectory sampler on each, :func:`lockstep`
+    steps them together).  With
     ``workers > 1`` the index range is split into contiguous chunks run in a
     process pool (``batch`` and ``common`` must pickle).  Each trajectory
     depends only on its index, so the result is the same for any worker count.

@@ -26,11 +26,17 @@ u1 * total (the last one of positive weight if rounding makes u1 * total
 equal total); the site is the min(int(u2 * n), n - 1)-th of the class's n
 members in ascending site order.
 
-One event loop drives every trajectory.  Recorded runs, first-passage runs
-and toric-code memory runs differ only in the hooks they pass to it: one per
-probe, one per event before the flip, and a stop test after the flip.  Each
-entry point takes beta as an argument and a seed as an integer >= 0, and
-every decode, ``"matching"`` included, is one call of a decoder function.
+One event loop drives every trajectory but one case.  Recorded runs,
+first-passage runs and toric-code memory runs differ only in the hooks they
+pass to it: one per probe, one per event before the flip, and a stop test
+after the flip.  The case is ``first_passage`` on IsingMeanField with the
+default predicate.  There the rates are functions of M alone and the stop
+test is M <= 0, so which spin of the chosen class flips changes nothing the
+run reads: u2 is never used, and a batch of trajectories is stepped in
+lockstep as a walk in M (``_mean_field_walk``), with every time equal to the
+loop's by ``==``.  Each entry point takes beta as an argument and a seed as
+an integer >= 0, and every decode, ``"matching"`` included, is one call of a
+decoder function.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import _Tape, check_count, check_real, each, flip_rates, run_chunks
+from ._shared import (BLOCK, _Tape, blocks, check_count, check_real, each, flip_rates,
+                      lockstep, run_chunks)
 from .lattice import (LatticeModel, SpinConfiguration, Syndrome, _as_error_set,
                       _as_spins, build_model, crossing_sign)
 from . import decoder as _decoder_mod
@@ -327,7 +334,8 @@ def classify_flip(model: LatticeModel, state, site: int, beta: float) -> EventCl
     ``_shared.flip_rates``.
     """
     check_real("beta", beta, least=0)
-    if not 0 <= site < model.N:
+    site = check_count("site", site, least=0)
+    if site >= model.N:
         noun = "edge" if model.kind == "Kitaev2D" else "site"
         raise ValueError(f"invalid {noun} index: {site}")
     sampler = _sampler(model, beta, state)
@@ -390,6 +398,64 @@ def _first_passage_once(model, params, predicate, tape) -> float:
     return _evolve(sampler, tape, params.t_max, stop=stop)
 
 
+def _mean_field_walk(model, params, tapes) -> list:
+    """First-passage times under the default predicate on IsingMeanField, one
+    per tape, stepped together as a walk in M.
+
+    The state is d = N - M, twice the number of down spins.  Every round
+    reads the next triple of each live row (the draw rule of the module
+    docstring without its site choice): the class weights ``w_dn`` and
+    ``w_up`` and their ``total`` are those of ``_Sampler.draw``, taken from
+    tables built once from ``flip_rates``, the -1 class is chosen iff ``w_dn
+    > u1 * total`` or ``w_up`` is 0 (``w_dn`` is set to inf there) and d
+    moves by 2 against the chosen class.  A block of a tape is taken in two
+    passes: d over its columns, then every waiting time ``e / total`` at
+    once, added in order by ``np.add.accumulate``.  These are the float
+    operations of ``_evolve``, with its end rules: a total of 0 gives the
+    event time inf, and for ``t_max`` = inf an event time beyond float range
+    raises, so every time equals the event loop's by ``==``.
+    """
+    N, t_max = model.N, params.t_max
+    end = N + N % 2  # the first even d >= N: M <= 0, and nothing moves
+    w_dn, total = np.zeros(end + 2), np.zeros(end + 2)
+    nxt = np.full(end + 2, end)  # d after an up flip (at d) or a down flip (at d + 1)
+    for d in range(0, N, 2):
+        rates = flip_rates(model, params.beta, N - d)
+        dn, up = d // 2 * rates[-1], (N - d // 2) * rates[1]
+        w_dn[d], total[d] = math.inf if dn > 0.0 and up == 0.0 else dn, dn + up
+        nxt[d], nxt[d + 1] = d + 2, d - 2
+    last = t_max if t_max < math.inf else _FLOAT_MAX  # the latest event time allowed
+    out = np.empty(len(tapes))
+    live = np.arange(len(tapes))  # the tape index of each live row
+    d, t = np.zeros(live.size, dtype=np.intp), np.zeros(live.size)
+    while live.size:
+        exps, u1s = blocks([tapes[i] for i in live.tolist()])
+        u1s = u1s.T.copy()
+        # d before each column, then after the last one
+        ds = np.empty((BLOCK + 1, live.size), dtype=np.intp)
+        ds[0] = d
+        for c in range(BLOCK):
+            dc = ds[c]
+            np.take(nxt, dc + (w_dn[dc] > u1s[c] * total[dc]), out=ds[c + 1])
+        ts = np.empty((BLOCK + 1, live.size))  # t before each column, then each event time
+        ts[0] = t
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(exps.T, total[ds[:-1]], out=ts[1:])  # inf (or nan) where frozen
+            ts = np.add.accumulate(ts, axis=0)[1:]
+        late = ~(ts <= last)  # no event by t_max, or none in finite time
+        stop = late | (ds[1:] >= N)
+        done = stop.any(axis=0)
+        rows = np.flatnonzero(done)
+        col = stop[:, rows].argmax(axis=0)
+        censored = late[col, rows]
+        if t_max == math.inf and censored.any():
+            raise RuntimeError("absorbing state: no event in finite time and t_max is infinite")
+        out[live[rows]] = np.where(censored, t_max, ts[col, rows])
+        keep = ~done
+        live, d, t = live[keep], ds[BLOCK][keep], ts[BLOCK - 1][keep]
+    return out.tolist()
+
+
 def _summarize(times: np.ndarray, t_max: float) -> LifetimeResult:
     censored = int(np.sum(times >= t_max))
     mean = float(np.mean(times))
@@ -422,8 +488,11 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
     if predicate is None and model.kind == "Kitaev2D":
         raise ValueError("Kitaev2D needs an explicit predicate: the default "
                          "(magnetization sign) does not apply to the toric code")
-    times = np.asarray(run_chunks(
-        each, (_first_passage_once, model, params, predicate), seed, params.n_traj, workers))
+    if predicate is None and model.kind == "IsingMeanField":
+        batch = lockstep, (_mean_field_walk, model, params)
+    else:
+        batch = each, (_first_passage_once, model, params, predicate)
+    times = np.asarray(run_chunks(*batch, seed, params.n_traj, workers))
     return _summarize(times, params.t_max)
 
 

@@ -7,8 +7,8 @@ relation.  Trajectories walk the same ``ProtocolSchedule.steps`` as the
 master solve, with the float operations of ``Segment.energies`` and the rate
 law of ``two_level_rates``, so both see identical drives.  A trajectory's
 randomness is its tape from ``_shared.run_chunks``, read by the rule in the
-``_shared`` docstring.  The sampler steps up to ``_ROWS`` trajectories in
-lockstep, a tape block at a time, and each sample equals the one that rule
+``_shared`` docstring.  The sampler steps up to ``_shared._ROWS`` trajectories
+in lockstep, a tape block at a time, and each sample equals the one that rule
 gives when a trajectory is run alone, by ``==``.
 
 Sign convention: ``work_on_system`` is positive when energy flows into the
@@ -17,13 +17,12 @@ system; extracted work is its negative.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import BLOCK, check_count, check_real, heat_bath, run_chunks
+from ._shared import BLOCK, blocks, check_count, check_real, heat_bath, lockstep, run_chunks
 from .exact import (Jump, MasterSolution, ProtocolSchedule, Segment, _rates_from,
                     integrate_master)
 
@@ -219,25 +218,6 @@ def sawtooth_schedule(n_periods: int, period: float, e_max: float,
     return ProtocolSchedule(tuple(segs), gamma=gamma, beta=beta)
 
 
-_ROWS = 1024  # trajectories stepped together: bounds the block arrays' memory
-
-
-def _sigma_batch(schedule: ProtocolSchedule, p_init, p_fin, rates, tapes) -> list:
-    """Samples of sigma, one per tape, stepped ``_ROWS`` trajectories at a time."""
-    out = []
-    while rows := list(itertools.islice(tapes, _ROWS)):
-        out += _sigma_lockstep(schedule, p_init, p_fin, rates, rows)
-    return out
-
-
-def _blocks(tapes):
-    """The next block of each tape, one row per tape: its exponentials and its u1s."""
-    exps, unis = np.empty((len(tapes), BLOCK)), np.empty((len(tapes), BLOCK, 2))
-    for tape, e, u in zip(tapes, exps, unis):
-        tape.block(e, u)
-    return exps, unis[:, :, 0].copy()
-
-
 def _sigma_lockstep(schedule: ProtocolSchedule, p_init, p_fin, rates, tapes) -> list:
     """One sample of sigma per tape, read by the rule in ``_shared``.
 
@@ -266,7 +246,7 @@ def _sigma_lockstep(schedule: ProtocolSchedule, p_init, p_fin, rates, tapes) -> 
     t = np.full(live.size, t0s[0])
     first = 1  # column 0 of the first block decides the initial state
     while live.size:
-        waits, u1s = _blocks([tapes[i] for i in live.tolist()])
+        waits, u1s = blocks([tapes[i] for i in live.tolist()])
         waits /= gamma
         if first:
             x = ~(u1s[:, 0] < p_init[0])
@@ -352,8 +332,8 @@ def entropy_production_samples(schedule: ProtocolSchedule, n_traj: int,
         p0 = (1.0 - p1, p1)
     p0 = tuple(check_real("p0", v, least=0, most=1) for v in p0)
     p_fin = tuple(integrate_master(schedule, p0, rates=rates).p_final)
-    samples = np.asarray(run_chunks(_sigma_batch, (schedule, p0, p_fin, rates), seed,
-                                    n_traj, workers))
+    samples = np.asarray(run_chunks(lockstep, (_sigma_lockstep, schedule, p0, p_fin, rates),
+                                    seed, n_traj, workers))
     ift = np.exp(-samples)
     n = len(samples)
     return EntropyProductionResult(

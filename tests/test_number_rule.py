@@ -113,6 +113,22 @@ def test_infinity_numpy_scalars_and_plain_ints_are_accepted():
     assert StarBlocks(build_model("Kitaev2D", L=2), 1).beta == 1.0
 
 
+_SITE_CASES = [True, np.bool_(False), 1.5, "1", None, math.nan, -1]
+
+
+@pytest.mark.parametrize("value", _SITE_CASES, ids=repr)
+def test_classify_flip_site_is_a_count(value):
+    with pytest.raises(ValueError, match="^site must be an integer of at least 0"):
+        classify_flip(RING, SpinConfiguration.all_up(4), value, 1.0)
+
+
+def test_classify_flip_takes_a_numpy_site_and_names_an_index_out_of_range():
+    up = SpinConfiguration.all_up(4)
+    assert classify_flip(RING, up, np.int64(3), 1.0) == classify_flip(RING, up, 3, 1.0)
+    with pytest.raises(ValueError, match="^invalid site index: 4"):
+        classify_flip(RING, up, 4, 1.0)
+
+
 # schedule times and energies: checked where the schedule is built, since the
 # sampler copies them into float arrays
 _STEP_CASES = {
