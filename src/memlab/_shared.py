@@ -8,8 +8,9 @@ chunks.
 The number rule of the library and of the ``cli`` config schema: a real
 (:func:`check_real`) is a non-bool real number within float range, not NaN,
 within its argument's bounds and finite unless the argument allows inf; a
-count (:func:`check_count`) is a non-bool integer of at least its least
-value.  Anything else raises a ValueError that starts with the argument's name.
+count or index (:func:`check_count`) is a non-bool integer, of at least its
+least value where it has one.  Anything else raises a ValueError that starts
+with the argument's name.
 
 Every trajectory reads its randomness from a tape (:class:`_Tape`) and from
 nothing else.  A seed is an integer >= 0.  Trajectory i of an ensemble with
@@ -65,10 +66,15 @@ def flip_rates(model, beta: float, M: int = 0) -> dict:
     return {k: heat_bath(beta * (2.0 * model.J * k)) for k in range(-z, z + 1, 2)}
 
 
-def check_count(name: str, value, least: int = 1) -> int:
-    """``int(value)``; a ValueError naming ``name`` unless a non-bool integer >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+def check_count(name: str, value, least: int | None = 1) -> int:
+    """``int(value)``; a ValueError naming ``name`` unless a non-bool integer >=
+    ``least`` (any integer if ``least`` is None)."""
+    if type(value) is int and (least is None or value >= least):  # the common case, fast
+        return value
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        bound = "" if least is None else f" of at least {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._shared import check_count
 from .lattice import (LogicalOperator, SpinConfiguration, Syndrome, build_model,
                       crossing_sign, logical_bare, syndrome)
 
@@ -46,7 +47,8 @@ class Correction:
     method: str = "exact"
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(int(e) for e in self.edges))
+        object.__setattr__(self, "edges",
+                           frozenset(check_count("edges", e, least=0) for e in self.edges))
 
     @property
     def weight(self) -> int:
@@ -228,7 +230,7 @@ def is_logical_failure(error, correction: Correction, op: LogicalOperator) -> bo
     in the direction the operator detects.
     """
     model = build_model("Kitaev2D", L=correction.L)
-    error = frozenset(int(e) for e in error)
+    error = frozenset(check_count("error", e, least=None) for e in error)
     if syndrome(model, error, "plaquette") != syndrome(model, correction.edges, "plaquette"):
         raise ValueError("correction does not match the error's syndrome")
     residual = error ^ correction.edges

@@ -251,8 +251,8 @@ class _KitaevSampler(_Sampler):
 
     tags = {0: "create-pair", 1: "move-anyon", 2: "annihilate-pair"}
 
-    def __init__(self, model: LatticeModel, beta: float, initial):
-        self.errors = set() if initial is None else set(_as_error_set(model, initial))
+    def __init__(self, model: LatticeModel, beta: float, initial, name: str = "initial"):
+        self.errors = set() if initial is None else set(_as_error_set(model, initial, name))
         self.ep = model.edge_plaquettes.tolist()
         self.anyons = set()
         for e in self.errors:
@@ -277,19 +277,21 @@ class _KitaevSampler(_Sampler):
     final_state = state_view
 
 
-def _sampler(model: LatticeModel, beta: float, initial=None) -> _Sampler:
+def _sampler(model: LatticeModel, beta: float, initial=None, name: str = "initial") -> _Sampler:
     """Sampler of the model's kind, started from ``initial`` (default: all up /
-    no errors).  Raises ValueError for a state that does not fit the model."""
+    no errors), the caller's argument ``name``.  Raises ValueError for a
+    state that does not fit the model."""
     if model.kind == "Kitaev2D":
-        return _KitaevSampler(model, beta, initial)
+        return _KitaevSampler(model, beta, initial, name)
     if model.kind == "IsingMeanField":
         return _MeanFieldSampler(model, beta, initial)
     return _LocalFieldSampler(model, beta, initial)
 
 
 def _evolve(sampler: _Sampler, tape: _Tape, t_max: float, cadence=None,
-            on_probe=None, on_event=None, stop=None) -> float:
-    """Run one trajectory from t = 0; returns the time it ended.
+            on_probe=None, on_event=None, stop=None) -> tuple[float, bool]:
+    """Run one trajectory from t = 0; returns the time it ended and whether
+    it ended at the horizon ``t_max`` (censored).
 
     ``on_probe(t)`` fires at each cadence point up to the next event and
     ``t_max``; a true return ends the run at that probe time.  ``on_event(t,
@@ -312,16 +314,16 @@ def _evolve(sampler: _Sampler, tape: _Tape, t_max: float, cadence=None,
             raise RuntimeError("absorbing state: no event in finite time and t_max is infinite")
         while next_probe <= min(t_next, t_max):
             if on_probe(next_probe):
-                return next_probe
+                return next_probe, False
             next_probe += cadence
         if t_next > t_max:
-            return t_max
+            return t_max, True
         t = t_next
         if on_event is not None:
             on_event(t, site, rate)
         sampler.flip(site)
         if stop is not None and stop():
-            return t
+            return t, False
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +340,7 @@ def classify_flip(model: LatticeModel, state, site: int, beta: float) -> EventCl
     if site >= model.N:
         noun = "edge" if model.kind == "Kitaev2D" else "site"
         raise ValueError(f"invalid {noun} index: {site}")
-    sampler = _sampler(model, beta, state)
+    sampler = _sampler(model, beta, state, "state")
     k = sampler.key_of[site]
     return EventClass(sampler.tags[k], site, sampler.rate_table()[k])
 
@@ -384,7 +386,7 @@ def magnetization_nonpositive(state) -> bool:
     return int(np.sum(state)) <= 0
 
 
-def _first_passage_once(model, params, predicate, tape) -> float:
+def _first_passage_once(model, params, predicate, tape) -> tuple[float, bool]:
     sampler = _sampler(model, params.beta)
     if predicate is None:
         # magnetization_nonpositive, read from the tracked magnetization
@@ -399,8 +401,8 @@ def _first_passage_once(model, params, predicate, tape) -> float:
 
 
 def _mean_field_walk(model, params, tapes) -> list:
-    """First-passage times under the default predicate on IsingMeanField, one
-    per tape, stepped together as a walk in M.
+    """First-passage (time, censored) pairs under the default predicate on
+    IsingMeanField, one per tape, stepped together as a walk in M.
 
     The state is d = N - M, twice the number of down spins.  Every round
     reads the next triple of each live row (the draw rule of the module
@@ -425,7 +427,7 @@ def _mean_field_walk(model, params, tapes) -> list:
         w_dn[d], total[d] = math.inf if dn > 0.0 and up == 0.0 else dn, dn + up
         nxt[d], nxt[d + 1] = d + 2, d - 2
     last = t_max if t_max < math.inf else _FLOAT_MAX  # the latest event time allowed
-    out = np.empty(len(tapes))
+    out, ended_late = np.empty(len(tapes)), np.empty(len(tapes), dtype=bool)
     live = np.arange(len(tapes))  # the tape index of each live row
     d, t = np.zeros(live.size, dtype=np.intp), np.zeros(live.size)
     while live.size:
@@ -451,13 +453,16 @@ def _mean_field_walk(model, params, tapes) -> list:
         if t_max == math.inf and censored.any():
             raise RuntimeError("absorbing state: no event in finite time and t_max is infinite")
         out[live[rows]] = np.where(censored, t_max, ts[col, rows])
+        ended_late[live[rows]] = censored
         keep = ~done
         live, d, t = live[keep], ds[BLOCK][keep], ts[BLOCK - 1][keep]
-    return out.tolist()
+    return list(zip(out.tolist(), ended_late.tolist()))
 
 
-def _summarize(times: np.ndarray, t_max: float) -> LifetimeResult:
-    censored = int(np.sum(times >= t_max))
+def _summarize(runs: list) -> LifetimeResult:
+    """Summary of (end time, censored) pairs, one per trajectory."""
+    times = np.array([t for t, _ in runs])
+    censored = sum(c for _, c in runs)
     mean = float(np.mean(times))
     stderr = float(np.std(times, ddof=1) / math.sqrt(len(times))) if len(times) > 1 else 0.0
     return LifetimeResult(mean, stderr, len(times), censored, times)
@@ -492,12 +497,12 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
         batch = lockstep, (_mean_field_walk, model, params)
     else:
         batch = each, (_first_passage_once, model, params, predicate)
-    times = np.asarray(run_chunks(*batch, seed, params.n_traj, workers))
-    return _summarize(times, params.t_max)
+    return _summarize(run_chunks(*batch, seed, params.n_traj, workers))
 
 
-def _kitaev_lifetime_once(model, params, decoder, op, tape) -> float:
-    """First probe time at which the (possibly dressed) logical reads -1."""
+def _kitaev_lifetime_once(model, params, decoder, op, tape) -> tuple[float, bool]:
+    """First probe time at which the (possibly dressed) logical reads -1, or
+    (t_max, True) if there is none by the horizon."""
     sampler = _KitaevSampler(model, params.beta, None)
     op_support = op.support
     L = model.L
@@ -562,7 +567,6 @@ def kitaev_memory_lifetime(L: int, params: SimulationParams, decoder="matching",
     op = logical_operator(model, mu, "Z-type")
     if not (callable(decoder) or isinstance(decoder, str) and decoder in ("matching", "bare")):
         raise ValueError(f"unknown decoder: {decoder!r}")
-    times = np.asarray(run_chunks(
+    return _summarize(run_chunks(
         each, (_kitaev_lifetime_once, model, params, decoder, op), seed,
         params.n_traj, workers))
-    return _summarize(times, params.t_max)

@@ -605,11 +605,10 @@ def integrate_master(schedule: ProtocolSchedule, p0,
     """
     gamma, beta = schedule.gamma, schedule.beta
     b_max = sum(two_level_rates(0.0, gamma, beta, rates))  # b peaks at zero splitting
-    p = np.asarray(p0, dtype=np.float64)
-    if p.shape != (2,) or not np.isfinite(p).all() or abs(p.sum() - 1.0) > 1e-9 \
-            or np.any(p < -1e-12):
+    p = [check_real("p0", v, least=0, most=1) for v in p0] if np.ndim(p0) == 1 else []
+    if len(p) != 2 or abs(p[0] + p[1] - 1.0) > 1e-9:
         raise ValueError(f"p0 must be a finite 2-state probability vector, got {p0!r}")
-    p1 = float(p[1])
+    p1 = p[1]
 
     # panels of every coupled segment in time order, timed from the segment start
     coupled = [s for s in schedule.steps if s.coupled]

@@ -69,7 +69,8 @@ class Syndrome:
     sector: str
 
     def __post_init__(self):
-        object.__setattr__(self, "anyons", frozenset(int(a) for a in self.anyons))
+        object.__setattr__(self, "anyons",
+                           frozenset(check_count("anyons", a, least=0) for a in self.anyons))
         if self.sector not in ("star", "plaquette"):
             raise ValueError(f"unknown sector: {self.sector!r}")
         if len(self.anyons) % 2 != 0:
@@ -95,8 +96,9 @@ class LogicalOperator:
     support: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(int(e) for e in self.support))
-        if self.mu not in (1, 2):
+        object.__setattr__(self, "support",
+                           frozenset(check_count("support", e, least=0) for e in self.support))
+        if check_count("mu", self.mu, least=None) not in (1, 2):
             raise ValueError("mu must be 1 or 2")
         if self.sector not in ("Z-type", "X-type"):
             raise ValueError(f"unknown sector: {self.sector!r}")
@@ -208,13 +210,14 @@ def build_model(kind: str, N: int | None = None, L: int | None = None,
                         edge_plaquettes=ep, edge_stars=es, plaquette_edges=pe, star_edges=se)
 
 
-def _as_error_set(model: LatticeModel, config) -> frozenset:
-    """Normalize a Kitaev state (SpinConfiguration or edge iterable) to an error set."""
+def _as_error_set(model: LatticeModel, config, name: str) -> frozenset:
+    """Normalize a Kitaev state (SpinConfiguration or edge iterable), the
+    argument ``name``, to an error set."""
     if isinstance(config, SpinConfiguration):
         if config.n != model.N:
             raise ValueError(f"configuration has {config.n} spins, model has {model.N}")
         return frozenset(np.flatnonzero(config.spins < 0).tolist())
-    edges = frozenset(int(e) for e in config)
+    edges = frozenset(check_count(name, e, least=None) for e in config)
     for e in edges:
         if not 0 <= e < model.N:
             raise ValueError(f"invalid edge index: {e}")
@@ -242,7 +245,7 @@ def syndrome(model: LatticeModel, error, sector: str = "plaquette") -> Syndrome:
         raise ValueError("syndrome is defined for Kitaev2D models")
     if sector not in ("plaquette", "star"):
         raise ValueError(f"unknown sector: {sector!r}")
-    edges = _as_error_set(model, error)
+    edges = _as_error_set(model, error, "error")
     table = model.edge_plaquettes if sector == "plaquette" else model.edge_stars
     counts = np.zeros(model.L * model.L, dtype=np.int64)
     for e in edges:
@@ -261,7 +264,7 @@ def energy(model: LatticeModel, config) -> float:
     reads 4.  ``exact`` counts plaquette anyons only: 2 for that edge.
     """
     if model.kind == "Kitaev2D":
-        edges = _as_error_set(model, config)
+        edges = _as_error_set(model, config, "config")
         return float(len(syndrome(model, edges, "star").anyons)
                      + len(syndrome(model, edges, "plaquette").anyons))
     return float(ising_energies(model, _as_spins(model, config).spins))
@@ -284,7 +287,7 @@ def block_flip_delta(model: LatticeModel, k: int) -> float:
     """
     if model.kind not in ("Ising1D", "IsingMeanField"):
         raise ValueError("block flips are defined for Ising1D and IsingMeanField")
-    if not 0 < k < model.N:
+    if not 0 < check_count("k", k, least=None) < model.N:
         raise ValueError(f"block length k={k} out of range (0 < k < {model.N})")
     if model.kind == "Ising1D":
         return 4.0 * model.J
@@ -324,7 +327,7 @@ def logical_bare(model: LatticeModel, error, op: LogicalOperator) -> int:
     where a sigma-x flip anticommutes with the sigma-z string).  X-type
     operators commute with X errors and always read +1.
     """
-    edges = _as_error_set(model, error)
+    edges = _as_error_set(model, error, "error")
     if any(e >= model.N for e in op.support):
         raise ValueError("operator does not fit this model")
     return crossing_sign(edges, op)

@@ -178,28 +178,33 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Completely positive trace-preserving map in Kraus form."""
+    """Completely positive trace-preserving map in Kraus form.
 
-    kraus: tuple
+    ``kraus`` is one read-only complex (n_kraus, d_out, d_in) array.  The
+    constructor takes any iterable of equal-shape matrices, a 3-D array
+    included.
+    """
+
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ks = tuple(np.array(k, dtype=np.complex128) for k in self.kraus)
+        ks = [np.asarray(k, dtype=np.complex128) for k in self.kraus]
         if not ks:
             raise ValueError("channel needs at least one Kraus operator")
         if any(k.shape != ks[0].shape for k in ks):
             raise ValueError("Kraus operators must share one shape")
-        _check_kraus(np.stack(ks))
-        for k in ks:
-            k.flags.writeable = False
-        object.__setattr__(self, "kraus", ks)
+        kraus = np.array(ks)
+        _check_kraus(kraus)
+        kraus.flags.writeable = False
+        object.__setattr__(self, "kraus", kraus)
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
 
 def entropy(rho: DensityMatrix) -> float:
@@ -212,10 +217,6 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
     return float(_trace_norms(rho.matrix - sigma.matrix))
-
-
-def _apply(channel: QuantumChannel, matrix: np.ndarray) -> np.ndarray:
-    return _kraus_action(np.stack(channel.kraus), matrix)
 
 
 @dataclass(frozen=True)
@@ -238,15 +239,14 @@ def apply_channel(channel: QuantumChannel, rho: DensityMatrix, check_pairs=None)
     states = [rho] + [s for pair in pairs for s in pair]
     if any(s.dim != channel.dim_in for s in states):
         raise ValueError("state dimension does not match the channel input")
-    kraus = np.stack(channel.kraus)
-    out = DensityMatrix(_kraus_action(kraus, rho.matrix))
+    out = DensityMatrix(_kraus_action(channel.kraus, rho.matrix))
     if check_pairs is None:
         return out
     if not pairs:
         return out, ContractionReport(0, 0.0, True)
     a = np.stack([p[0].matrix for p in pairs])
     b = np.stack([p[1].matrix for p in pairs])
-    worst = float(_contraction_gaps(kraus, a, b).max())
+    worst = float(_contraction_gaps(channel.kraus, a, b).max())
     return out, ContractionReport(len(pairs), worst, worst <= CONTRACTION_TOL)
 
 
@@ -274,8 +274,8 @@ def correctable_isometry_check(channel: QuantumChannel, recovery: QuantumChannel
     if not states:
         return IsometryReport(True, (), 0, 0.0, True)
     s = np.stack(states)
-    ts = _apply(channel, s)
-    rts = _apply(recovery, ts)
+    ts = _kraus_action(channel.kraus, s)
+    rts = _kraus_action(recovery.kraus, ts)
     _check_densities(rts)
     devs = _trace_norms(rts - s).tolist()
     failures = tuple((i, dev) for i, dev in enumerate(devs) if dev > ISOMETRY_TOL)
@@ -345,19 +345,17 @@ def random_channel(dim: int, n_kraus: int, rng: np.random.Generator) -> QuantumC
     """Haar-style random channel from a QR-orthonormalized stacked isometry."""
     dim, n_kraus = check_count("dim", dim), check_count("n_kraus", n_kraus)
     z = rng.normal(size=2 * dim * dim * n_kraus)
-    return QuantumChannel(tuple(_isometry_kraus(z, dim, n_kraus)))
+    return QuantumChannel(_isometry_kraus(z, dim, n_kraus))
 
 
 def depolarizing_channel(dim: int) -> QuantumChannel:
     """The constant map onto the maximally mixed state."""
     dim = check_count("dim", dim)
-    ks = []
-    for i in range(dim):
-        for j in range(dim):
-            k = np.zeros((dim, dim), dtype=np.complex128)
-            k[i, j] = 1.0 / math.sqrt(dim)
-            ks.append(k)
-    return QuantumChannel(tuple(ks))
+    # Kraus operator k = i dim + j is |i><j| / sqrt(dim)
+    k = np.arange(dim * dim)
+    ks = np.zeros((dim * dim, dim, dim), dtype=np.complex128)
+    ks[k, k // dim, k % dim] = 1.0 / math.sqrt(dim)
+    return QuantumChannel(ks)
 
 
 def repetition_code_channels(p_flip: float = 0.15):
@@ -371,40 +369,21 @@ def repetition_code_channels(p_flip: float = 0.15):
     p_flip = check_real("p_flip", p_flip)
     if not 0.0 <= p_flip <= 1.0 / 3.0:
         raise ValueError("p_flip must lie in [0, 1/3]")
-    dim = 8
-    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    eye2 = np.eye(2, dtype=np.complex128)
-    flips = [np.kron(np.kron(x, eye2), eye2),
-             np.kron(np.kron(eye2, x), eye2),
-             np.kron(np.kron(eye2, eye2), x)]
-    kraus_t = [math.sqrt(1.0 - 3.0 * p_flip) * np.eye(dim, dtype=np.complex128)]
-    kraus_t += [math.sqrt(p_flip) * f for f in flips]
-    noise = QuantumChannel(tuple(kraus_t))
+    eye = np.eye(8, dtype=np.complex128)
+    # X on qubit 1, 2 or 3 swaps basis states |i> and |i ^ 4>, |i ^ 2> or |i ^ 1>
+    flips = eye[np.arange(8) ^ np.array([[4], [2], [1]])]
+    noise = QuantumChannel(np.concatenate([math.sqrt(1.0 - 3.0 * p_flip) * eye[None],
+                                           math.sqrt(p_flip) * flips]))
 
-    # recovery: project on each syndrome sector, then undo the matching flip
-    def bits(i):
-        return (i >> 2) & 1, (i >> 1) & 1, i & 1
-
-    sectors = {}  # syndrome -> list of basis states
-    for i in range(dim):
-        b = bits(i)
-        syn = (b[0] ^ b[1], b[1] ^ b[2])
-        sectors.setdefault(syn, []).append(i)
-    correction = {(0, 0): np.eye(dim, dtype=np.complex128),
-                  (1, 0): flips[0], (1, 1): flips[1], (0, 1): flips[2]}
-    kraus_r = []
-    for syn, states in sectors.items():
-        p = np.zeros((dim, dim), dtype=np.complex128)
-        for i in states:
-            p[i, i] = 1.0
-        kraus_r.append(correction[syn] @ p)
-    recovery = QuantumChannel(tuple(kraus_r))
-
-    v = np.zeros((8, 2), dtype=np.complex128)
-    v[0, 0] = 1.0
-    v[7, 1] = 1.0
-    encoder = QuantumChannel((v,))
-    return noise, recovery, encoder
+    # recovery: project on each syndrome sector {|s>, |7 - s>}, in the order
+    # the basis meets them (syndromes 00, 01, 11, 10), then undo the flip the
+    # syndrome indicates: none, or X on qubit 3, 2 or 1
+    sectors = np.array([[0, 7], [1, 6], [2, 5], [3, 4]])
+    projectors = np.zeros((4, 8, 8), dtype=np.complex128)
+    projectors[np.arange(4)[:, None], sectors, sectors] = 1.0
+    recovery = QuantumChannel(np.concatenate([eye[None], flips[::-1]]) @ projectors)
+    # V is columns 0 and 7 of the identity
+    return noise, recovery, QuantumChannel([eye[:, [0, 7]]])
 
 
 @dataclass(frozen=True)

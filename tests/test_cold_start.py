@@ -61,4 +61,5 @@ def test_ledger_runs_load_no_scipy(tmp_path):
                       beta=1.0, stable=True, rates="metropolis"),
         "fluctuation": dict(experiment="fluctuation", n_periods=[2, 4], period=1.0,
                             e_max=2.0, n_traj=20, seed=5),
+        "toolkit": dict(experiment="toolkit-check", n_samples=200, seed=3),
     })

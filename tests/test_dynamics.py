@@ -501,6 +501,21 @@ def test_censoring_counts_and_lower_bound():
     assert res.stderr == 0.0
 
 
+def test_a_failure_at_the_last_probe_is_not_censored():
+    """Probes at t = 1, 2, 3, 4 = t_max.  A longer horizon replays the same
+    trajectories: 37 of them fail at the probe at exactly t = 4.0 and 32 run
+    past it, so only those 32 are censored at t_max = 4."""
+    params = dict(beta=0.3, n_traj=400, probe_cadence=1.0)
+    res = kitaev_memory_lifetime(3, SimulationParams(t_max=4.0, **params), decoder="bare",
+                                 seed=3)
+    longer = kitaev_memory_lifetime(3, SimulationParams(t_max=4.5, **params),
+                                    decoder="bare", seed=3)
+    assert int(np.sum(longer.times == 4.0)) == 37
+    assert res.censored == longer.censored == 32
+    assert res.times.tolist() == np.minimum(longer.times, 4.0).tolist()
+    assert res.mean == 1.9825
+
+
 def test_custom_predicate_any_error():
     model = build_model("Kitaev2D", L=2)
     params = SimulationParams(beta=1.0, t_max=100.0, n_traj=200)

@@ -12,9 +12,13 @@ import re
 import numpy as np
 import pytest
 
-from memlab.dynamics import SimulationParams, classify_flip
-from memlab.exact import Jump, ProtocolSchedule, Segment, StarBlocks, build_generator
-from memlab.lattice import SpinConfiguration, build_model
+from memlab.decoder import Correction, is_logical_failure
+from memlab.dynamics import (SimulationParams, classify_flip, kitaev_memory_lifetime,
+                             simulate_trajectory)
+from memlab.exact import (Jump, ProtocolSchedule, Segment, StarBlocks, build_generator,
+                          integrate_master)
+from memlab.lattice import (LogicalOperator, SpinConfiguration, Syndrome, block_flip_delta,
+                            build_model, energy, logical_bare, logical_operator, syndrome)
 from memlab.qtoolkit import (DensityMatrix, depolarizing_channel, fannes_allowance,
                              fannes_check, random_channel, random_density,
                              repetition_code_channels, toolkit_sweep)
@@ -194,3 +198,70 @@ def test_toolkit_takes_numpy_numbers_and_an_empty_sweep():
     assert fannes_allowance(0, 3) == 0.0
     assert random_density(np.int64(3), np.random.default_rng(1), rank=np.int64(2)).dim == 3
     assert toolkit_sweep(0, np.random.default_rng(1)).min_fannes_slack == math.inf
+
+
+# index sets, direction indices, block lengths and p0 entries: none may be
+# truncated by int(), compared by == or converted by numpy on the way in
+KIT = build_model("Kitaev2D", L=3)
+_Z1 = logical_operator(KIT, 1)
+_SAW = sawtooth_schedule(2, 1.0, 2.0)
+_MEAN_FIELD = build_model("IsingMeanField", N=6)
+_INDEX_CASES = [
+    ("Syndrome", "anyons", lambda v: Syndrome({v, 2}, "plaquette"), [1.5, True, "1", -1]),
+    ("Correction", "edges", lambda v: Correction([v], 3), [1.9, True, "1", -1]),
+    ("LogicalOperator", "support", lambda v: LogicalOperator(1, "Z-type", [v]),
+     [0.5, True, -1]),
+    ("LogicalOperator", "mu", lambda v: LogicalOperator(v, "Z-type", [0]), [True, 1.0]),
+    ("syndrome", "error", lambda v: syndrome(KIT, [v]), [0.7, True, "1", None]),
+    ("energy", "config", lambda v: energy(KIT, [v]), [0.7, True]),
+    ("logical_bare", "error", lambda v: logical_bare(KIT, [v], _Z1), [0.7, True]),
+    ("is_logical_failure", "error",
+     lambda v: is_logical_failure([v], Correction([], 3), _Z1), [0.7, True]),
+    ("simulate_trajectory", "initial",
+     lambda v: simulate_trajectory(KIT, SimulationParams(1.0, 1.0), initial=[v]),
+     [0.5, True]),
+    ("classify_flip", "state", lambda v: classify_flip(KIT, [v], 2, 1.0), [0.5, True]),
+    ("logical_operator", "mu", lambda v: logical_operator(KIT, v), [True, 2.0]),
+    ("kitaev_memory_lifetime", "mu",
+     lambda v: kitaev_memory_lifetime(3, SimulationParams(1.0, 1.0), mu=v), [True, 2.0]),
+    ("block_flip_delta", "k", lambda v: block_flip_delta(_MEAN_FIELD, v), [1.5, True, "2"]),
+    ("integrate_master", "p0", lambda v: integrate_master(_SAW, (v, 0.5)), ["0.5"]),
+    ("integrate_master", "p0", lambda v: integrate_master(_SAW, (1.0 - v, v)),
+     [True, -1e-13, 1.0 + 1e-13]),
+]
+
+
+def _index_cases():
+    for entry, name, call, values in _INDEX_CASES:
+        for value in values:
+            yield pytest.param(name, call, value, id=f"{entry}-{name}-{value!r}")
+
+
+@pytest.mark.parametrize("name,call,value", _index_cases())
+def test_indices_and_p0_follow_the_number_rule(name, call, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+        call(value)
+
+
+def test_integer_indices_keep_their_range_messages():
+    for edges in ([-1], [18], np.array([18])):
+        with pytest.raises(ValueError, match="^invalid edge index"):
+            syndrome(KIT, edges)
+    with pytest.raises(ValueError, match="^block length k=6 out of range"):
+        block_flip_delta(_MEAN_FIELD, np.int64(6))
+    with pytest.raises(ValueError, match="^mu must be 1 or 2"):
+        logical_operator(KIT, 3)
+    with pytest.raises(ValueError, match="^p0 must be a finite 2-state probability vector"):
+        integrate_master(_SAW, (0.5, 0.6))
+    with pytest.raises(ValueError, match="^p0 must be a finite 2-state probability vector"):
+        integrate_master(_SAW, (0.5, 0.25, 0.25))
+
+
+def test_numpy_indices_and_p0_are_accepted():
+    assert syndrome(KIT, np.array([0, 4])) == syndrome(KIT, [0, 4])
+    assert Correction(np.array([3, 1]), 3).edges == {1, 3}
+    assert block_flip_delta(_MEAN_FIELD, np.int64(2)) == block_flip_delta(_MEAN_FIELD, 2)
+    assert logical_operator(KIT, np.int64(2)) == logical_operator(KIT, 2)
+    assert (integrate_master(_SAW, np.array([0.7, 0.3])).p_final.tolist()
+            == integrate_master(_SAW, (0.7, 0.3)).p_final.tolist())
+    assert integrate_master(_SAW, (1, 0)).work == integrate_master(_SAW, (1.0, 0.0)).work
