@@ -12,33 +12,33 @@ count or index (:func:`check_count`) is a non-bool integer, of at least its
 least value where it has one.  Anything else raises a ValueError that starts
 with the argument's name.
 
-Every trajectory reads its randomness from a tape (:class:`_Tape`) and from
-nothing else.  A seed is an integer >= 0.  Trajectory i of an ensemble with
-master seed s reads the tape of ``SeedSequence(s, spawn_key=(i,))``, so
-results never depend on how many workers ran them; a lone recorded trajectory
-reads ``SeedSequence(s)``.  A tape is drawn ``BLOCK`` triples (e, u1, u2) at a
-time from ``default_rng``, first ``standard_exponential(BLOCK)``, then
-``random((BLOCK, 2))`` (:meth:`_Tape.block`): ``next(tape)`` gives one triple,
-an exponential and two uniforms.  The lattice samplers read one triple per
-event (``dynamics`` gives that rule).  The two-level entropy-production
-sampler (``thermo``) reads them as follows: x_0 = 0 iff u1 of the first
-triple < p_init[0]; each coupled step starts its clock at the step's start
-and every thinning proposal reads the next triple: t += e / gamma, the step
-ends when t reaches its end, and otherwise the proposal flips the state iff
-u1 * gamma < the forward rate at t.  It does not use u2.  So every
-trajectory of that sampler, and of the mean-field first passage of
-``dynamics``, reads exactly one triple per round, and both step a batch of
-trajectories in lockstep (:func:`lockstep`), reading each row's tape a block
-at a time (:func:`blocks`).
+Every trajectory reads its randomness from its tape and from nothing else:
+the tape is the trajectory's own ``numpy.random.Generator``.  A seed is an
+integer >= 0.  Trajectory i of an ensemble with master seed s reads
+``default_rng(SeedSequence(s, spawn_key=(i,)))``, so results never depend on
+how many workers ran them; a lone recorded trajectory reads
+``default_rng(s)``.  A tape is drawn ``BLOCK`` triples (e, u1, u2) at a time,
+first ``standard_exponential(BLOCK)``, then ``random((BLOCK, 2))``: an
+exponential and two uniforms per triple.  Each sampler reads its tapes one
+way.  The lattice samplers read one triple per event (``dynamics`` gives that
+rule) through :func:`triples`.  The two-level entropy-production sampler
+(``thermo``) reads them as follows: x_0 = 0 iff u1 of the first triple <
+p_init[0]; each coupled step starts its clock at the step's start and every
+thinning proposal reads the next triple: t += e / gamma, the step ends when t
+reaches its end, and otherwise the proposal flips the state iff u1 * gamma <
+the forward rate at t.  It does not use u2.  So every trajectory of that
+sampler, and of the mean-field first passage of ``dynamics``, reads exactly
+one triple per round, and both step their tapes together, a block of each at
+a time (:func:`blocks`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 
 def heat_bath(x: float) -> float:
@@ -98,85 +98,61 @@ def check_real(name: str, value, least=None, above=None, most=None, inf=False) -
     return x
 
 
-BLOCK = 64  # triples per tape refill; part of the stream's definition
+BLOCK = 64  # triples per block; part of the stream's definition
 
 
-class _Tape:
-    """A trajectory's random numbers: ``next(tape)`` gives one (e, u1, u2).
+def _block(rng, exps=None, unis=None):
+    """The next ``BLOCK`` triples of a tape: exponentials of shape (BLOCK,) and
+    the uniform pairs (u1, u2) of shape (BLOCK, 2), written into ``exps`` and
+    ``unis`` when they are given."""
+    return rng.standard_exponential(BLOCK, out=exps), rng.random((BLOCK, 2), out=unis)
 
-    A reader takes either one triple at a time or whole blocks, never both.
-    """
 
-    __slots__ = ("rng", "exps", "unis", "i")
+def triples(rng):
+    """The tape ``rng`` read one (e, u1, u2) per ``next``."""
+    while True:
+        exps, unis = _block(rng)
+        yield from zip(exps.tolist(), *unis.T.tolist())
 
-    def __init__(self, ss):
-        self.rng = np.random.default_rng(ss)
-        self.i = BLOCK
 
-    def block(self, exps=None, unis=None):
-        """The next ``BLOCK`` triples: exponentials of shape (BLOCK,) and the
-        uniform pairs (u1, u2) of shape (BLOCK, 2), written into ``exps`` and
-        ``unis`` when they are given."""
-        return (self.rng.standard_exponential(BLOCK, out=exps),
-                self.rng.random((BLOCK, 2), out=unis))
-
-    def __next__(self):
-        i = self.i
-        if i == BLOCK:
-            exps, unis = self.block()
-            self.exps, self.unis = exps.tolist(), unis.tolist()
-            i = 0
-        self.i = i + 1
-        u1, u2 = self.unis[i]
-        return self.exps[i], u1, u2
+def blocks(rngs):
+    """The next block of each tape, one row per tape: its exponentials and its u1s."""
+    exps, unis = np.empty((len(rngs), BLOCK)), np.empty((len(rngs), BLOCK, 2))
+    for rng, e, u in zip(rngs, exps, unis):
+        _block(rng, e, u)
+    return exps, unis[:, :, 0].copy()
 
 
 def each(one, *args) -> list:
-    """``one(*common, tape)`` for each tape, where ``args`` is ``*common, tapes``:
-    the batch of a sampler that runs its trajectories one at a time."""
-    *common, tapes = args
-    return [one(*common, tape) for tape in tapes]
+    """``one(*common, triples(rng))`` for each tape, where ``args`` is ``*common,
+    rngs``: the batch of a sampler that runs its trajectories one at a time."""
+    *common, rngs = args
+    return [one(*common, triples(rng)) for rng in rngs]
 
 
-_ROWS = 1024  # trajectories stepped together: bounds the block arrays' memory
-
-
-def lockstep(step, *args) -> list:
-    """``step(*common, rows)`` on successive lists of up to ``_ROWS`` tapes,
-    where ``args`` is ``*common, tapes``: the batch of a sampler that steps
-    its trajectories together."""
-    *common, tapes = args
-    out = []
-    while rows := list(itertools.islice(tapes, _ROWS)):
-        out += step(*common, rows)
-    return out
-
-
-def blocks(tapes):
-    """The next block of each tape, one row per tape: its exponentials and its u1s."""
-    exps, unis = np.empty((len(tapes), BLOCK)), np.empty((len(tapes), BLOCK, 2))
-    for tape, e, u in zip(tapes, exps, unis):
-        tape.block(e, u)
-    return exps, unis[:, :, 0].copy()
+_ROWS = 1024  # tapes per batch call: bounds the lockstep block arrays' memory
 
 
 def _chunk(args):
     batch, common, master_seed, lo, hi = args
-    return batch(*common, (_Tape(np.random.SeedSequence(master_seed, spawn_key=(i,)))
-                           for i in range(lo, hi)))
+    out = []
+    for start in range(lo, hi, _ROWS):
+        out += batch(*common, [default_rng(SeedSequence(master_seed, spawn_key=(i,)))
+                               for i in range(start, min(start + _ROWS, hi))])
+    return out
 
 
 def run_chunks(batch, common: tuple, master_seed, n_traj: int, workers: int) -> list:
-    """``batch(*common, tapes)`` on contiguous chunks of the ensemble, joined in
+    """``batch(*common, rngs)`` on contiguous chunks of the ensemble, joined in
     index order.
 
-    ``tapes`` iterates, once and lazily, over the tapes of a chunk's
-    trajectories in index order, and ``batch`` returns one result per tape
-    (:func:`each` runs a one-trajectory sampler on each, :func:`lockstep`
-    steps them together).  With
-    ``workers > 1`` the index range is split into contiguous chunks run in a
-    process pool (``batch`` and ``common`` must pickle).  Each trajectory
-    depends only on its index, so the result is the same for any worker count.
+    ``rngs`` is a list of at most ``_ROWS`` tapes, the Generators of
+    consecutive trajectories in index order, and ``batch`` returns one result
+    per tape (:func:`each` runs a one-trajectory sampler on each; a lockstep
+    sampler steps them together).  With ``workers > 1`` the index range is
+    split into contiguous chunks run in a process pool (``batch`` and
+    ``common`` must pickle).  Each trajectory depends only on its index, so
+    the result is the same for any worker count.
 
     Raises:
         ValueError: ``master_seed`` < 0, ``workers`` < 1, or either not an integer.

@@ -18,7 +18,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -268,21 +267,16 @@ def _apply_overrides(config, overrides):
     return config
 
 
-def _workers(config, flag):
-    """The ``--workers`` flag, then the config key, then MEMLAB_WORKERS, then 1."""
-    if flag is not None or "workers" in config:
-        return config["workers"] if flag is None else flag
-    return _derive("'workers' (MEMLAB_WORKERS)", int, os.environ.get("MEMLAB_WORKERS", "1"))
-
-
 def run(config: dict, workers_flag: int | None = None) -> tuple[str, str]:
     """Validate, dispatch, and write outputs; returns (csv_path, manifest_path).
 
-    A ValueError, from a key's check or from the run (a size limit, say), is
+    ``workers_flag``, when given, overrides the config's ``workers``.  A
+    ValueError, from a key's check or from the run (a size limit, say), is
     raised as a ConfigError.
     """
     try:
-        experiment, c = _validate({**config, "workers": _workers(config, workers_flag)})
+        experiment, c = _validate(config if workers_flag is None
+                                  else {**config, "workers": workers_flag})
         start = time.monotonic()
         rows = experiment.runner(c)
     except ValueError as exc:

@@ -38,7 +38,7 @@ class Correction:
 
     Args:
         edges: edges to flip.
-        L: linear lattice size the correction belongs to.
+        L: linear lattice size the correction belongs to (an integer >= 2).
         method: ``"exact"`` (optimal pairing) or ``"greedy"`` (fallback).
     """
 
@@ -49,6 +49,7 @@ class Correction:
     def __post_init__(self):
         object.__setattr__(self, "edges",
                            frozenset(check_count("edges", e, least=0) for e in self.edges))
+        object.__setattr__(self, "L", check_count("L", self.L, 2))
 
     @property
     def weight(self) -> int:

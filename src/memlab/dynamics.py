@@ -16,15 +16,15 @@ key a flip can change, and the flip itself with its tracked observable
 The geometry comes from the model's tables: ring and torus Ising read one
 ``neighbours`` table, the toric code its edge/plaquette incidence tables.
 
-Every trajectory reads one (e, u1, u2) triple per event from its tape
-(``_shared._Tape``; the ``_shared`` docstring fixes how tapes are drawn and
-seeded).  The draw rule is fixed so that any implementation reproduces it
-exactly: ``total`` is the sum of bucket size times rate in class-key order,
-added one class at a time from 0.0; the waiting time is e / total; the
-class is the first one of positive weight whose running sum exceeds
-u1 * total (the last one of positive weight if rounding makes u1 * total
-equal total); the site is the min(int(u2 * n), n - 1)-th of the class's n
-members in ascending site order.
+Every trajectory reads one (e, u1, u2) triple per event from its tape, its
+own ``numpy.random.Generator`` read through ``_shared.triples`` (the
+``_shared`` docstring fixes how tapes are drawn and seeded).  The draw rule
+is fixed so that any implementation reproduces it exactly: ``total`` is the
+sum of bucket size times rate in class-key order, added one class at a time
+from 0.0; the waiting time is e / total; the class is the first one of
+positive weight whose running sum exceeds u1 * total (the last one of
+positive weight if rounding makes u1 * total equal total); the site is the
+min(int(u2 * n), n - 1)-th of the class's n members in ascending site order.
 
 One event loop drives every trajectory but one case.  Recorded runs,
 first-passage runs and toric-code memory runs differ only in the hooks they
@@ -47,8 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import (BLOCK, _Tape, blocks, check_count, check_real, each, flip_rates,
-                      lockstep, run_chunks)
+from ._shared import BLOCK, blocks, check_count, check_real, each, flip_rates, run_chunks, triples
 from .lattice import (LatticeModel, SpinConfiguration, Syndrome, _as_error_set,
                       _as_spins, build_model, crossing_sign)
 from . import decoder as _decoder_mod
@@ -101,9 +100,10 @@ class TrajectoryRecord:
     final_state: object = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LifetimeResult:
-    """First-passage ensemble summary; censored runs enter at t_max (lower bound)."""
+    """First-passage ensemble summary; censored runs enter at t_max (lower bound).
+    Equality is identity."""
 
     mean: float
     stderr: float
@@ -288,7 +288,7 @@ def _sampler(model: LatticeModel, beta: float, initial=None, name: str = "initia
     return _LocalFieldSampler(model, beta, initial)
 
 
-def _evolve(sampler: _Sampler, tape: _Tape, t_max: float, cadence=None,
+def _evolve(sampler: _Sampler, tape, t_max: float, cadence=None,
             on_probe=None, on_event=None, stop=None) -> tuple[float, bool]:
     """Run one trajectory from t = 0; returns the time it ended and whether
     it ended at the horizon ``t_max`` (censored).
@@ -375,7 +375,7 @@ def simulate_trajectory(model: LatticeModel, params: SimulationParams,
         tag = sampler.tags[sampler.key_of[site]]
         record.events.append((t, EventClass(tag, site, rate)))
 
-    _evolve(sampler, _Tape(np.random.SeedSequence(seed)), params.t_max,
+    _evolve(sampler, triples(np.random.default_rng(seed)), params.t_max,
             params.probe_cadence, probe, event)
     record.final_state = sampler.final_state()
     return record
@@ -494,7 +494,7 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
         raise ValueError("Kitaev2D needs an explicit predicate: the default "
                          "(magnetization sign) does not apply to the toric code")
     if predicate is None and model.kind == "IsingMeanField":
-        batch = lockstep, (_mean_field_walk, model, params)
+        batch = _mean_field_walk, (model, params)
     else:
         batch = each, (_first_passage_once, model, params, predicate)
     return _summarize(run_chunks(*batch, seed, params.n_traj, workers))

@@ -529,9 +529,10 @@ class SegmentRecord:
     delta_u: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MasterSolution:
-    """Time-resolved populations and the work/heat integrals of a protocol."""
+    """Time-resolved populations and the work/heat integrals of a protocol;
+    equality is identity."""
 
     ts: np.ndarray
     ps: np.ndarray       # (K, 2) populations

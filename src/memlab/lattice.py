@@ -30,7 +30,7 @@ KINDS = ("Ising1D", "IsingMeanField", "Ising2D", "Kitaev2D")
 
 @dataclass(frozen=True)
 class SpinConfiguration:
-    """Ordered +-1 spins of a lattice model.
+    """Ordered +-1 spins of a lattice model; equal spins compare and hash equal.
 
     Args:
         spins: sequence of +-1 values, one per site (stored as int8).
@@ -46,6 +46,14 @@ class SpinConfiguration:
         if arr.dtype.kind not in "biuf" or not np.all(np.abs(arr) == 1):
             raise ValueError("spins must take values +1 or -1")
         object.__setattr__(self, "spins", arr.astype(np.int8))
+
+    def __eq__(self, other):
+        if not isinstance(other, SpinConfiguration):
+            return NotImplemented
+        return np.array_equal(self.spins, other.spins)
+
+    def __hash__(self):
+        return hash(self.spins.tobytes())
 
     @property
     def n(self) -> int:
@@ -111,6 +119,7 @@ class LatticeModel:
     Fields `edge_stars` etc. are precomputed incidence tables (Kitaev2D only);
     ``neighbours`` lists each site's nearest neighbours (Ising1D, Ising2D).
     The tables are read-only; models of one Kitaev2D size share theirs.
+    They follow from the other fields, so models compare and hash by those.
     A model holds no temperature: every rate computation takes ``beta``.
     """
 
@@ -120,12 +129,12 @@ class LatticeModel:
     L: int | None = None
     move_rate: float = 1.0
     # Kitaev2D incidence tables (None for Ising kinds)
-    edge_plaquettes: np.ndarray | None = field(default=None, repr=False)
-    edge_stars: np.ndarray | None = field(default=None, repr=False)
-    plaquette_edges: np.ndarray | None = field(default=None, repr=False)
-    star_edges: np.ndarray | None = field(default=None, repr=False)
+    edge_plaquettes: np.ndarray | None = field(default=None, repr=False, compare=False)
+    edge_stars: np.ndarray | None = field(default=None, repr=False, compare=False)
+    plaquette_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
+    star_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
     # Ising1D / Ising2D neighbour table
-    neighbours: np.ndarray | None = field(default=None, repr=False)
+    neighbours: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -154,9 +154,10 @@ def _isometry_kraus(z: np.ndarray, dim: int, n_kraus: int) -> np.ndarray:
 # states, channels and the checks on them
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive matrix of dimension at most 64."""
+    """Hermitian, unit-trace, positive matrix of dimension at most 64; equality
+    is identity."""
 
     matrix: np.ndarray
 
@@ -176,13 +177,13 @@ class DensityMatrix:
         return _spectra(self.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map in Kraus form.
 
     ``kraus`` is one read-only complex (n_kraus, d_out, d_in) array.  The
     constructor takes any iterable of equal-shape matrices, a 3-D array
-    included.
+    included.  Equality is identity.
     """
 
     kraus: np.ndarray

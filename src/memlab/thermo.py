@@ -6,9 +6,10 @@ register, and trajectory entropy-production statistics for the fluctuation
 relation.  Trajectories walk the same ``ProtocolSchedule.steps`` as the
 master solve, with the float operations of ``Segment.energies`` and the rate
 law of ``two_level_rates``, so both see identical drives.  A trajectory's
-randomness is its tape from ``_shared.run_chunks``, read by the rule in the
-``_shared`` docstring.  The sampler steps up to ``_shared._ROWS`` trajectories
-in lockstep, a tape block at a time, and each sample equals the one that rule
+randomness is its tape, the ``numpy.random.Generator`` that
+``_shared.run_chunks`` hands it, read by the rule in the ``_shared``
+docstring.  The sampler steps each list of up to ``_shared._ROWS`` tapes in
+lockstep, a block of each at a time, and each sample equals the one that rule
 gives when a trajectory is run alone, by ``==``.
 
 Sign convention: ``work_on_system`` is positive when energy flows into the
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import BLOCK, blocks, check_count, check_real, heat_bath, lockstep, run_chunks
+from ._shared import BLOCK, blocks, check_count, check_real, heat_bath, run_chunks
 from .exact import (Jump, MasterSolution, ProtocolSchedule, Segment, _rates_from,
                     integrate_master)
 
@@ -297,9 +298,10 @@ def _sigma_lockstep(schedule: ProtocolSchedule, p_init, p_fin, rates, tapes) -> 
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntropyProductionResult:
-    """Per-trajectory entropy production samples and their summary."""
+    """Per-trajectory entropy production samples and their summary; equality is
+    identity."""
 
     samples: np.ndarray
     mean_sigma: float
@@ -332,7 +334,7 @@ def entropy_production_samples(schedule: ProtocolSchedule, n_traj: int,
         p0 = (1.0 - p1, p1)
     p0 = tuple(check_real("p0", v, least=0, most=1) for v in p0)
     p_fin = tuple(integrate_master(schedule, p0, rates=rates).p_final)
-    samples = np.asarray(run_chunks(lockstep, (_sigma_lockstep, schedule, p0, p_fin, rates),
+    samples = np.asarray(run_chunks(_sigma_lockstep, (schedule, p0, p_fin, rates),
                                     seed, n_traj, workers))
     ift = np.exp(-samples)
     n = len(samples)

@@ -243,7 +243,7 @@ def test_unwritable_output_exits_two(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
-def test_nonpositive_workers_rejected(tmp_path, capsys, monkeypatch):
+def test_nonpositive_workers_rejected(tmp_path, capsys):
     cfg, _ = _gap_config(tmp_path)
     assert main(["run", cfg, "--workers", "0"]) == 1
     assert "workers" in capsys.readouterr().err
@@ -251,9 +251,6 @@ def test_nonpositive_workers_rejected(tmp_path, capsys, monkeypatch):
     for raw in ("two", "2.7", "true", "0"):
         assert main(["run", cfg, "--override", f"workers={raw}"]) == 1
         assert "workers" in capsys.readouterr().err
-    monkeypatch.setenv("MEMLAB_WORKERS", "abc")
-    assert main(["run", cfg]) == 1
-    assert "workers" in capsys.readouterr().err
 
 
 _SIZED = {

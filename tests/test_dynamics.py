@@ -20,7 +20,7 @@ from memlab import (
 )
 
 import memlab.decoder
-from memlab._shared import BLOCK, _Tape
+from memlab._shared import BLOCK, triples
 from memlab.decoder import decode_matching
 from memlab.dynamics import _sampler
 
@@ -353,7 +353,7 @@ def test_draw_reads_one_triple_by_the_rule():
 
 def test_tape_reads_blocks_of_exponentials_then_uniform_pairs():
     ss = np.random.SeedSequence(99, spawn_key=(4,))
-    tape = _Tape(ss)
+    tape = triples(np.random.default_rng(ss))
     rng = np.random.default_rng(ss)
     for _ in range(3):
         exps = rng.standard_exponential(BLOCK).tolist()
@@ -449,6 +449,18 @@ def test_first_passage_worker_invariance():
     parallel = first_passage(model, params, seed=77, workers=4)
     assert np.array_equal(serial.times, parallel.times)
     assert serial.mean == parallel.mean
+
+
+def test_one_at_a_time_ensembles_cross_the_1024_tape_list():
+    """1030 ring trajectories reach the event loop in lists of 1024 and 6 tapes
+    at one worker, and of 343, 343 and 344 at three: no trajectory moves."""
+    model = build_model("Ising1D", N=4)
+    params = SimulationParams(beta=0.5, t_max=50.0, n_traj=1030)
+    times = first_passage(model, params, seed=21).times.tolist()
+    for k in (1, 1024, 1025):
+        head = first_passage(model, SimulationParams(0.5, 50.0, n_traj=k), seed=21)
+        assert head.times.tolist() == times[:k]
+    assert first_passage(model, params, seed=21, workers=3).times.tolist() == times
 
 
 @pytest.mark.parametrize("workers", [2.5, 0, -3, True])

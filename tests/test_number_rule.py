@@ -209,6 +209,7 @@ _MEAN_FIELD = build_model("IsingMeanField", N=6)
 _INDEX_CASES = [
     ("Syndrome", "anyons", lambda v: Syndrome({v, 2}, "plaquette"), [1.5, True, "1", -1]),
     ("Correction", "edges", lambda v: Correction([v], 3), [1.9, True, "1", -1]),
+    ("Correction", "L", lambda v: Correction([], v), [2.5, True, 1]),
     ("LogicalOperator", "support", lambda v: LogicalOperator(1, "Z-type", [v]),
      [0.5, True, -1]),
     ("LogicalOperator", "mu", lambda v: LogicalOperator(v, "Z-type", [0]), [True, 1.0]),

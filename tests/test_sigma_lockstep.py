@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memlab import Jump, ProtocolSchedule, Segment, entropy_production_samples, sawtooth_schedule
-from memlab._shared import _Tape
+from memlab import _shared
 
 from _oracles import sigma_samples_by_rule
 from test_ledger_golden import SCHEDULES
@@ -44,13 +44,13 @@ def test_rows_that_need_a_third_block_follow_the_rule(monkeypatch):
     against ``2 * BLOCK`` = 128 in two blocks: some rows of the batch read a
     third block, the others finish within two."""
     blocks = collections.Counter()
-    draw = _Tape.block
+    draw = _shared._block
 
-    def counted(tape, *out):
-        blocks[id(tape)] += 1
-        return draw(tape, *out)
+    def counted(rng, *out):
+        blocks[id(rng)] += 1
+        return draw(rng, *out)
 
-    monkeypatch.setattr(_Tape, "block", counted)
+    monkeypatch.setattr(_shared, "_block", counted)
     _assert_follows_the_rule(sawtooth_schedule(40, 1.0, 2.0), 500, seed=8)
     monkeypatch.undo()
     per_row = collections.Counter(blocks.values())  # rows by blocks read
