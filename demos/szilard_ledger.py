@@ -31,8 +31,7 @@ def main():
     print(f"  {'stroke':<10} {'work on':>10} {'heat in':>10} {'dU':>10}")
     for seg in ledger.segments:
         print(f"  {seg.label:<10} {seg.work:>10.5f} {seg.heat:>10.5f} {seg.delta_u:>10.5f}")
-    print(f"  {'total':<10} {ledger.work_on_system:>10.5f} {ledger.heat_into_system:>10.5f}"
-          f" {ledger.internal_energy_change:>10.5f}")
+    print(f"  {'total':<10} {ledger.work:>10.5f} {ledger.heat:>10.5f} {ledger.delta_u:>10.5f}")
     print(f"  first-law residual: {ledger.first_law_residual():.2e}")
     print(f"  extracted {ledger.extracted_work:.5f}, reversible limit "
           f"{quasistatic(E_MAX, BETA):.5f}, kT ln 2 = {math.log(2.0):.5f}\n")

@@ -27,9 +27,8 @@ from .qtoolkit import (ContractionReport, DensityMatrix, ErasureBalance,
                        random_density, repetition_code_channels,
                        toolkit_sweep, trace_distance)
 from .thermo import (CycleResult, EntropyProductionResult, MemoryModel,
-                     WorkLedger, cycle_zero_crossing,
-                     entropy_production_samples, memory_engine_cycle,
-                     sawtooth_schedule, szilard_run)
+                     cycle_zero_crossing, entropy_production_samples,
+                     memory_engine_cycle, sawtooth_schedule, szilard_run)
 
 __all__ = [
     "__version__",
@@ -49,9 +48,9 @@ __all__ = [
     "spectral_gap", "Segment", "Jump", "ProtocolSchedule", "SegmentRecord",
     "MasterSolution", "integrate_master", "two_level_rates",
     # thermo
-    "WorkLedger", "MemoryModel", "CycleResult", "szilard_run",
-    "memory_engine_cycle", "cycle_zero_crossing", "sawtooth_schedule",
-    "entropy_production_samples", "EntropyProductionResult",
+    "MemoryModel", "CycleResult", "szilard_run", "memory_engine_cycle",
+    "cycle_zero_crossing", "sawtooth_schedule", "entropy_production_samples",
+    "EntropyProductionResult",
     # qtoolkit
     "DensityMatrix", "QuantumChannel", "ContractionReport", "IsometryReport",
     "ErasureBalance", "entropy", "trace_distance", "apply_channel",

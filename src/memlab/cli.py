@@ -179,8 +179,7 @@ def _ramp_rows(c, cycle_mode):
                                      rates=rates)
                 net = ledger.extracted_work
                 flag = net > LN2 / beta * (1.0 + 1e-9)
-            rows.append((p, c["beta_E"], ramp, ledger.work_on_system,
-                         ledger.heat_into_system, net, flag))
+            rows.append((p, c["beta_E"], ramp, ledger.work, ledger.heat, net, flag))
     return rows
 
 

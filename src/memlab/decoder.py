@@ -174,16 +174,20 @@ def decode_matching(syn: Syndrome, L: int) -> Correction:
     """Correction from minimum total geodesic distance pairing of the syndrome.
 
     Args:
-        syn: even-cardinality syndrome.
-        L: linear lattice size.
+        syn: even-cardinality syndrome, its anyons stabilizers 0 .. L^2 - 1.
+        L: linear lattice size (an integer >= 2).
 
     Returns:
         A :class:`Correction` whose syndrome reproduces ``syn``; the union of
         matched-pair paths is combined by symmetric difference.
     """
+    L = check_count("L", L, 2)
     anyons = sorted(syn.anyons)
     if len(anyons) % 2:
         raise ValueError("syndrome has odd anyon number")
+    if anyons and anyons[-1] >= L * L:
+        raise ValueError(f"anyon {anyons[-1]} is not a stabilizer of the L={L} torus "
+                         f"(indices 0 .. {L * L - 1})")
     if not anyons:
         return Correction(frozenset(), L)
     dist = _distance_matrix(anyons, L)

@@ -531,8 +531,13 @@ class SegmentRecord:
 
 @dataclass(frozen=True, eq=False)
 class MasterSolution:
-    """Time-resolved populations and the work/heat integrals of a protocol;
-    equality is identity."""
+    """Time-resolved populations and the work/heat ledger of a protocol;
+    equality is identity.
+
+    ``work`` is done on the system and ``heat`` flows into it, so both are
+    positive when energy enters; ``delta_u`` is U(end) - U(start), and
+    ``segments`` holds one SegmentRecord per interval or jump.
+    """
 
     ts: np.ndarray
     ps: np.ndarray       # (K, 2) populations
@@ -542,6 +547,17 @@ class MasterSolution:
     delta_u: float
     segments: tuple
     p_final: np.ndarray
+
+    @property
+    def extracted_work(self) -> float:
+        return -self.work
+
+    def first_law_residual(self) -> float:
+        """Worst relative |dU - W - Q| over the whole run and each segment:
+        zero up to quadrature rounding, the ledger invariant."""
+        return max(abs(du - w - q) / max(abs(du), abs(w), abs(q), 1.0)
+                   for du, w, q in [(self.delta_u, self.work, self.heat)]
+                   + [(s.delta_u, s.work, s.heat) for s in self.segments])
 
 
 PANEL_NODES = 24  # Gauss-Legendre nodes per quadrature panel

@@ -33,7 +33,8 @@ class SpinConfiguration:
     """Ordered +-1 spins of a lattice model; equal spins compare and hash equal.
 
     Args:
-        spins: sequence of +-1 values, one per site (stored as int8).
+        spins: sequence of +-1 values, one per site (stored as a read-only
+            int8 copy).
     """
 
     spins: np.ndarray
@@ -45,7 +46,9 @@ class SpinConfiguration:
         # check before the cast, which would truncate 1.5 or wrap 257 to +-1
         if arr.dtype.kind not in "biuf" or not np.all(np.abs(arr) == 1):
             raise ValueError("spins must take values +1 or -1")
-        object.__setattr__(self, "spins", arr.astype(np.int8))
+        spins = arr.astype(np.int8)  # a copy: the caller's array stays writable
+        spins.flags.writeable = False  # the hash reads the spins, so they cannot change
+        object.__setattr__(self, "spins", spins)
 
     def __eq__(self, other):
         if not isinstance(other, SpinConfiguration):

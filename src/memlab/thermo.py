@@ -12,8 +12,8 @@ docstring.  The sampler steps each list of up to ``_shared._ROWS`` tapes in
 lockstep, a block of each at a time, and each sample equals the one that rule
 gives when a trajectory is run alone, by ``==``.
 
-Sign convention: ``work_on_system`` is positive when energy flows into the
-system; extracted work is its negative.
+The ledger is the master solve's ``MasterSolution``: ``work`` is positive
+when energy flows into the system, and ``extracted_work`` is its negative.
 """
 
 from __future__ import annotations
@@ -28,47 +28,6 @@ from .exact import (Jump, MasterSolution, ProtocolSchedule, Segment, _rates_from
                     integrate_master)
 
 LN2 = math.log(2.0)
-
-
-@dataclass(frozen=True)
-class WorkLedger:
-    """Time-resolved energy accounting of one driven protocol.
-
-    Attributes:
-        work_on_system: total work done on the system (k_B T units are 1/beta).
-        heat_into_system: total heat absorbed from the bath.
-        internal_energy_change: U(end) - U(start).
-        segments: per-interval SegmentRecord breakdown (jumps included).
-        beta: inverse temperature, recording the k_B T = 1/beta unit scale.
-    """
-
-    work_on_system: float
-    heat_into_system: float
-    internal_energy_change: float
-    segments: tuple
-    beta: float
-
-    @property
-    def extracted_work(self) -> float:
-        return -self.work_on_system
-
-    def first_law_residual(self) -> float:
-        """Relative size of dU - W - Q, over the whole run and per segment.
-
-        Zero up to quadrature rounding; the ledger invariant.
-        """
-        def rel(du, w, q):
-            return abs(du - w - q) / max(abs(du), abs(w), abs(q), 1.0)
-
-        worst = rel(self.internal_energy_change, self.work_on_system,
-                    self.heat_into_system)
-        for seg in self.segments:
-            worst = max(worst, rel(seg.delta_u, seg.work, seg.heat))
-        return worst
-
-    @classmethod
-    def from_solution(cls, sol: MasterSolution, beta: float) -> "WorkLedger":
-        return cls(sol.work, sol.heat, sol.delta_u, sol.segments, beta)
 
 
 @dataclass(frozen=True)
@@ -106,7 +65,7 @@ class MemoryModel:
 
 
 def szilard_run(E_max: float, ramp_time: float, beta: float, p_init: float,
-                gamma: float = 1.0, rates: str = "heat-bath") -> WorkLedger:
+                gamma: float = 1.0, rates: str = "heat-bath") -> MasterSolution:
     """One extraction stroke: sudden raise of the believed-empty level, slow return.
 
     The upper level is quenched from 0 to ``E_max`` while decoupled (work
@@ -115,7 +74,7 @@ def szilard_run(E_max: float, ramp_time: float, beta: float, p_init: float,
     extracting work as it re-populates.  ``ramp_time = 0`` degenerates to a
     pair of back-to-back quenches with zero net work.
 
-    Returns the WorkLedger; the quasi-static limit extracts
+    Returns the master solve's MasterSolution; the quasi-static limit extracts
     (ln 2 - ln(1 + e^(-beta E_max))) / beta.
     """
     E_max = check_real("E_max", E_max, above=0)
@@ -132,18 +91,17 @@ def szilard_run(E_max: float, ramp_time: float, beta: float, p_init: float,
             segments=(Segment(0.0, 1.0, eps0=(0.0, 0.0), eps1=(0.0, 0.0),
                               coupled=False),),
             jumps=(raise_jump, lower_jump), gamma=gamma, beta=beta)
-    sol = integrate_master(schedule, (1.0 - p_init, p_init), rates=rates)
-    return WorkLedger.from_solution(sol, beta)
+    return integrate_master(schedule, (1.0 - p_init, p_init), rates=rates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleResult:
-    """Outcome of one memory-powered engine cycle."""
+    """Outcome of one memory-powered engine cycle; equality is identity."""
 
     net_extracted: float
     violation: bool
     measurement_cost: float
-    ledger: WorkLedger
+    ledger: MasterSolution
     memory: MemoryModel
 
 

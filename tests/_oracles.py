@@ -5,6 +5,7 @@ Everything here is deliberately written from scratch against the definitions
 code paths, so agreement is meaningful.
 """
 
+import functools
 import itertools
 import math
 
@@ -60,6 +61,67 @@ def absorbing_mfpt(model, beta):
     transient = x[M > 0]
     tau = np.linalg.solve(Q[np.ix_(transient, transient)].T, -np.ones(len(transient)))
     return float(tau[0])
+
+
+@functools.cache
+def _trivial_star_block(L, beta):
+    """Coset representatives of the toric code at L, and the eigenpairs of the
+    trivial star block S = D^-1 G D of their chain, D = diag(e^(-beta E / 2)).
+
+    Both readouts are functions of the star coset, so the trivial block is an
+    exact chain for them.  One eigensolve per (L, beta) serves every readout.
+    """
+    from memlab.exact import StarBlocks
+    from memlab.lattice import build_model
+
+    blocks = StarBlocks(build_model("Kitaev2D", L=L), beta)
+    d = np.exp(-0.5 * beta * blocks.energies)
+    S = blocks.block(0).toarray()
+    G = d[:, None] * S / d  # rate of r -> r' at (r', r)
+    assert np.abs(G.sum(axis=0)).max() < 1e-9 * np.abs(np.diag(G)).max()
+    lam, V = np.linalg.eigh(S)
+    return blocks.reps, d, lam, V
+
+
+def probe_chain_lifetime(L, beta, decoder, t_max):
+    """Exact mean toric-code lifetime at the default probe cadence.
+
+    Probes fall at n tau, tau = e^(2 beta) / (4 L^2); the readout (bare: the
+    parity of errors on the row-0 horizontal edges, the Z-type loop mu = 1;
+    matching: that times the crossing parity of ``decode_matching``'s
+    correction) fails at the first probe reading -1, and a run with no failure
+    by the last probe, N = floor(t_max / tau), is censored at t_max.  With
+    M = P+ e^(G tau), P+ keeping the representatives that read +1, the
+    survival after n probes is S_n = 1^T M^n e0 and the mean lifetime is
+    tau sum_{n<N} S_n + (t_max - N tau) S_N.  On the states that read +1,
+    M = D A D^-1 with A the symmetric +1 part of e^(S tau); its eigenvalues
+    mu in [0, 1) give both terms in closed form, sum_{n<N} mu^n =
+    (1 - mu^N) / (1 - mu).
+    """
+    from memlab.decoder import decode_matching
+    from memlab.lattice import Syndrome
+
+    assert decoder in ("bare", "matching")
+    reps, d, lam, V = _trivial_star_block(L, beta)
+    tau = 0.5 * math.exp(2.0 * beta) / (2 * L * L)
+    row0 = (1 << L) - 1  # edges 0 .. L-1: row y = 0 of torus_edges
+    reads_plus = []
+    for r in reps.tolist():
+        if decoder == "matching":  # the readout of error xor correction
+            edges = [e for e in range(2 * L * L) if r >> e & 1]
+            syn = Syndrome(brute_plaquette_syndrome(edges, L), "plaquette")
+            r ^= sum(1 << e for e in decode_matching(syn, L).edges)
+        reads_plus.append((r & row0).bit_count() % 2 == 0)
+    keep = np.flatnonzero(reads_plus)
+    assert reps[keep[0]] == 0  # the clean state reads +1
+    A = (V[keep] * np.exp(lam * tau)) @ V[keep].T
+    mu, W = np.linalg.eigh(A)
+    assert mu.max() < 1.0  # the chain leaves the +1 states
+    weight = (W.T @ d[keep]) * (W[0] / d[keep[0]])  # S_n = sum(weight * mu^n)
+    n = math.floor(t_max / tau)
+    tail = mu ** n
+    return float(tau * np.sum(weight * (1.0 - tail) / (1.0 - mu))
+                 + (t_max - n * tau) * np.sum(weight * tail))
 
 
 def ring_energy(spins, J):

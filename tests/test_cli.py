@@ -126,7 +126,7 @@ def test_szilard_rows_round_trip_floats(tmp_path):
         ledger = szilard_run(5.0, float(row["ramp_time"]), 1.0,
                              float(row["p_init"]))
         # repr-formatted floats parse back to the exact value
-        assert float(row["work_on"]) == ledger.work_on_system
+        assert float(row["work_on"]) == ledger.work
         assert float(row["net_extracted"]) == ledger.extracted_work
         assert row["violation_flag"] == "0"
 

@@ -122,6 +122,17 @@ def test_odd_syndrome_is_rejected():
         Syndrome(frozenset({0, 1, 2}), "plaquette")
 
 
+@pytest.mark.parametrize("far", [9, 100])
+def test_anyons_off_the_torus_are_rejected(far):
+    # L = 3 has plaquettes 0-8; unchecked, 9 wraps onto plaquette 0 and 100 ends
+    # the geodesic walk at once, each decoding to an empty correction
+    with pytest.raises(ValueError, match=f"^anyon {far} is not a stabilizer of the L=3 torus"):
+        decode_matching(Syndrome(frozenset({0, far}), "plaquette"), 3)
+    model = build_model("Kitaev2D", L=3)
+    corr = decode_matching(Syndrome(frozenset({0, 8}), "plaquette"), 3)
+    assert syndrome(model, corr.edges) == Syndrome(frozenset({0, 8}), "plaquette")
+
+
 # --- dressed readout ----------------------------------------------------------
 
 

@@ -24,7 +24,7 @@ from memlab._shared import BLOCK, triples
 from memlab.decoder import decode_matching
 from memlab.dynamics import _sampler
 
-from _oracles import absorbing_mfpt, heat_bath, mean_field_mfpt
+from _oracles import absorbing_mfpt, heat_bath, mean_field_mfpt, probe_chain_lifetime
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +561,25 @@ def test_matching_outlives_bare_readout_on_average():
     assert bare.n_traj == dressed.n_traj == 80
     assert bare.censored == dressed.censored == 0
     assert dressed.mean > bare.mean
+
+
+@pytest.mark.parametrize("L,beta,decoder,exact", [
+    (2, 1.0, "bare", 2.3341),
+    (2, 1.0, "matching", 2.3341),
+    (3, 1.0, "bare", 1.2410),
+    (3, 1.0, "matching", 1.3134),
+    (3, 1.5, "matching", 3.0199),
+])
+def test_kitaev_lifetime_matches_the_probe_chain(L, beta, decoder, exact):
+    """The sampled lifetime is the exact mean failure time of the trivial
+    star block's chain, probed at the default cadence (ROADMAP item 2)."""
+    t_max = 1e6
+    lifetime = probe_chain_lifetime(L, beta, decoder, t_max)
+    assert abs(lifetime - exact) < 1e-4
+    res = kitaev_memory_lifetime(L, SimulationParams(beta=beta, t_max=t_max, n_traj=4000),
+                                 decoder=decoder, seed=1)
+    assert res.censored == 0
+    assert abs(res.mean - lifetime) < 4.0 * res.stderr
 
 
 def test_kitaev_lifetime_worker_invariance():

@@ -9,8 +9,9 @@ works.
 import numpy as np
 import pytest
 
-from memlab import (DensityMatrix, QuantumChannel, SimulationParams, SpinConfiguration,
-                    build_model, entropy_production_samples, first_passage, integrate_master,
+from memlab import (DensityMatrix, MemoryModel, QuantumChannel, SimulationParams,
+                    SpinConfiguration, build_model, entropy_production_samples,
+                    first_passage, integrate_master, memory_engine_cycle,
                     sawtooth_schedule)
 
 # name: (make, a different value of the same type)
@@ -31,6 +32,7 @@ BY_IDENTITY = {
                                             SimulationParams(1.0, 5.0, n_traj=3), seed=1),
     "EntropyProductionResult": lambda: entropy_production_samples(
         sawtooth_schedule(1, 1.0, 2.0), 3, seed=1),
+    "CycleResult": lambda: memory_engine_cycle(MemoryModel(0.1), 5.0, 10.0, 1.0),
 }
 
 
@@ -62,3 +64,14 @@ def test_spins_compare_after_the_int8_cast():
     assert SpinConfiguration([1, -1]) == SpinConfiguration(np.array([1.0, -1.0]))
     assert hash(SpinConfiguration([1, -1])) == hash(SpinConfiguration(np.array([1.0, -1.0])))
     assert SpinConfiguration([1, -1]) != SpinConfiguration([1, -1, 1])
+
+
+def test_spins_are_read_only_and_leave_the_input_writable():
+    given = np.array([1, -1, 1], dtype=np.int8)
+    c = SpinConfiguration(given)
+    seen = {c}
+    with pytest.raises(ValueError, match="read-only"):
+        c.spins[0] = -1
+    assert c in seen
+    given[0] = -1  # the configuration holds its own copy
+    assert given.flags.writeable and c.spins.tolist() == [1, -1, 1]

@@ -118,6 +118,5 @@ SZILARD_CASES = {
 @pytest.mark.parametrize("ramp_time,rates", sorted(SZILARD_CASES))
 def test_szilard_stroke_ledger(ramp_time, rates):
     ledger = szilard_run(2.0, ramp_time, 1.2, 0.15, gamma=0.9, rates=rates)
-    fields = (ledger.work_on_system, ledger.heat_into_system,
-              ledger.internal_energy_change, ledger.segments)
+    fields = (ledger.work, ledger.heat, ledger.delta_u, ledger.segments)
     assert _sha(fields) == SZILARD_CASES[ramp_time, rates]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memlab import (Jump, ProtocolSchedule, Segment, WorkLedger, build_model,
+from memlab import (Jump, ProtocolSchedule, Segment, build_model,
                     entropy_production_samples, integrate_master, sawtooth_schedule)
 
 from _oracles import master_dop853
@@ -90,7 +90,7 @@ def _schedules(draw):
        rates=st.sampled_from(["heat-bath", "metropolis"]))
 def test_first_law_and_bounds_on_random_schedules(schedule, q0, rates):
     sol = integrate_master(schedule, (1.0 - q0, q0), rates=rates)
-    assert WorkLedger.from_solution(sol, schedule.beta).first_law_residual() <= 1e-12
+    assert sol.first_law_residual() <= 1e-12
     assert np.all((sol.ps >= 0.0) & (sol.ps <= 1.0))
 
 

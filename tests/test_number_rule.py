@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from memlab.decoder import Correction, is_logical_failure
+from memlab.decoder import Correction, decode_matching, is_logical_failure
 from memlab.dynamics import (SimulationParams, classify_flip, kitaev_memory_lifetime,
                              simulate_trajectory)
 from memlab.exact import (Jump, ProtocolSchedule, Segment, StarBlocks, build_generator,
@@ -110,7 +110,8 @@ def test_infinity_numpy_scalars_and_plain_ints_are_accepted():
     assert build_generator(RING, 0).beta == 0.0  # beta = 0 is the infinite temperature
     assert (build_generator(RING, np.float64(0.7)).matrix
             != build_generator(RING, 0.7).matrix).nnz == 0
-    assert szilard_run(5, 1, np.int64(1), 0) == szilard_run(5.0, 1.0, 1.0, 0.0)
+    a, b = szilard_run(5, 1, np.int64(1), 0), szilard_run(5.0, 1.0, 1.0, 0.0)
+    assert (a.work, a.heat, a.delta_u, a.segments) == (b.work, b.heat, b.delta_u, b.segments)
     assert sawtooth_schedule(np.int64(2), 1, np.float64(2.0)) == sawtooth_schedule(2, 1.0, 2.0)
     assert cycle_zero_crossing(5, 150, 1, lo=0, hi=np.float64(0.5), tol=1e-3) == \
         cycle_zero_crossing(5.0, 150.0, 1.0, tol=1e-3)
@@ -210,6 +211,8 @@ _INDEX_CASES = [
     ("Syndrome", "anyons", lambda v: Syndrome({v, 2}, "plaquette"), [1.5, True, "1", -1]),
     ("Correction", "edges", lambda v: Correction([v], 3), [1.9, True, "1", -1]),
     ("Correction", "L", lambda v: Correction([], v), [2.5, True, 1]),
+    ("decode_matching", "L", lambda v: decode_matching(Syndrome({0, 1}, "plaquette"), v),
+     [2.5, True, 1]),
     ("LogicalOperator", "support", lambda v: LogicalOperator(1, "Z-type", [v]),
      [0.5, True, -1]),
     ("LogicalOperator", "mu", lambda v: LogicalOperator(v, "Z-type", [0]), [True, 1.0]),
