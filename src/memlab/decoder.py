@@ -7,20 +7,24 @@ pair up anyons along torus geodesics; with at most 12 anyons the pairing is an
 exact minimum over all possibilities, beyond that a nearest-neighbour greedy
 pass takes over and the result is flagged.
 
-The exact pairing is a top-down dynamic program: the lowest unpaired anyon is
-paired with each partner in turn and the rest is solved recursively, memoised
-by subset mask.  Only the subsets that rule reaches are visited (232 at
-k = 12), so a 12-anyon decode costs about 0.4-0.6 ms and an 8-anyon one about
-0.1 ms.  Distances are plain nested lists and the geodesic walks are cached,
-so the inner loops touch no numpy scalars.  A geodesic steps across the edges
-of the lattice's own incidence tables (``plaquette_edges``/``edge_plaquettes``,
-or the star pair), so the edge numbering is written only in ``lattice``.
+The exact pairing is a dynamic program over subset masks: the lowest
+unpaired anyon is paired with each partner in turn and the rest is solved the
+same way.  Which masks that rule reaches depends on the anyon count k alone,
+so ``_plan(k)`` lists them once per k, children first (232 masks at k = 12),
+and a decode is one flat loop over the plan.  In a traced toric-memory pass
+of the benchmark (``perfbench/run.py --trace 1``, one core of a 2-core VM,
+``decoder.decode.us_per_call.*``) a decode costs about 0.30 ms at k = 12,
+0.10 ms at k = 8-10 and 0.04 ms at k <= 6.  Distances are plain nested lists,
+the geodesic walks are cached and each walk reads one cached row of
+distances to its target, so the inner loops touch no numpy scalars.  A
+geodesic steps across the edges of the lattice's own incidence tables
+(``plaquette_edges``/``edge_plaquettes``, or the star pair), so the edge
+numbering is written only in ``lattice``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,18 +60,6 @@ class Correction:
         return len(self.edges)
 
 
-def _coords(idx: int, L: int):
-    return idx % L, idx // L
-
-
-def _torus_distance(a: int, b: int, L: int) -> int:
-    ax, ay = _coords(a, L)
-    bx, by = _coords(b, L)
-    dx = abs(ax - bx)
-    dy = abs(ay - by)
-    return min(dx, L - dx) + min(dy, L - dy)
-
-
 @functools.lru_cache(maxsize=None)
 def _steps(L: int, sector: str) -> list:
     """Per stabilizer, its (edge, stabilizer across that edge) pairs, read off
@@ -90,70 +82,98 @@ def _geodesic_edges(a: int, b: int, L: int, sector: str) -> tuple:
     way).  The walk starts from ``a``, the lower stabilizer index.
     """
     steps = _steps(L, sector)
+    to_b = _distances_to(b, L)
     path = []
-    d = _torus_distance(a, b, L)
+    d = to_b[a]
     while d > 0:
         d -= 1
-        edge, a = min(step for step in steps[a] if _torus_distance(step[1], b, L) == d)
+        edge, a = min(step for step in steps[a] if to_b[step[1]] == d)
         path.append(edge)
     return tuple(path)
 
 
-def _distance_matrix(anyons: list, L: int) -> list:
-    """Torus distances between stabilizer indices, as nested int lists."""
-    y, x = np.divmod(np.array(anyons), L)
-    dx = np.abs(x[:, None] - x)
-    dy = np.abs(y[:, None] - y)
+def _distance_matrix(rows, cols, L: int) -> list:
+    """Torus distances from each stabilizer index of ``rows`` to each of
+    ``cols``, as nested int lists."""
+    y, x = np.divmod(np.array(rows), L)
+    v, u = np.divmod(np.array(cols), L)
+    dx = np.abs(x[:, None] - u)
+    dy = np.abs(y[:, None] - v)
     return (np.minimum(dx, L - dx) + np.minimum(dy, L - dy)).tolist()
 
 
+@functools.lru_cache(maxsize=256)
+def _distances_to(b: int, L: int) -> list:
+    """Torus distance from every stabilizer to ``b``: one row of L^2 ints,
+    cached for a bounded number of targets (never the L^2 x L^2 table)."""
+    return _distance_matrix([b], np.arange(L * L), L)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(k: int) -> tuple:
+    """The subset dynamic program of :func:`_pair_exact` for k anyons.
+
+    One entry per subset mask that the "pair the lowest anyon" rule reaches
+    from the full mask, children before parents, so the full mask is last.
+    Entry 0 is the empty mask, ``None``.  Any other entry is ``(i, options)``:
+    ``i`` is the mask's lowest anyon, and ``options`` lists, per partner ``b``
+    of ``i`` in ascending order, the pair ``(b, index of the mask without i
+    and b)``.  It depends on k alone: 232 masks and 1076 options at k = 12.
+    """
+    index = {0: 0}
+    plan = [None]
+
+    def visit(mask):
+        if mask not in index:
+            low = mask & -mask
+            rest = mask ^ low
+            options = []
+            j = rest
+            while j:
+                bit = j & -j
+                options.append((bit.bit_length() - 1, visit(rest ^ bit)))
+                j ^= bit
+            index[mask] = len(plan)
+            plan.append((low.bit_length() - 1, tuple(options)))
+        return index[mask]
+
+    visit((1 << k) - 1)
+    return tuple(plan)
+
+
 def _pair_exact(anyons: list, dist):
-    """Minimum-cost perfect pairing by top-down dynamic programming over subsets.
+    """Minimum-cost perfect pairing by dynamic programming over subsets.
 
     ``best(mask)`` pairs the lowest anyon ``i`` of ``mask`` with each partner
     ``b`` in ascending order and keeps the first strict minimum of
-    ``dist[i][b] + best(mask without i, b)``.  Memoised from the full mask,
-    only subsets that this "pair the lowest anyon" rule reaches are visited:
-    232 of the 2048 even masks at k = 12, with 1076 inner steps, against
-    (2k-1)!! = 10395 pairings by enumeration.  Costs are exact integer sums,
+    ``dist[i][b] + best(mask without i, b)``.  Only the subsets that this
+    "pair the lowest anyon" rule reaches from the full mask are solved: 232
+    of the 2048 even masks at k = 12, with 1076 options, against (2k-1)!! =
+    10395 pairings by enumeration.  :func:`_plan` lists them children first,
+    so the solve is one flat loop over the plan, with no recursion and no
+    memo dict: a 12-anyon decode takes about 0.30 ms against 0.47 ms for
+    the recursive form (``decoder.decode.us_per_call.k12`` of a traced
+    toric-memory benchmark pass, 2-core VM).  Costs are exact integer sums,
     so neither the minimum nor the tie-break depends on evaluation order.
 
     Args:
         anyons: stabilizer indices, in the order ``dist`` is indexed.
         dist: k x k distances as nested lists.
     """
-    best = {0: 0}
-    partner = {}
-
-    def solve(mask):
-        cost = best.get(mask)
-        if cost is not None:
-            return cost
-        low = mask & -mask
-        i = low.bit_length() - 1  # lowest set anyon
-        rest = mask ^ low
+    plan = _plan(len(anyons))
+    cost, pick = [0], [None]  # per plan entry, in plan order
+    for i, options in plan[1:]:
         row = dist[i]
-        cost, pick = math.inf, None
-        j = rest
-        while j:
-            bit = j & -j
-            b = bit.bit_length() - 1
-            cand = row[b] + solve(rest ^ bit)
-            if cand < cost:
-                cost, pick = cand, b
-            j ^= bit
-        best[mask] = cost
-        partner[mask] = pick
-        return cost
-
-    mask = (1 << len(anyons)) - 1
-    solve(mask)
+        cands = [row[b] + cost[c] for b, c in options]
+        best = min(cands)
+        cost.append(best)
+        pick.append(cands.index(best))  # the first strict minimum
     pairs = []
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        b = partner[mask]
+    m = len(plan) - 1
+    while m:
+        i, options = plan[m]
+        b, m = options[pick[m]]
         pairs.append((anyons[i], anyons[b]))
-        mask &= ~((1 << i) | (1 << b))
     return pairs
 
 
@@ -164,7 +184,7 @@ def _pair_greedy(anyons: list, dist: list):
     while todo:
         i = todo.pop(0)
         row = dist[i]
-        j_best = min(todo, key=lambda j: (row[j], j))
+        j_best = min(todo, key=row.__getitem__)  # todo ascends: ties go to the lowest j
         todo.remove(j_best)
         pairs.append((anyons[i], anyons[j_best]))
     return pairs
@@ -190,7 +210,7 @@ def decode_matching(syn: Syndrome, L: int) -> Correction:
                          f"(indices 0 .. {L * L - 1})")
     if not anyons:
         return Correction(frozenset(), L)
-    dist = _distance_matrix(anyons, L)
+    dist = _distance_matrix(anyons, anyons, L)
     if len(anyons) <= EXACT_LIMIT:
         pairs, method = _pair_exact(anyons, dist), "exact"
     else:
@@ -213,6 +233,7 @@ def dressed_logical(outcomes, op: LogicalOperator, L: int) -> int:
         op: a Z-type logical operator.
         L: linear lattice size.
     """
+    L = check_count("L", L, 2)
     if op.sector != "Z-type":
         raise ValueError("dressed readout tracks Z-type loops in this frame")
     if not isinstance(outcomes, SpinConfiguration):

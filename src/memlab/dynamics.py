@@ -15,6 +15,10 @@ key a flip can change, and the flip itself with its tracked observable
 ``_shared.flip_rates``, the rate law that the exact generator reads too.
 The geometry comes from the model's tables: ring and torus Ising read one
 ``neighbours`` table, the toric code its edge/plaquette incidence tables.
+They are read into tuples once per model (``_site_tables``), so a
+trajectory's setup copies no table: at low temperature a toric-code
+trajectory has only a handful of events, and that copy cost more than they
+did.
 
 Every trajectory reads one (e, u1, u2) triple per event from its tape, its
 own ``numpy.random.Generator`` read through ``_shared.triples`` (the
@@ -41,6 +45,7 @@ decoder function.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
@@ -115,17 +120,37 @@ class LifetimeResult:
 # ---------------------------------------------------------------------------
 # the n-fold-way sampler
 
+@functools.lru_cache(maxsize=32)
+def _site_tables(model: LatticeModel) -> tuple:
+    """(geometry, affected) of a model's sites as tuples, built once per model
+    and shared by all its samplers, which only read them.
+
+    ``affected[i]`` lists the sites whose class a flip of site i can change.
+    The geometry is what a site's class is read from: per edge its two
+    plaquettes (Kitaev2D), per spin its neighbours (Ising1D, Ising2D), or
+    None (IsingMeanField, where the class is the spin itself).
+    """
+    if model.kind == "Kitaev2D":
+        ep = tuple(map(tuple, model.edge_plaquettes.tolist()))
+        pe = model.plaquette_edges.tolist()
+        return ep, tuple(tuple(dict.fromkeys(pe[p] + pe[q])) for p, q in ep)
+    if model.kind == "IsingMeanField":
+        return None, tuple((i,) for i in range(model.N))
+    nbrs = tuple(map(tuple, model.neighbours.tolist()))
+    return nbrs, tuple((i, *nb) for i, nb in enumerate(nbrs))
+
+
 class _Sampler:
     """Rate-class buckets and the draw, shared by every model kind.
 
     A kind's subclass sets ``affected`` (per site, the sites whose key its
-    flip can change) and ``obs`` (the tracked observable) before calling
-    ``__init__``, and implements ``key(i)`` (class of site i in the current
-    state) and ``flip_state(i)`` (flip site i and update ``obs``).  ``rates``
-    and the class ``keys`` in draw order come from ``flip_rates``; the
-    mean-field kind overrides :meth:`rate_table`.  ``members[k]`` lists the
-    sites of class k in ascending order and ``key_of[i]`` is the class of
-    site i.
+    flip can change, from :func:`_site_tables`) and ``obs`` (the tracked
+    observable) before calling ``__init__``, and implements ``key(i)``
+    (class of site i in the current state) and ``flip_state(i)`` (flip site
+    i and update ``obs``).  ``rates`` and the class ``keys`` in draw order
+    come from ``flip_rates``; the mean-field kind overrides
+    :meth:`rate_table`.  ``members[k]`` lists the sites of class k in
+    ascending order and ``key_of[i]`` is the class of site i.
     """
 
     def __init__(self, model: LatticeModel, beta: float):
@@ -210,8 +235,7 @@ class _LocalFieldSampler(_IsingSampler):
     """Ring and square-lattice Ising: class = s_i * (sum of neighbour spins)."""
 
     def __init__(self, model: LatticeModel, beta: float, initial):
-        self.nbrs = model.neighbours.tolist()
-        self.affected = [(i, *nb) for i, nb in enumerate(self.nbrs)]
+        self.nbrs, self.affected = _site_tables(model)
         super().__init__(model, beta, initial)
 
     def key(self, i: int) -> int:
@@ -227,7 +251,7 @@ class _MeanFieldSampler(_IsingSampler):
     table computed once per M visited."""
 
     def __init__(self, model: LatticeModel, beta: float, initial):
-        self.affected = [(i,) for i in range(model.N)]
+        _, self.affected = _site_tables(model)
         super().__init__(model, beta, initial)
         self.tables = {self.obs: self.rates}
 
@@ -253,13 +277,11 @@ class _KitaevSampler(_Sampler):
 
     def __init__(self, model: LatticeModel, beta: float, initial, name: str = "initial"):
         self.errors = set() if initial is None else set(_as_error_set(model, initial, name))
-        self.ep = model.edge_plaquettes.tolist()
+        self.ep, self.affected = _site_tables(model)
         self.anyons = set()
         for e in self.errors:
             self.anyons ^= set(self.ep[e])
         self.obs = len(self.anyons)
-        pe = model.plaquette_edges.tolist()
-        self.affected = [tuple(dict.fromkeys(pe[p] + pe[q])) for p, q in self.ep]
         super().__init__(model, beta)
 
     def key(self, e: int) -> int:

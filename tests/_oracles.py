@@ -237,6 +237,50 @@ def min_pairing_weight(points, dist):
     return rec(pts)
 
 
+def recursive_pair_exact(anyons: list, dist):
+    """The decoder's former subset DP, kept verbatim: minimum-cost perfect
+    pairing by top-down recursion, memoised by subset mask.
+
+    ``best(mask)`` pairs the lowest anyon ``i`` of ``mask`` with each partner
+    ``b`` in ascending order and keeps the first strict minimum of
+    ``dist[i][b] + best(mask without i, b)``.  The planned DP must return
+    the same pair list, tie-breaks included.
+    """
+    best = {0: 0}
+    partner = {}
+
+    def solve(mask):
+        cost = best.get(mask)
+        if cost is not None:
+            return cost
+        low = mask & -mask
+        i = low.bit_length() - 1  # lowest set anyon
+        rest = mask ^ low
+        row = dist[i]
+        cost, pick = math.inf, None
+        j = rest
+        while j:
+            bit = j & -j
+            b = bit.bit_length() - 1
+            cand = row[b] + solve(rest ^ bit)
+            if cand < cost:
+                cost, pick = cand, b
+            j ^= bit
+        best[mask] = cost
+        partner[mask] = pick
+        return cost
+
+    mask = (1 << len(anyons)) - 1
+    solve(mask)
+    pairs = []
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        b = partner[mask]
+        pairs.append((anyons[i], anyons[b]))
+        mask &= ~((1 << i) | (1 << b))
+    return pairs
+
+
 def torus_dist(a, b, L):
     dx = abs(a[0] - b[0])
     dy = abs(a[1] - b[1])

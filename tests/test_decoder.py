@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from memlab.decoder import (_geodesic_edges, _pair_exact, crossing_sign,
-                            decode_matching, dressed_logical,
+from memlab.decoder import (EXACT_LIMIT, _geodesic_edges, _pair_exact, _plan,
+                            crossing_sign, decode_matching, dressed_logical,
                             is_logical_failure)
 from memlab.lattice import (Syndrome, build_model, logical_operator, syndrome)
 
 from _oracles import (boundary_group, homology_coefficients,
-                      min_pairing_weight, torus_dist)
+                      min_pairing_weight, recursive_pair_exact, torus_dist)
 
 
 def random_error(rng, L, k):
@@ -80,6 +81,26 @@ def test_exact_pairing_matches_brute_force_minimum():
             want = min_pairing_weight([(a % L, a // L) for a in anyons],
                                       lambda p, q: torus_dist(p, q, L))
             assert got == pytest.approx(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.integers(2, 6).flatmap(lambda L: st.tuples(
+    st.just(L), st.lists(st.integers(0, L * L - 1), unique=True,
+                         max_size=min(EXACT_LIMIT, L * L)))))
+def test_planned_pairing_equals_the_recursive_one(case):
+    """Same pairs, tie-breaks included; small tori make ties common."""
+    L, anyons = case
+    anyons = sorted(anyons[:len(anyons) - len(anyons) % 2])
+    dist = [[torus_dist((a % L, a // L), (b % L, b // L), L) for b in anyons]
+            for a in anyons]
+    assert _pair_exact(anyons, dist) == recursive_pair_exact(anyons, dist)
+
+
+def test_plan_size_at_the_exact_limit():
+    plan = _plan(12)
+    assert plan[0] is None
+    assert len(plan) - 1 == 232
+    assert sum(len(options) for _, options in plan[1:]) == 1076
 
 
 def test_greedy_fallback_above_the_exact_limit():
@@ -175,6 +196,12 @@ def test_dressed_logical_validation():
     with pytest.raises(ValueError, match="8"):
         dressed_logical(np.ones(5), logical_operator(model, 1), L)
 
+
+@pytest.mark.parametrize("L", ["3", True, 1, 3.0])
+def test_dressed_logical_checks_L_first(L):
+    model = build_model("Kitaev2D", L=3)
+    with pytest.raises(ValueError, match="^L must be an integer of at least 2"):
+        dressed_logical(np.ones(18), logical_operator(model, 1), L)
 
 
 def _z1_half_readout():

@@ -22,7 +22,7 @@ from memlab import (
 import memlab.decoder
 from memlab._shared import BLOCK, triples
 from memlab.decoder import decode_matching
-from memlab.dynamics import _sampler
+from memlab.dynamics import _sampler, _site_tables
 
 from _oracles import absorbing_mfpt, heat_bath, mean_field_mfpt, probe_chain_lifetime
 
@@ -549,6 +549,35 @@ def test_kitaev_lifetime_smoke():
     assert len(res.times) == 30
     assert 0.0 < res.mean <= 30.0
     assert all(t in np.arange(0.5, 30.5, 0.5) or t == 30.0 for t in res.times)
+
+
+@pytest.mark.parametrize("kind", sorted(_SIZES))
+def test_site_tables_are_shared_tuples(kind):
+    """Samplers of equal models read one set of read-only tables, built once."""
+    size = {_SIZES[kind][0]: 3}
+    a = _sampler(build_model(kind, **size), 0.5)
+    b = _sampler(build_model(kind, **size), 1.5)
+    geometry, affected = _site_tables(build_model(kind, **size))
+    assert a.affected is b.affected is affected
+    assert type(affected) is tuple and all(type(row) is tuple for row in affected)
+    if geometry is not None:
+        assert type(geometry) is tuple and all(type(row) is tuple for row in geometry)
+        assert (a.ep if kind == "Kitaev2D" else a.nbrs) is geometry
+        assert (b.ep if kind == "Kitaev2D" else b.nbrs) is geometry
+
+
+def test_kitaev_lifetime_repeats_in_one_process():
+    """The per-process tables and decoder caches carry no state between runs:
+    a repeat call, also after one on another model, gives the same result."""
+    params = SimulationParams(beta=1.0, t_max=20.0, n_traj=12)
+
+    def run(**kw):
+        res = kitaev_memory_lifetime(4, params, seed=5, **kw)
+        return res.mean, res.stderr, res.n_traj, res.censored, res.times.tolist()
+
+    first = run()
+    run(move_rate=0.5)
+    assert run() == first
 
 
 def test_matching_outlives_bare_readout_on_average():
