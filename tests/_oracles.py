@@ -124,6 +124,43 @@ def probe_chain_lifetime(L, beta, decoder, t_max):
                  + (t_max - n * tau) * np.sum(weight * tail))
 
 
+def translation_orbit_gap(L, beta, move_rate=None):
+    """Toric-code gap from one star block per orbit of the L^2 translations.
+
+    The translation orbits are grouped here with sets, and every block is
+    solved by LAPACK (L = 2) or by ``eigsh`` from an all-ones start (L = 3):
+    the trivial block's second eigenvalue against the top eigenvalue of each
+    other orbit's smallest character.
+    """
+    import scipy.sparse.linalg as spla
+
+    from memlab.exact import StarBlocks
+    from memlab.lattice import build_model
+
+    kw = {} if move_rate is None else {"move_rate": move_rate}
+    blocks = StarBlocks(build_model("Kitaev2D", L=L, **kw), beta)
+
+    def shift(chi, dx, dy):
+        return sum(1 << ((s // L + dy) % L * L + (s % L + dx) % L)
+                   for s in range(L * L) if chi >> s & 1)
+
+    todo, firsts = set(blocks.characters.tolist()), []
+    while todo:
+        chi = min(todo)
+        todo -= {shift(chi, dx, dy) for dx in range(L) for dy in range(L)}
+        firsts.append(chi)
+
+    def top(chi, k):
+        B = blocks.block(chi)
+        if L == 2:
+            return np.linalg.eigvalsh(B.toarray())[-k]
+        return min(spla.eigsh(B, k=k, which="LA", v0=np.ones(B.shape[0]),
+                              return_eigenvectors=False))
+
+    assert firsts[0] == 0
+    return float(-max([top(0, 2)] + [top(chi, 1) for chi in firsts[1:]]))
+
+
 def ring_energy(spins, J):
     n = len(spins)
     return -J * sum(spins[i] * spins[(i + 1) % n] for i in range(n))

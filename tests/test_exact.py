@@ -1,5 +1,6 @@
 """Exact generators, stationary states, gaps, and the driven two-level solver."""
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from memlab import exact
 from memlab.exact import StarBlocks
 from memlab.lattice import energy
 
-from _oracles import boltzmann, heat_bath, relax_p1
+from _oracles import boltzmann, heat_bath, relax_p1, translation_orbit_gap
 
 
 def _spins_of(x, n):
@@ -325,19 +326,75 @@ def test_blocks_together_are_the_whole_generator():
     assert np.allclose(np.sort(parts), w, atol=1e-10)
 
 
-@pytest.mark.parametrize("L,n_orbits", [(2, 5), (3, 32)])
-def test_translation_orbits_partition_the_characters(L, n_orbits):
+def _torus_maps(L):
+    """The 8L^2 maps of the square torus as star permutations, perm[s] the
+    image of star s: a translation after (x, y) -> (+-x, +-y) or (+-y, +-x).
+    The first L^2 are the translations."""
+    return [[(sy * y + dy) % L * L + (sx * x + dx) % L
+             for x, y in ((s // L, s % L) if swap else (s % L, s // L) for s in range(L * L))]
+            for swap, sx, sy, dy, dx in itertools.product(
+                (False, True), (1, -1), (1, -1), range(L), range(L))]
+
+
+def _image(chi, perm):
+    return sum(1 << t for s, t in enumerate(perm) if chi >> s & 1)
+
+
+@pytest.mark.parametrize("L,n_orbits", [(2, 4), (3, 13), (4, 433)])
+def test_point_group_orbits_partition_the_characters(L, n_orbits):
     blocks = StarBlocks(build_model("Kitaev2D", L=L), 1.0)
     orbits = blocks.orbits()
-    assert len(orbits) == n_orbits  # Burnside count over the L^2 translations
+    assert len(orbits) == n_orbits  # Burnside count over the 8L^2 torus symmetries
     assert list(orbits[0]) == [0]
+    assert all(orbit[0] == orbit.min() for orbit in orbits)
     assert np.array_equal(np.sort(np.concatenate(orbits)), blocks.characters)
-    # translated characters give blocks with equal spectra
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_orbits_are_closed_under_every_torus_map(L):
+    blocks = StarBlocks(build_model("Kitaev2D", L=L), 1.0)
+    maps = _torus_maps(L)
+    assert len(maps) == 8 * L * L
+    orbit_of = {}
+    for k, orbit in enumerate(blocks.orbits()):
+        members = set(orbit.tolist())
+        assert {_image(chi, perm) for chi in members for perm in maps} == members
+        assert {_image(int(orbit[0]), perm) for perm in maps} == members  # one orbit
+        orbit_of.update(dict.fromkeys(members, k))
+    # every translation orbit lies inside one point-group orbit
+    for chi in blocks.characters.tolist():
+        assert {orbit_of[_image(chi, perm)] for perm in maps[:L * L]} == {orbit_of[chi]}
+
+
+def test_orbit_members_share_their_spectrum():
+    """At L = 3 rotated and reflected characters, not only translated ones,
+    give blocks with the top eigenvalues of the orbit's first member."""
+    blocks = StarBlocks(build_model("Kitaev2D", L=3), 1.0)
+    translations = _torus_maps(3)[:9]
     top = exact._top_eigen
-    for orbit in orbits[:6]:
+    n_beyond_translations = 0
+    for orbit in blocks.orbits()[:4]:
         first = top(blocks.block(orbit[0]), 3)
+        shifted = {_image(int(orbit[0]), perm) for perm in translations}
         for chi in orbit[1:]:
-            assert np.allclose(top(blocks.block(chi), 3), first, atol=1e-10)
+            n_beyond_translations += int(chi) not in shifted
+            assert np.allclose(top(blocks.block(chi), 3), first, rtol=0.0, atol=1e-10)
+    assert n_beyond_translations > 0
+
+
+@pytest.mark.parametrize("L,beta,move_rate", [
+    (2, 1.0, None), (2, 0.4, 2.5), (2, 1.7, 0.3), (3, 1.0, None), (3, 0.6, 1.8)])
+def test_gap_equals_the_translation_orbit_minimum(L, beta, move_rate):
+    kw = {} if move_rate is None else {"move_rate": move_rate}
+    gap = spectral_gap(build_generator(build_model("Kitaev2D", L=L, **kw), beta))
+    ref = translation_orbit_gap(L, beta, move_rate)
+    assert abs(gap - ref) <= 1e-12 * ref
+
+
+def test_published_gaps_are_pinned():
+    """The gap_scan digits at beta = 1; a solver change that moves one must say so."""
+    gaps = [spectral_gap(build_generator(build_model("Kitaev2D", L=L), 1.0)) for L in (2, 3)]
+    assert [repr(g) for g in gaps] == ["0.6353412217602662", "0.8611141299291463"]
 
 
 def test_trivial_block_spectrum_is_part_of_the_full_one():

@@ -134,6 +134,20 @@ def test_classify_flip_takes_a_numpy_site_and_names_an_index_out_of_range():
         classify_flip(RING, up, 4, 1.0)
 
 
+_STARS = StarBlocks(build_model("Kitaev2D", L=2), 1.0)
+
+
+# 1 is odd, so no character; 16 and 48 (even) lie beyond the 4 stars of L = 2
+@pytest.mark.parametrize("value", [1, 16, 48, -1, True, 3.0, "3"], ids=repr)
+def test_star_block_character_is_an_even_bitmask(value):
+    with pytest.raises(ValueError, match=f"^chi must be .*got {re.escape(repr(value))}$"):
+        _STARS.block(value)
+
+
+def test_star_block_takes_a_numpy_integer():
+    assert (_STARS.block(np.uint8(15)) != _STARS.block(15)).nnz == 0
+
+
 # schedule times and energies: checked where the schedule is built, since the
 # sampler copies them into float arrays
 _STEP_CASES = {
