@@ -251,14 +251,12 @@ def dressed_logical(outcomes, op: LogicalOperator, L: int) -> int:
 def is_logical_failure(error, correction: Correction, op: LogicalOperator) -> bool:
     """Whether error followed by correction flips the tracked logical.
 
-    True iff the residual (error xor correction) crosses the operator's
-    conjugate cycle an odd number of times, i.e. is homologically nontrivial
-    in the direction the operator detects.
+    True iff ``op`` has different bare values (:func:`lattice.logical_bare`)
+    under the error and under the correction: their residual is then
+    homologically nontrivial in the direction the operator detects.
     """
     model = build_model("Kitaev2D", L=correction.L)
-    error = frozenset(check_count("error", e, least=None) for e in error)
     if syndrome(model, error, "plaquette") != syndrome(model, correction.edges, "plaquette"):
         raise ValueError("correction does not match the error's syndrome")
-    residual = error ^ correction.edges
-    return crossing_sign(residual, op) == -1
+    return logical_bare(model, error, op) != logical_bare(model, correction.edges, op)
 

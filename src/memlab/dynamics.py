@@ -8,10 +8,11 @@ Ising spin's class is its local field, a toric-code edge's class is the
 occupation of its two plaquettes -- each bucket sorted by site, so an event
 costs a pass over the few classes plus a bisection per affected site.  That
 is what makes the low-temperature runs feasible: a wait of order e^{2 beta}
-is one exponential draw, not e^{2 beta} rejected sweeps.  A kind supplies
-only its data: the key of a site computed from the state, the sites whose
-key a flip can change, and the flip itself with its tracked observable
-(magnetization or anyon count).  The keys and their rates come from
+is one exponential draw, not e^{2 beta} rejected sweeps.  The base sampler
+owns the site tables, the buckets, the rates and the draw; a kind supplies
+only its start state with its tracked observable (magnetization or anyon
+count), the key of a site computed from the state, the flip, its class tags
+and its state views.  The keys and their rates come from
 ``_shared.flip_rates``, the rate law that the exact generator reads too.
 The geometry comes from the model's tables: ring and torus Ising read one
 ``neighbours`` table, the toric code its edge/plaquette incidence tables.
@@ -54,7 +55,7 @@ import numpy as np
 
 from ._shared import BLOCK, blocks, check_count, check_real, each, flip_rates, run_chunks, triples
 from .lattice import (LatticeModel, SpinConfiguration, Syndrome, _as_error_set,
-                      _as_spins, build_model, crossing_sign)
+                      _as_spins, build_model, crossing_sign, logical_operator, syndrome)
 from . import decoder as _decoder_mod
 
 _FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest float
@@ -143,18 +144,21 @@ def _site_tables(model: LatticeModel) -> tuple:
 class _Sampler:
     """Rate-class buckets and the draw, shared by every model kind.
 
-    A kind's subclass sets ``affected`` (per site, the sites whose key its
-    flip can change, from :func:`_site_tables`) and ``obs`` (the tracked
-    observable) before calling ``__init__``, and implements ``key(i)``
-    (class of site i in the current state) and ``flip_state(i)`` (flip site
-    i and update ``obs``).  ``rates`` and the class ``keys`` in draw order
-    come from ``flip_rates``; the mean-field kind overrides
-    :meth:`rate_table`.  ``members[k]`` lists the sites of class k in
-    ascending order and ``key_of[i]`` is the class of site i.
+    ``__init__`` reads the model's ``geometry`` and ``affected`` tables from
+    :func:`_site_tables`, then calls the kind's ``start(initial, name)``,
+    which sets the state and the tracked observable ``obs``.  Only then are
+    ``rates`` and the class ``keys`` in draw order built from
+    ``flip_rates``, with ``members[k]`` listing the sites of class k in
+    ascending order and ``key_of[i]`` the class of site i.  A kind supplies
+    ``start``, ``key(i)`` (class of site i in the current state),
+    ``flip_state(i)`` (flip site i and update ``obs``), its class ``tags``
+    and its state views.
     """
 
-    def __init__(self, model: LatticeModel, beta: float):
+    def __init__(self, model: LatticeModel, beta: float, initial=None, name: str = "initial"):
         self.model, self.beta = model, beta
+        self.geometry, self.affected = _site_tables(model)
+        self.start(initial, name)
         self.rates = flip_rates(model, beta, self.obs)  # M of the Ising kinds
         self.keys = tuple(self.rates)
         self.members = {k: [] for k in self.keys}
@@ -162,16 +166,13 @@ class _Sampler:
         for i, k in enumerate(self.key_of):
             self.members[k].append(i)
 
-    def rate_table(self) -> dict:
-        return self.rates
-
     def draw(self, tape):
         """(waiting time, site, rate) of the next event, or None when frozen.
 
         Reads one (e, u1, u2) triple from ``tape`` unless frozen; see the
         module docstring for the rule.
         """
-        rates = self.rate_table()
+        rates = self.rates
         members = self.members
         keys = self.keys
         total = 0.0
@@ -211,13 +212,13 @@ class _Sampler:
 class _IsingSampler(_Sampler):
     """Spins as a list of +-1; the observable is the magnetization M."""
 
-    def __init__(self, model: LatticeModel, beta: float, initial):
-        spins = (SpinConfiguration.all_up(model.N) if initial is None
-                 else _as_spins(model, initial))
+    tags = dict.fromkeys(range(-4, 5), "ising-flip")  # every class key of the Ising kinds
+
+    def start(self, initial, name: str):
+        spins = (SpinConfiguration.all_up(self.model.N) if initial is None
+                 else _as_spins(self.model, initial))
         self.s = spins.spins.tolist()
         self.obs = sum(self.s)
-        super().__init__(model, beta)
-        self.tags = dict.fromkeys(self.keys, "ising-flip")
 
     def flip_state(self, i: int):
         s = self.s
@@ -234,36 +235,33 @@ class _IsingSampler(_Sampler):
 class _LocalFieldSampler(_IsingSampler):
     """Ring and square-lattice Ising: class = s_i * (sum of neighbour spins)."""
 
-    def __init__(self, model: LatticeModel, beta: float, initial):
-        self.nbrs, self.affected = _site_tables(model)
-        super().__init__(model, beta, initial)
-
     def key(self, i: int) -> int:
         s = self.s
         h = 0
-        for j in self.nbrs[i]:
+        for j in self.geometry[i]:
             h += s[j]
         return s[i] * h
 
 
 class _MeanFieldSampler(_IsingSampler):
-    """Curie-Weiss Ising: class = s_i; the rates are a function of M, each
-    table computed once per M visited."""
+    """Curie-Weiss Ising: class = s_i; the rates are a function of M, and a
+    flip swaps in the table of the new M, each computed once per M visited."""
 
-    def __init__(self, model: LatticeModel, beta: float, initial):
-        _, self.affected = _site_tables(model)
-        super().__init__(model, beta, initial)
-        self.tables = {self.obs: self.rates}
+    def start(self, initial, name: str):
+        super().start(initial, name)
+        self.tables = {}
 
     def key(self, i: int) -> int:
         return self.s[i]
 
-    def rate_table(self) -> dict:
-        M = self.obs
-        table = self.tables.get(M)
-        if table is None:
-            table = self.tables[M] = flip_rates(self.model, self.beta, M)
-        return table
+    def flip_state(self, i: int):
+        s = self.s
+        s[i] = -s[i]
+        M = self.obs = self.obs + 2 * s[i]
+        rates = self.tables.get(M)
+        if rates is None:
+            rates = self.tables[M] = flip_rates(self.model, self.beta, M)
+        self.rates = rates
 
 
 class _KitaevSampler(_Sampler):
@@ -275,22 +273,19 @@ class _KitaevSampler(_Sampler):
 
     tags = {0: "create-pair", 1: "move-anyon", 2: "annihilate-pair"}
 
-    def __init__(self, model: LatticeModel, beta: float, initial, name: str = "initial"):
-        self.errors = set() if initial is None else set(_as_error_set(model, initial, name))
-        self.ep, self.affected = _site_tables(model)
-        self.anyons = set()
-        for e in self.errors:
-            self.anyons ^= set(self.ep[e])
+    def start(self, initial, name: str):
+        self.errors = set() if initial is None else set(_as_error_set(self.model, initial, name))
+        # a clean start, that of every lifetime run, needs no syndrome call
+        self.anyons = set(syndrome(self.model, self.errors).anyons) if self.errors else set()
         self.obs = len(self.anyons)
-        super().__init__(model, beta)
 
     def key(self, e: int) -> int:
-        p, q = self.ep[e]
+        p, q = self.geometry[e]
         return (p in self.anyons) + (q in self.anyons)
 
     def flip_state(self, e: int):
         self.errors ^= {e}
-        self.anyons ^= set(self.ep[e])
+        self.anyons ^= set(self.geometry[e])
         self.obs = len(self.anyons)
 
     def state_view(self) -> frozenset:
@@ -299,15 +294,15 @@ class _KitaevSampler(_Sampler):
     final_state = state_view
 
 
+_SAMPLERS = {"Ising1D": _LocalFieldSampler, "Ising2D": _LocalFieldSampler,
+             "IsingMeanField": _MeanFieldSampler, "Kitaev2D": _KitaevSampler}
+
+
 def _sampler(model: LatticeModel, beta: float, initial=None, name: str = "initial") -> _Sampler:
     """Sampler of the model's kind, started from ``initial`` (default: all up /
     no errors), the caller's argument ``name``.  Raises ValueError for a
     state that does not fit the model."""
-    if model.kind == "Kitaev2D":
-        return _KitaevSampler(model, beta, initial, name)
-    if model.kind == "IsingMeanField":
-        return _MeanFieldSampler(model, beta, initial)
-    return _LocalFieldSampler(model, beta, initial)
+    return _SAMPLERS[model.kind](model, beta, initial, name)
 
 
 def _evolve(sampler: _Sampler, tape, t_max: float, cadence=None,
@@ -364,7 +359,7 @@ def classify_flip(model: LatticeModel, state, site: int, beta: float) -> EventCl
         raise ValueError(f"invalid {noun} index: {site}")
     sampler = _sampler(model, beta, state, "state")
     k = sampler.key_of[site]
-    return EventClass(sampler.tags[k], site, sampler.rate_table()[k])
+    return EventClass(sampler.tags[k], site, sampler.rates[k])
 
 
 def simulate_trajectory(model: LatticeModel, params: SimulationParams,
@@ -384,8 +379,11 @@ def simulate_trajectory(model: LatticeModel, params: SimulationParams,
         anyon count (Kitaev) on the cadence grid.
 
     Raises:
-        ValueError: for a bad ``seed``, or an ``initial`` that does not fit.
+        ValueError: for an infinite ``t_max`` (a recording has no stop rule),
+            a bad ``seed``, or an ``initial`` that does not fit.
     """
+    if params.t_max == math.inf:
+        raise ValueError("simulate_trajectory needs a finite t_max: a recording has no stop rule")
     check_count("seed", seed, least=0)
     sampler = _sampler(model, params.beta, initial)
     record = TrajectoryRecord(seed=int(seed))
@@ -525,7 +523,7 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
 def _kitaev_lifetime_once(model, params, decoder, op, tape) -> tuple[float, bool]:
     """First probe time at which the (possibly dressed) logical reads -1, or
     (t_max, True) if there is none by the horizon."""
-    sampler = _KitaevSampler(model, params.beta, None)
+    sampler = _sampler(model, params.beta)
     op_support = op.support
     L = model.L
     cadence = params.probe_cadence
@@ -551,10 +549,12 @@ def _kitaev_lifetime_once(model, params, decoder, op, tape) -> tuple[float, bool
             syn = Syndrome(frozenset(key), "plaquette")
             try:
                 corr = decoder(syn, L)
+                if corr.L != L:
+                    raise ValueError(f"correction is for L={corr.L}, not L={L}")
+                sign = crossing_sign(corr.edges, op)
             except Exception as exc:
                 raise RuntimeError(
                     f"decoder failed at t={t:g} on syndrome {sorted(syn.anyons)}") from exc
-            sign = crossing_sign(corr.edges, op)
             sign_cache[key] = sign
         return bare * sign == -1
 
@@ -583,8 +583,6 @@ def kitaev_memory_lifetime(L: int, params: SimulationParams, decoder="matching",
         mu: tracked logical direction (1 or 2).
         move_rate: anyon hop rate override.
     """
-    from .lattice import logical_operator
-
     model = build_model("Kitaev2D", L=L, move_rate=move_rate)
     op = logical_operator(model, mu, "Z-type")
     if not (callable(decoder) or isinstance(decoder, str) and decoder in ("matching", "bare")):

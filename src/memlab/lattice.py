@@ -337,11 +337,14 @@ def logical_bare(model: LatticeModel, error, op: LogicalOperator) -> int:
 
     Returns (-1)**|error intersect op.support| for Z-type operators (the edges
     where a sigma-x flip anticommutes with the sigma-z string).  X-type
-    operators commute with X errors and always read +1.
+    operators commute with X errors and always read +1.  Raises ValueError
+    unless the operator is a loop of this model: a Z-type support on its
+    edges with no star syndrome, or an X-type one with no plaquette syndrome.
     """
     edges = _as_error_set(model, error, "error")
-    if any(e >= model.N for e in op.support):
-        raise ValueError("operator does not fit this model")
+    sector = "star" if op.sector == "Z-type" else "plaquette"
+    if any(e >= model.N for e in op.support) or syndrome(model, op.support, sector).anyons:
+        raise ValueError(f"operator is not a closed {op.sector} loop of this model")
     return crossing_sign(edges, op)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memlab.decoder import (EXACT_LIMIT, _geodesic_edges, _pair_exact, _plan,
+from memlab.decoder import (EXACT_LIMIT, Correction, _geodesic_edges, _pair_exact, _plan,
                             crossing_sign, decode_matching, dressed_logical,
                             is_logical_failure)
 from memlab.lattice import (Syndrome, build_model, logical_operator, syndrome)
@@ -261,3 +261,47 @@ def test_weight_two_failures_match_the_homology_oracle():
                 assert is_logical_failure(err, corr, op) == bool(c[mu])
             checked += 1
     assert checked == n_e * (n_e - 1) // 2
+
+
+def _readouts(model, error):
+    """(dressed readout, logical failure) of each Z-type direction mu = 1, 2."""
+    L = model.L
+    outcomes = np.ones(2 * L * L, dtype=np.int64)
+    outcomes[sorted(error)] = -1
+    corr = decode_matching(syndrome(model, error), L)
+    return [(dressed_logical(outcomes, op, L), is_logical_failure(error, corr, op))
+            for op in (logical_operator(model, 1), logical_operator(model, 2))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(3, 5).flatmap(lambda L: st.tuples(
+    st.just(L), st.frozensets(st.integers(0, 2 * L * L - 1), max_size=10),
+    st.integers(0, L * L - 1), st.sampled_from([1, 2]))))
+def test_readouts_see_homology_only(case):
+    """A star (a stabilizer) leaves both readouts alone; the X-type loop of
+    direction mu flips the Z-type readouts of that mu and no other."""
+    L, error, star, mu = case
+    model = build_model("Kitaev2D", L=L)
+    base = _readouts(model, error)
+    star_edges = frozenset(model.star_edges[star].tolist())
+    assert _readouts(model, error ^ star_edges) == base
+    loop = logical_operator(model, mu, "X-type").support
+    flipped = [(-dressed, not failed) if nu == mu else (dressed, failed)
+               for nu, (dressed, failed) in enumerate(base, 1)]
+    assert _readouts(model, error ^ loop) == flipped
+
+
+def test_operators_of_another_lattice_are_rejected():
+    """A logical operator must be a closed loop of the model it reads."""
+    model = build_model("Kitaev2D", L=3)
+    star = frozenset(model.star_edges[4].tolist())
+    outcomes = np.ones(18, dtype=np.int64)
+    outcomes[sorted(star)] = -1
+    assert dressed_logical(outcomes, logical_operator(model, 2), 3) == 1
+    small = logical_operator(build_model("Kitaev2D", L=2), 2)  # support {4, 6}
+    with pytest.raises(ValueError, match="not a closed Z-type loop"):
+        dressed_logical(outcomes, small, 3)
+    large = logical_operator(build_model("Kitaev2D", L=5), 1)  # support {0 .. 4}
+    empty = Correction([], 3)
+    with pytest.raises(ValueError, match="not a closed Z-type loop"):
+        is_logical_failure(model.star_edges[3].tolist(), empty, large)

@@ -20,6 +20,7 @@ from memlab import (
 )
 
 import memlab.decoder
+import memlab.dynamics
 from memlab._shared import BLOCK, triples
 from memlab.decoder import decode_matching
 from memlab.dynamics import _sampler, _site_tables
@@ -330,7 +331,7 @@ def test_draw_reads_one_triple_by_the_rule():
     spins = [1, 1, 1, -1, -1, 1, 1, 1]
     sampler = _sampler(model, 0.8, spins)
     assert sampler.members == {-2: [], 0: [2, 3, 4, 5], 2: [0, 1, 6, 7]}
-    rates = sampler.rate_table()
+    rates = sampler.rates
     total = 0.0
     for k in (-2, 0, 2):
         total += len(sampler.members[k]) * rates[k]
@@ -419,7 +420,21 @@ def test_absorbing_state_with_infinite_horizon_raises():
     model = build_model("Kitaev2D", L=2)
     params = SimulationParams(beta=500.0, t_max=math.inf)
     with pytest.raises(RuntimeError, match="absorbing state"):
-        simulate_trajectory(model, params, seed=0)
+        first_passage(model, params, predicate=bool, seed=0)
+
+
+@pytest.mark.parametrize("kind,size", [("Ising1D", dict(N=4)), ("Kitaev2D", dict(L=2))])
+def test_recording_needs_a_finite_horizon(kind, size, monkeypatch):
+    """A recording has no stop rule, so t_max = inf is refused before a
+    sampler is built (it would otherwise record events forever)."""
+    model = build_model(kind, **size)
+
+    def no_sampler(*args):
+        raise AssertionError("a sampler was built")
+
+    monkeypatch.setattr(memlab.dynamics, "_sampler", no_sampler)
+    with pytest.raises(ValueError, match="t_max"):
+        simulate_trajectory(model, SimulationParams(1.0, math.inf), seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +577,8 @@ def test_site_tables_are_shared_tuples(kind):
     assert type(affected) is tuple and all(type(row) is tuple for row in affected)
     if geometry is not None:
         assert type(geometry) is tuple and all(type(row) is tuple for row in geometry)
-        assert (a.ep if kind == "Kitaev2D" else a.nbrs) is geometry
-        assert (b.ep if kind == "Kitaev2D" else b.nbrs) is geometry
+        assert a.geometry is geometry
+        assert b.geometry is geometry
 
 
 def test_kitaev_lifetime_repeats_in_one_process():
@@ -641,6 +656,27 @@ def test_failing_decoder_names_time_and_syndrome():
     with pytest.raises(RuntimeError, match=r"decoder failed at t=0\.5 on syndrome") as info:
         kitaev_memory_lifetime(3, params, decoder=_broken_decoder, seed=0)
     assert isinstance(info.value.__cause__, KeyError)
+
+
+def _wrong_size_decoder(syn, L):
+    return memlab.decoder.Correction([], 7)
+
+
+def _not_a_correction_decoder(syn, L):
+    return frozenset()
+
+
+@pytest.mark.parametrize("decoder,cause", [(_wrong_size_decoder, ValueError),
+                                           (_not_a_correction_decoder, AttributeError)])
+def test_bad_correction_names_time_and_syndrome(decoder, cause):
+    """A custom decoder's answer is checked like its call: a Correction of
+    another lattice size, or no Correction at all, fails the probe."""
+    params = SimulationParams(beta=0.5, t_max=50.0, n_traj=1, probe_cadence=0.5)
+    with pytest.raises(RuntimeError, match=r"decoder failed at t=0\.5 on syndrome") as info:
+        kitaev_memory_lifetime(3, params, decoder=decoder, seed=0)
+    assert isinstance(info.value.__cause__, cause)
+    if cause is ValueError:
+        assert "L=7" in str(info.value.__cause__)
 
 
 def test_matching_is_looked_up_on_the_decoder_module(monkeypatch):

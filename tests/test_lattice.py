@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from memlab.lattice import (LatticeModel, SpinConfiguration, Syndrome,
+from memlab.lattice import (LatticeModel, LogicalOperator, SpinConfiguration, Syndrome,
                             block_flip_delta, build_model, energy, logical_bare,
                             logical_operator, syndrome)
 
@@ -253,19 +253,22 @@ def test_kitaev_energy_counts_both_sectors():
 
 
 def test_logical_supports_are_minimal_cycles():
-    model = build_model("Kitaev2D", L=4)
-    for mu in (1, 2):
-        z = logical_operator(model, mu)
-        x = logical_operator(model, mu, sector="X-type")
-        assert len(z.support) == 4 and len(x.support) == 4
-        # conjugate pairs meet in exactly one edge, opposite pairs in none
-        assert len(z.support & x.support) == 1
-        other = logical_operator(model, 3 - mu, sector="X-type")
-        assert len(z.support & other.support) == 0
-        # each loop is invisible to the stabilizers of its own kind:
-        # X strings commute with plaquettes, Z strings with stars
-        assert len(syndrome(model, x.support, sector="plaquette")) == 0
-        assert len(syndrome(model, z.support, sector="star")) == 0
+    for L in (2, 3, 4, 5, 6):
+        model = build_model("Kitaev2D", L=L)
+        for mu in (1, 2):
+            z = logical_operator(model, mu)
+            x = logical_operator(model, mu, sector="X-type")
+            assert len(z.support) == L and len(x.support) == L
+            # conjugate pairs meet in exactly one edge, opposite pairs in none
+            assert len(z.support & x.support) == 1
+            other = logical_operator(model, 3 - mu, sector="X-type")
+            assert len(z.support & other.support) == 0
+            # each loop is invisible to the stabilizers of its own kind:
+            # X strings commute with plaquettes, Z strings with stars
+            assert len(syndrome(model, x.support, sector="plaquette")) == 0
+            assert len(syndrome(model, z.support, sector="star")) == 0
+            # so logical_bare reads both
+            assert logical_bare(model, (), z) == logical_bare(model, (), x) == 1
 
 
 def test_logical_bare_readout():
@@ -277,6 +280,14 @@ def test_logical_bare_readout():
     assert logical_bare(model, z1.support, z1) == (-1) ** 3
     x1 = logical_operator(model, 1, sector="X-type")
     assert logical_bare(model, z1.support, x1) == 1  # X-type commutes with flips
+
+
+def test_logical_bare_rejects_an_open_string():
+    model = build_model("Kitaev2D", L=3)
+    for sector in ("Z-type", "X-type"):
+        for support in ({18}, {4, 6}):  # off the L = 3 edges; open
+            with pytest.raises(ValueError, match=f"not a closed {sector} loop"):
+                logical_bare(model, (), LogicalOperator(1, sector, support))
 
 
 def test_logical_operator_validation():
