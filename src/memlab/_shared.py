@@ -8,9 +8,9 @@ chunks.
 The number rule of the library and of the ``cli`` config schema: a real
 (:func:`check_real`) is a non-bool real number within float range, not NaN,
 within its argument's bounds and finite unless the argument allows inf; a
-count or index (:func:`check_count`) is a non-bool integer, of at least its
-least value where it has one.  Anything else raises a ValueError that starts
-with the argument's name.
+count or index (:func:`check_count`; :func:`check_counts` for a set of them)
+is a non-bool integer, of at least its least value where it has one.
+Anything else raises a ValueError that starts with the argument's name.
 
 Every trajectory reads its randomness from its tape and from nothing else:
 the tape is the trajectory's own ``numpy.random.Generator``.  A seed is an
@@ -76,6 +76,16 @@ def check_count(name: str, value, least: int | None = 1) -> int:
         bound = "" if least is None else f" of at least {least}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def check_counts(name: str, values, least: int | None = 1) -> frozenset:
+    """The items of ``values`` as a frozenset, each checked by
+    :func:`check_count`, which raises for the first bad one in their order."""
+    items = values if type(values) in (frozenset, set, list, tuple) else list(values)
+    # the common case, at C speed: every item a plain int, none below least
+    if set(map(type, items)) <= {int} and (least is None or not items or min(items) >= least):
+        return items if type(items) is frozenset else frozenset(items)
+    return frozenset([check_count(name, v, least) for v in items])
 
 
 def check_real(name: str, value, least=None, above=None, most=None, inf=False) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._shared import check_count
+from ._shared import check_count, check_counts
 from .lattice import (LogicalOperator, SpinConfiguration, Syndrome, build_model,
                       crossing_sign, logical_bare, syndrome)
 
@@ -51,8 +51,7 @@ class Correction:
     method: str = "exact"
 
     def __post_init__(self):
-        object.__setattr__(self, "edges",
-                           frozenset(check_count("edges", e, least=0) for e in self.edges))
+        object.__setattr__(self, "edges", check_counts("edges", self.edges, least=0))
         object.__setattr__(self, "L", check_count("L", self.L, 2))
 
     @property

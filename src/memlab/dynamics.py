@@ -6,13 +6,14 @@ escape rate and events are drawn proportionally to their rates.  One sampler
 serves every model kind.  It keeps the sites in rate-class buckets -- an
 Ising spin's class is its local field, a toric-code edge's class is the
 occupation of its two plaquettes -- each bucket sorted by site, so an event
-costs a pass over the few classes plus a bisection per affected site.  That
+costs a pass over the few classes plus a bisection per class change.  That
 is what makes the low-temperature runs feasible: a wait of order e^{2 beta}
 is one exponential draw, not e^{2 beta} rejected sweeps.  The base sampler
-owns the site tables, the buckets, the rates and the draw; a kind supplies
-only its start state with its tracked observable (magnetization or anyon
-count), the key of a site computed from the state, the flip, its class tags
-and its state views.  The keys and their rates come from
+owns the buckets and ``classes``, their (bucket, rate) pairs in class-key
+order; a kind supplies only its start state with its tracked observable
+(magnetization or anyon count), the key of a site computed from the state,
+a flip that reports each class change as (site, old key, new key), its
+class tags and its state views.  The keys and their rates come from
 ``_shared.flip_rates``, the rate law that the exact generator reads too.
 The geometry comes from the model's tables: ring and torus Ising read one
 ``neighbours`` table, the toric code its edge/plaquette incidence tables.
@@ -31,16 +32,18 @@ positive weight whose running sum exceeds u1 * total (the last one of
 positive weight if rounding makes u1 * total equal total); the site is the
 min(int(u2 * n), n - 1)-th of the class's n members in ascending site order.
 
-One event loop drives every trajectory but one case.  Recorded runs,
-first-passage runs and toric-code memory runs differ only in the hooks they
-pass to it: one per probe, one per event before the flip, and a stop test
-after the flip.  The case is ``first_passage`` on IsingMeanField with the
-default predicate.  There the rates are functions of M alone and the stop
-test is M <= 0, so which spin of the chosen class flips changes nothing the
-run reads: u2 is never used, and a batch of trajectories is stepped in
-lockstep as a walk in M (``_mean_field_walk``), with every time equal to the
-loop's by ``==``.  Each entry point takes beta as an argument and a seed as
-an integer >= 0, and every decode, ``"matching"`` included, is one call of a
+One event loop, ``_evolve``, drives every trajectory but one case; an event
+is one pass of its body: the draw over ``classes``, then the kind's flip,
+whose class changes it moves between buckets.  Recorded runs, first-passage
+runs and toric-code memory runs differ only in the hooks they pass to it:
+one per probe, one per event before the flip, and a stop test after the
+flip.  The case is ``first_passage`` on IsingMeanField with the default
+predicate.  There the rates are functions of M alone and the stop test is
+M <= 0, so which spin of the chosen class flips changes nothing the run
+reads: u2 is never used, and a batch of trajectories is stepped in lockstep
+as a walk in M (``_mean_field_walk``), with every time equal to the loop's
+by ``==``.  Each entry point takes beta as an argument and a seed as an
+integer >= 0, and every decode, ``"matching"`` included, is one call of a
 decoder function.
 """
 
@@ -122,91 +125,58 @@ class LifetimeResult:
 # the n-fold-way sampler
 
 @functools.lru_cache(maxsize=32)
-def _site_tables(model: LatticeModel) -> tuple:
-    """(geometry, affected) of a model's sites as tuples, built once per model
-    and shared by all its samplers, which only read them.
-
-    ``affected[i]`` lists the sites whose class a flip of site i can change.
-    The geometry is what a site's class is read from: per edge its two
-    plaquettes (Kitaev2D), per spin its neighbours (Ising1D, Ising2D), or
-    None (IsingMeanField, where the class is the spin itself).
-    """
+def _site_tables(model: LatticeModel) -> tuple | None:
+    """The geometry of a model's sites as tuples, built once per model and
+    shared by all its samplers, which only read it: per spin its neighbours
+    (Ising1D, Ising2D), per edge its two plaquettes, each with its other
+    edges (Kitaev2D), or None (IsingMeanField, where the class is the spin
+    itself)."""
     if model.kind == "Kitaev2D":
-        ep = tuple(map(tuple, model.edge_plaquettes.tolist()))
         pe = model.plaquette_edges.tolist()
-        return ep, tuple(tuple(dict.fromkeys(pe[p] + pe[q])) for p, q in ep)
+        return tuple(tuple((p, tuple(j for j in pe[p] if j != e)) for p in pq)
+                     for e, pq in enumerate(model.edge_plaquettes.tolist()))
     if model.kind == "IsingMeanField":
-        return None, tuple((i,) for i in range(model.N))
-    nbrs = tuple(map(tuple, model.neighbours.tolist()))
-    return nbrs, tuple((i, *nb) for i, nb in enumerate(nbrs))
+        return None
+    return tuple(map(tuple, model.neighbours.tolist()))
 
 
 class _Sampler:
-    """Rate-class buckets and the draw, shared by every model kind.
+    """Rate-class buckets shared by every model kind; ``_evolve`` draws from
+    them and moves sites between them.
 
-    ``__init__`` reads the model's ``geometry`` and ``affected`` tables from
-    :func:`_site_tables`, then calls the kind's ``start(initial, name)``,
-    which sets the state and the tracked observable ``obs``.  Only then are
-    ``rates`` and the class ``keys`` in draw order built from
-    ``flip_rates``, with ``members[k]`` listing the sites of class k in
-    ascending order and ``key_of[i]`` the class of site i.  A kind supplies
-    ``start``, ``key(i)`` (class of site i in the current state),
-    ``flip_state(i)`` (flip site i and update ``obs``), its class ``tags``
-    and its state views.
+    ``__init__`` reads the model's ``geometry`` from :func:`_site_tables`,
+    then calls the kind's ``start(initial, name)``, which sets the state and
+    the tracked observable ``obs``.  Only then are the class ``keys`` in
+    draw order and their rates read from ``flip_rates``: ``members[k]``
+    lists the sites of class k in ascending order, ``key_of[i]`` is the
+    class of site i, and ``classes`` holds the ``(members[k], rate)`` pairs
+    in key order, the one table the draw reads.  From the default start
+    every site is in one class, so one ``key(0)`` call fills them.  A kind
+    supplies ``start``, ``key(i)`` (class of site i in the current
+    state), ``flip(i)``, its class ``tags`` and its state views.
+    ``flip(i)`` flips site i, updates ``obs`` and ``key_of`` (and
+    ``classes`` where the rates move) and returns the ``(site, old key, new
+    key)`` of every class change in the order made, a site more than once
+    where it is reached twice; ``_evolve`` moves the sites between buckets.
     """
 
     def __init__(self, model: LatticeModel, beta: float, initial=None, name: str = "initial"):
         self.model, self.beta = model, beta
-        self.geometry, self.affected = _site_tables(model)
+        self.geometry = _site_tables(model)
         self.start(initial, name)
-        self.rates = flip_rates(model, beta, self.obs)  # M of the Ising kinds
-        self.keys = tuple(self.rates)
+        rates = flip_rates(model, beta, self.obs)  # M of the Ising kinds
+        self.keys = tuple(rates)
         self.members = {k: [] for k in self.keys}
-        self.key_of = [self.key(i) for i in range(len(self.affected))]
-        for i, k in enumerate(self.key_of):
-            self.members[k].append(i)
-
-    def draw(self, tape):
-        """(waiting time, site, rate) of the next event, or None when frozen.
-
-        Reads one (e, u1, u2) triple from ``tape`` unless frozen; see the
-        module docstring for the rule.
-        """
-        rates = self.rates
-        members = self.members
-        keys = self.keys
-        total = 0.0
-        for k in keys:
-            total += len(members[k]) * rates[k]
-        if total <= 0.0:
-            return None
-        e, u1, u2 = next(tape)
-        u = u1 * total
-        acc = 0.0
-        for k in keys:
-            w = len(members[k]) * rates[k]
-            if w > 0.0:
-                acc += w
-                chosen = k
-                if acc > u:
-                    break
-        lst = members[chosen]
-        n = len(lst)
-        return e / total, lst[min(int(u2 * n), n - 1)], rates[chosen]
-
-    def flip(self, i: int):
-        """Flip site i and move each affected site whose class changed into
-        its new bucket, by bisection, so every bucket stays sorted."""
-        self.flip_state(i)
-        members, key_of = self.members, self.key_of
-        for j in self.affected[i]:
-            new = self.key(j)
-            old = key_of[j]
-            if new != old:
-                lst = members[old]
-                del lst[bisect_left(lst, j)]
-                insort(members[new], j)
-                key_of[j] = new
+        self.classes = tuple((self.members[k], r) for k, r in rates.items())
+        n = model.N
+        if initial is None:  # all up or no errors: every site in one class
+            k = self.key(0)
+            self.key_of = [k] * n
+            self.members[k].extend(range(n))
+        else:
+            self.key_of = [self.key(i) for i in range(n)]
+            for i, k in enumerate(self.key_of):
+                self.members[k].append(i)
 
 
 class _IsingSampler(_Sampler):
@@ -220,11 +190,6 @@ class _IsingSampler(_Sampler):
         self.s = spins.spins.tolist()
         self.obs = sum(self.s)
 
-    def flip_state(self, i: int):
-        s = self.s
-        s[i] = -s[i]
-        self.obs += 2 * s[i]
-
     def state_view(self) -> np.ndarray:
         return np.array(self.s, dtype=np.int8)
 
@@ -233,7 +198,9 @@ class _IsingSampler(_Sampler):
 
 
 class _LocalFieldSampler(_IsingSampler):
-    """Ring and square-lattice Ising: class = s_i * (sum of neighbour spins)."""
+    """Ring and square-lattice Ising: class = s_i * (sum of neighbour spins).
+    A flip negates site i's class and moves each neighbour occurrence j
+    (twice for a neighbour listed twice, at N = 2 or L = 2) by 2 s_i s_j."""
 
     def key(self, i: int) -> int:
         s = self.s
@@ -242,33 +209,53 @@ class _LocalFieldSampler(_IsingSampler):
             h += s[j]
         return s[i] * h
 
+    def flip(self, i: int) -> list:
+        s, key_of = self.s, self.key_of
+        si = s[i] = -s[i]
+        self.obs += 2 * si
+        k = key_of[i]
+        key_of[i] = -k
+        changes = [(i, k, -k)] if k else []
+        d = 2 * si
+        for j in self.geometry[i]:
+            k = key_of[j]
+            new = key_of[j] = k + d * s[j]
+            changes.append((j, k, new))
+        return changes
+
 
 class _MeanFieldSampler(_IsingSampler):
     """Curie-Weiss Ising: class = s_i; the rates are a function of M, and a
-    flip swaps in the table of the new M, each computed once per M visited."""
+    flip swaps in the ``classes`` of the new M, each built once per M visited."""
 
-    def start(self, initial, name: str):
-        super().start(initial, name)
-        self.tables = {}
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.tables = {self.obs: self.classes}
 
     def key(self, i: int) -> int:
         return self.s[i]
 
-    def flip_state(self, i: int):
+    def flip(self, i: int) -> tuple:
         s = self.s
-        s[i] = -s[i]
-        M = self.obs = self.obs + 2 * s[i]
-        rates = self.tables.get(M)
-        if rates is None:
-            rates = self.tables[M] = flip_rates(self.model, self.beta, M)
-        self.rates = rates
+        si = s[i] = -s[i]
+        self.key_of[i] = si
+        M = self.obs = self.obs + 2 * si
+        classes = self.tables.get(M)
+        if classes is None:
+            rates = flip_rates(self.model, self.beta, M)
+            classes = self.tables[M] = tuple((self.members[k], r) for k, r in rates.items())
+        self.classes = classes
+        return ((i, -si, si),)
 
 
 class _KitaevSampler(_Sampler):
     """One-sector toric code; the observable is the anyon count.
 
     Edge classes by adjacent-plaquette occupation: 0 occupied -> pair
-    creation, 1 occupied -> anyon hop, 2 occupied -> pair annihilation.
+    creation, 1 occupied -> anyon hop, 2 occupied -> pair annihilation.  A
+    flip maps the edge's class k to 2 - k and moves each other edge of its
+    two plaquettes by +-1 as the plaquette fills or empties (twice for an
+    edge of both, at L = 2).
     """
 
     tags = {0: "create-pair", 1: "move-anyon", 2: "annihilate-pair"}
@@ -280,13 +267,24 @@ class _KitaevSampler(_Sampler):
         self.obs = len(self.anyons)
 
     def key(self, e: int) -> int:
-        p, q = self.geometry[e]
+        (p, _), (q, _) = self.geometry[e]
         return (p in self.anyons) + (q in self.anyons)
 
-    def flip_state(self, e: int):
+    def flip(self, e: int) -> list:
         self.errors ^= {e}
-        self.anyons ^= set(self.geometry[e])
-        self.obs = len(self.anyons)
+        anyons, key_of = self.anyons, self.key_of
+        k = key_of[e]
+        key_of[e] = 2 - k
+        changes = [(e, k, 2 - k)] if k != 1 else []
+        for p, edges in self.geometry[e]:
+            d = -1 if p in anyons else 1
+            anyons ^= {p}
+            for j in edges:
+                k = key_of[j]
+                new = key_of[j] = k + d
+                changes.append((j, k, new))
+        self.obs = len(anyons)
+        return changes
 
     def state_view(self) -> frozenset:
         return frozenset(sorted(self.errors))
@@ -310,26 +308,44 @@ def _evolve(sampler: _Sampler, tape, t_max: float, cadence=None,
     """Run one trajectory from t = 0; returns the time it ended and whether
     it ended at the horizon ``t_max`` (censored).
 
-    ``on_probe(t)`` fires at each cadence point up to the next event and
-    ``t_max``; a true return ends the run at that probe time.  ``on_event(t,
-    site, rate)`` sees each event before its flip, and a true ``stop()``
-    after the flip ends the run at the event time.  Otherwise the run ends
-    at ``t_max``; if that is inf, a next event time beyond float range (the
-    total rate is zero or too small) raises RuntimeError.
+    An event reads one triple from ``tape`` (none if the total rate is 0),
+    and moves by bisection keep every bucket sorted.  ``on_probe(t)`` fires
+    at each cadence point up to the next event and ``t_max``; a true return
+    ends the run at that probe time.  ``on_event(t, site, rate)`` sees each
+    event before its flip, and a true ``stop()`` after the flip ends the run
+    at the event time.  Otherwise the run ends at ``t_max``; if that is inf,
+    a next event time beyond float range (the total rate is zero or too
+    small) raises RuntimeError.
     """
+    members, flip = sampler.members, sampler.flip
     t = 0.0
     next_probe = cadence if cadence else math.inf
     last = _FLOAT_MAX if t_max == math.inf else math.inf  # the latest event time allowed
     while True:
-        drawn = sampler.draw(tape)
-        if drawn is None:
+        classes = sampler.classes
+        total = 0.0
+        for lst, r in classes:
+            total += len(lst) * r
+        if total <= 0.0:
             t_next = math.inf
         else:
-            dt, site, rate = drawn
-            t_next = t + dt
+            e, u1, u2 = next(tape)
+            u = u1 * total
+            acc = 0.0
+            for lst, r in classes:
+                w = len(lst) * r
+                if w > 0.0:
+                    acc += w
+                    chosen, rate = lst, r
+                    if acc > u:
+                        break
+            n = len(chosen)
+            pos = int(u2 * n)
+            site = chosen[pos if pos < n else n - 1]
+            t_next = t + e / total
         if t_next > last:
             raise RuntimeError("absorbing state: no event in finite time and t_max is infinite")
-        while next_probe <= min(t_next, t_max):
+        while next_probe <= t_next and next_probe <= t_max:
             if on_probe(next_probe):
                 return next_probe, False
             next_probe += cadence
@@ -338,7 +354,10 @@ def _evolve(sampler: _Sampler, tape, t_max: float, cadence=None,
         t = t_next
         if on_event is not None:
             on_event(t, site, rate)
-        sampler.flip(site)
+        for j, old, new in flip(site):
+            lst = members[old]
+            del lst[bisect_left(lst, j)]
+            insort(members[new], j)
         if stop is not None and stop():
             return t, False
 
@@ -359,7 +378,7 @@ def classify_flip(model: LatticeModel, state, site: int, beta: float) -> EventCl
         raise ValueError(f"invalid {noun} index: {site}")
     sampler = _sampler(model, beta, state, "state")
     k = sampler.key_of[site]
-    return EventClass(sampler.tags[k], site, sampler.rates[k])
+    return EventClass(sampler.tags[k], site, sampler.classes[sampler.keys.index(k)][1])
 
 
 def simulate_trajectory(model: LatticeModel, params: SimulationParams,
@@ -427,7 +446,7 @@ def _mean_field_walk(model, params, tapes) -> list:
     The state is d = N - M, twice the number of down spins.  Every round
     reads the next triple of each live row (the draw rule of the module
     docstring without its site choice): the class weights ``w_dn`` and
-    ``w_up`` and their ``total`` are those of ``_Sampler.draw``, taken from
+    ``w_up`` and their ``total`` are those of ``_evolve``'s draw, taken from
     tables built once from ``flip_rates``, the -1 class is chosen iff ``w_dn
     > u1 * total`` or ``w_up`` is 0 (``w_dn`` is set to inf there) and d
     moves by 2 against the chosen class.  A block of a tape is taken in two

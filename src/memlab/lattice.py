@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._shared import check_count, check_real
+from ._shared import check_count, check_counts, check_real
 
 KINDS = ("Ising1D", "IsingMeanField", "Ising2D", "Kitaev2D")
 
@@ -80,8 +80,7 @@ class Syndrome:
     sector: str
 
     def __post_init__(self):
-        object.__setattr__(self, "anyons",
-                           frozenset(check_count("anyons", a, least=0) for a in self.anyons))
+        object.__setattr__(self, "anyons", check_counts("anyons", self.anyons, least=0))
         if self.sector not in ("star", "plaquette"):
             raise ValueError(f"unknown sector: {self.sector!r}")
         if len(self.anyons) % 2 != 0:
@@ -107,8 +106,7 @@ class LogicalOperator:
     support: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "support",
-                           frozenset(check_count("support", e, least=0) for e in self.support))
+        object.__setattr__(self, "support", check_counts("support", self.support, least=0))
         if check_count("mu", self.mu, least=None) not in (1, 2):
             raise ValueError("mu must be 1 or 2")
         if self.sector not in ("Z-type", "X-type"):
@@ -229,7 +227,7 @@ def _as_error_set(model: LatticeModel, config, name: str) -> frozenset:
         if config.n != model.N:
             raise ValueError(f"configuration has {config.n} spins, model has {model.N}")
         return frozenset(np.flatnonzero(config.spins < 0).tolist())
-    edges = frozenset(check_count(name, e, least=None) for e in config)
+    edges = check_counts(name, config, least=None)
     for e in edges:
         if not 0 <= e < model.N:
             raise ValueError(f"invalid edge index: {e}")

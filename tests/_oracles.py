@@ -177,6 +177,88 @@ def boltzmann(energies, beta):
     return w / w.sum()
 
 
+# --- the n-fold-way event loop, one trajectory at a time --------------------
+
+
+def reference_evolve(model, beta, tape, t_max, cadence=None, predicate=None):
+    """One trajectory from the clean start (all up / no errors) by the draw
+    rule of the ``dynamics`` docstring, with no incremental bookkeeping.
+
+    This is the sampler's draw and event loop as they stood before the loop
+    was inlined, written out for one trajectory, except that every bucket
+    is rebuilt from the state after each flip: a class key is computed from
+    the model's tables (s_i times the neighbour sum, s_i, or the occupation
+    of the edge's two plaquettes) for every site.  The rates are
+    ``_shared.flip_rates`` of the current state, read anew for every draw.
+    ``predicate(state)`` after each flip ends the run, with the state an
+    int8 spin array or a frozenset of edges.  Returns (events, probes,
+    final state, end time, censored): events as (t, site, rate, key), probes
+    as (t, magnetization or anyon count).
+    """
+    from memlab._shared import flip_rates
+
+    kitaev = model.kind == "Kitaev2D"
+    n_sites = model.N
+    spins, errors, anyons = [1] * n_sites, set(), set()
+
+    def key(i):
+        if kitaev:
+            p, q = model.edge_plaquettes[i].tolist()
+            return (p in anyons) + (q in anyons)
+        if model.kind == "IsingMeanField":
+            return spins[i]
+        return spins[i] * sum(spins[j] for j in model.neighbours[i].tolist())
+
+    def obs():
+        return len(anyons) if kitaev else sum(spins)
+
+    def state():
+        return frozenset(errors) if kitaev else np.array(spins, dtype=np.int8)
+
+    events, probes = [], []
+    t = 0.0
+    next_probe = cadence if cadence else math.inf
+    last = math.nextafter(math.inf, 0.0) if t_max == math.inf else math.inf
+    while True:
+        rates = flip_rates(model, beta, obs())
+        members = {k: [i for i in range(n_sites) if key(i) == k] for k in rates}
+        total = 0.0
+        for k in rates:
+            total += len(members[k]) * rates[k]
+        if total <= 0.0:
+            t_next = math.inf
+        else:
+            e, u1, u2 = next(tape)
+            u = u1 * total
+            acc = 0.0
+            for k in rates:
+                w = len(members[k]) * rates[k]
+                if w > 0.0:
+                    acc += w
+                    chosen = k
+                    if acc > u:
+                        break
+            lst = members[chosen]
+            site = lst[min(int(u2 * len(lst)), len(lst) - 1)]
+            t_next = t + e / total
+        if t_next > last:
+            raise RuntimeError("absorbing state")
+        while next_probe <= min(t_next, t_max):
+            probes.append((next_probe, float(obs())))
+            next_probe += cadence
+        if t_next > t_max:
+            return events, probes, state(), t_max, True
+        t = t_next
+        events.append((t, site, rates[chosen], chosen))
+        if kitaev:
+            errors ^= {site}
+            anyons ^= set(model.edge_plaquettes[site].tolist())
+        else:
+            spins[site] = -spins[site]
+        if predicate is not None and predicate(state()):
+            return events, probes, state(), t, False
+
+
 # --- toric-code geometry, rebuilt from scratch -----------------------------
 
 

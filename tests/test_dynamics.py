@@ -21,11 +21,12 @@ from memlab import (
 
 import memlab.decoder
 import memlab.dynamics
-from memlab._shared import BLOCK, triples
+from memlab._shared import BLOCK, flip_rates, triples
 from memlab.decoder import decode_matching
-from memlab.dynamics import _sampler, _site_tables
+from memlab.dynamics import EventClass, _evolve, _sampler, _site_tables
 
-from _oracles import absorbing_mfpt, heat_bath, mean_field_mfpt, probe_chain_lifetime
+from _oracles import (absorbing_mfpt, heat_bath, mean_field_mfpt, probe_chain_lifetime,
+                      reference_evolve)
 
 
 # ---------------------------------------------------------------------------
@@ -293,35 +294,72 @@ def test_event_replay_matches_classify_flip_and_probes(case, beta, seed):
 
 
 def _assert_buckets(sampler):
-    """Sorted buckets that partition the sites, each site under its key."""
+    """Sorted buckets that partition the sites, each site under its key, and
+    ``classes`` that pair each bucket with its rate in key order."""
     seen = []
     for k, sites in sampler.members.items():
         assert sites == sorted(set(sites))
         assert all(sampler.key(i) == k == sampler.key_of[i] for i in sites)
         seen += sites
-    assert sorted(seen) == list(range(len(sampler.affected)))
+    assert sorted(seen) == list(range(sampler.model.N))
+    rates = flip_rates(sampler.model, sampler.beta, sampler.obs)
+    assert sampler.classes == tuple((sampler.members[k], rates[k]) for k in sampler.keys)
+    assert all(lst is sampler.members[k] for (lst, _), k in zip(sampler.classes, sampler.keys))
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(sorted(_SIZES)).flatmap(
            lambda k: st.tuples(st.just(k), st.integers(*_SIZES[k][1:]))),
-       data=st.data())
-def test_buckets_stay_sorted_under_flips(case, data):
+       tape=st.lists(st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                     max_size=30))
+def test_buckets_stay_sorted_under_flips(case, tape):
+    """After every event of the loop the buckets match a recompute of every
+    key, also where a neighbour is listed twice (N = 2, L = 2)."""
     kind, size = case
     model = build_model(kind, **{_SIZES[kind][0]: size})
     sampler = _sampler(model, 0.7)
     _assert_buckets(sampler)
-    sites = st.integers(0, model.N - 1)
-    for site in data.draw(st.lists(sites, max_size=30)):
-        sampler.flip(site)
+    events = []
+
+    def stop():
         _assert_buckets(sampler)
+        events.append(None)
+        return len(events) == len(tape)
+
+    if tape:
+        _evolve(sampler, iter(tape), math.inf, stop=stop)
+    assert len(events) == len(tape)
 
 
-def _draw(sampler, e, u1, u2):
-    tape = iter([(e, u1, u2)])
-    drawn = sampler.draw(tape)
-    assert next(tape, None) is None  # exactly one triple read
-    return drawn
+@pytest.mark.parametrize("kind,size", [("Ising1D", 2), ("Ising1D", 7), ("IsingMeanField", 1),
+                                       ("IsingMeanField", 6), ("Ising2D", 2), ("Ising2D", 3),
+                                       ("Kitaev2D", 2), ("Kitaev2D", 3)])
+def test_default_start_equals_a_site_by_site_build(kind, size):
+    """The default start fills every class from one key; an explicit clean
+    start builds them site by site, and both give the same sampler."""
+    model = build_model(kind, **{_SIZES[kind][0]: size})
+    clean = [] if kind == "Kitaev2D" else [1] * model.N
+    fast, slow = _sampler(model, 0.9), _sampler(model, 0.9, clean)
+    _assert_buckets(fast)
+    _assert_buckets(slow)
+    assert (fast.key_of, fast.members, fast.classes) == (slow.key_of, slow.members, slow.classes)
+    if kind == "IsingMeanField":  # the start table is cached, and found on a return to M
+        assert fast.tables == {model.N: fast.classes}
+        start = fast.classes
+        for _ in range(2):
+            fast.flip(0)
+        assert fast.classes is start
+
+
+def _draw(model, beta, spins, e, u1, u2):
+    """(time, site, rate) of one event of the loop from ``spins``, which
+    reads exactly one triple."""
+    tape, seen = iter([(e, u1, u2)]), []
+    _evolve(_sampler(model, beta, spins), tape, math.inf,
+            on_event=lambda *event: seen.append(event), stop=lambda: True)
+    assert next(tape, None) is None
+    (event,) = seen
+    return event
 
 
 def test_draw_reads_one_triple_by_the_rule():
@@ -331,25 +369,66 @@ def test_draw_reads_one_triple_by_the_rule():
     spins = [1, 1, 1, -1, -1, 1, 1, 1]
     sampler = _sampler(model, 0.8, spins)
     assert sampler.members == {-2: [], 0: [2, 3, 4, 5], 2: [0, 1, 6, 7]}
-    rates = sampler.rates
+    rates = flip_rates(model, 0.8)
     total = 0.0
     for k in (-2, 0, 2):
         total += len(sampler.members[k]) * rates[k]
-    assert _draw(sampler, 1.5, 0.0, 0.0) == (1.5 / total, 2, rates[0])
-    assert _draw(sampler, 0.3, 0.99, 0.3) == (0.3 / total, 1, rates[2])
+    assert _draw(model, 0.8, spins, 1.5, 0.0, 0.0) == (1.5 / total, 2, rates[0])
+    assert _draw(model, 0.8, spins, 0.3, 0.99, 0.3) == (0.3 / total, 1, rates[2])
 
     # at beta = 0 every rate is 1/2, so total = 4 and the class-0 weight is 2
-    flat = _sampler(model, 0.0, spins)
     # the running sum must exceed u1 * total: equality moves on a class
-    assert _draw(flat, 1.0, 0.5, 0.5) == (0.25, 6, 0.5)
-    assert _draw(flat, 1.0, 0.4999, 0.5) == (0.25, 4, 0.5)
-    assert _draw(flat, 1.0, 0.25, 0.7499) == (0.25, 4, 0.5)
-    assert _draw(flat, 1.0, 0.25, 0.75) == (0.25, 5, 0.5)
+    assert _draw(model, 0.0, spins, 1.0, 0.5, 0.5) == (0.25, 6, 0.5)
+    assert _draw(model, 0.0, spins, 1.0, 0.4999, 0.5) == (0.25, 4, 0.5)
+    assert _draw(model, 0.0, spins, 1.0, 0.25, 0.7499) == (0.25, 4, 0.5)
+    assert _draw(model, 0.0, spins, 1.0, 0.25, 0.75) == (0.25, 5, 0.5)
     # u1 * total == total: the last class of positive weight; u2 * n == n:
     # its last member
-    assert _draw(flat, 1.0, 1.0, 1.0) == (0.25, 7, 0.5)
+    assert _draw(model, 0.0, spins, 1.0, 1.0, 1.0) == (0.25, 7, 0.5)
     # a frozen sampler reads nothing from the tape
-    assert _sampler(model, 800.0).draw(iter([])) is None
+    assert _evolve(_sampler(model, 800.0), iter([]), 2.0) == (2.0, True)
+
+
+_KITAEV_TAGS = {0: "create-pair", 1: "move-anyon", 2: "annihilate-pair"}
+
+
+def _three_errors(errors):
+    return len(errors) >= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(_SIZES)).flatmap(
+           lambda k: st.tuples(st.just(k), st.integers(*_SIZES[k][1:]))),
+       beta=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1),
+       cadence=st.sampled_from([None, 0.25, 0.7]))
+def test_loop_matches_the_reference_loop(case, beta, seed, cadence):
+    """The event loop against a one-trajectory oracle that rebuilds every
+    bucket after each flip: records and first-passage times by ``==``.
+
+    The stream goldens fix one size per kind; this reaches the lattices
+    where a neighbour is listed twice (N = 2, L = 2).
+    """
+    kind, size = case
+    model = build_model(kind, **{_SIZES[kind][0]: size})
+    rec = simulate_trajectory(model, SimulationParams(beta, 3.0, probe_cadence=cadence), seed=seed)
+    events, probes, state, _, _ = reference_evolve(
+        model, beta, triples(np.random.default_rng(seed)), 3.0, cadence)
+    tags = _KITAEV_TAGS if kind == "Kitaev2D" else dict.fromkeys(range(-4, 5), "ising-flip")
+    assert rec.events == [(t, EventClass(tags[k], site, rate)) for t, site, rate, k in events]
+    assert rec.probes == probes
+    if kind == "Kitaev2D":
+        assert rec.final_state == state
+    else:
+        assert rec.final_state.spins.tolist() == state.tolist()
+
+    predicate = _three_errors if kind == "Kitaev2D" else magnetization_nonpositive
+    params = SimulationParams(beta, 20.0, n_traj=3)
+    res = first_passage(model, params, predicate=predicate, seed=seed)
+    runs = [reference_evolve(model, beta, triples(np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(i,)))), 20.0, predicate=predicate)
+            for i in range(3)]
+    assert res.times.tolist() == [end for _, _, _, end, _ in runs]
+    assert res.censored == sum(censored for *_, censored in runs)
 
 
 def test_tape_reads_blocks_of_exponentials_then_uniform_pairs():
@@ -572,13 +651,10 @@ def test_site_tables_are_shared_tuples(kind):
     size = {_SIZES[kind][0]: 3}
     a = _sampler(build_model(kind, **size), 0.5)
     b = _sampler(build_model(kind, **size), 1.5)
-    geometry, affected = _site_tables(build_model(kind, **size))
-    assert a.affected is b.affected is affected
-    assert type(affected) is tuple and all(type(row) is tuple for row in affected)
+    geometry = _site_tables(build_model(kind, **size))
+    assert a.geometry is b.geometry is geometry
     if geometry is not None:
         assert type(geometry) is tuple and all(type(row) is tuple for row in geometry)
-        assert a.geometry is geometry
-        assert b.geometry is geometry
 
 
 def test_kitaev_lifetime_repeats_in_one_process():

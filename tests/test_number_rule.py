@@ -1,5 +1,5 @@
 """One number rule at every library boundary: ``_shared.check_real`` and
-``_shared.check_count``.
+``_shared.check_count`` (``check_counts`` for a set of indices).
 
 Each number argument rejects a bool, a numeric string, NaN, an int beyond
 float range, a value outside its bounds and, unless the argument allows it,
@@ -17,8 +17,9 @@ from memlab.dynamics import (SimulationParams, classify_flip, kitaev_memory_life
                              simulate_trajectory)
 from memlab.exact import (Jump, ProtocolSchedule, Segment, StarBlocks, build_generator,
                           integrate_master)
-from memlab.lattice import (LogicalOperator, SpinConfiguration, Syndrome, block_flip_delta,
-                            build_model, energy, logical_bare, logical_operator, syndrome)
+from memlab.lattice import (LogicalOperator, SpinConfiguration, Syndrome, _as_error_set,
+                            block_flip_delta, build_model, energy, logical_bare,
+                            logical_operator, syndrome)
 from memlab.qtoolkit import (DensityMatrix, depolarizing_channel, fannes_allowance,
                              fannes_check, random_channel, random_density,
                              repetition_code_channels, toolkit_sweep)
@@ -283,3 +284,36 @@ def test_numpy_indices_and_p0_are_accepted():
     assert (integrate_master(_SAW, np.array([0.7, 0.3])).p_final.tolist()
             == integrate_master(_SAW, (0.7, 0.3)).p_final.tolist())
     assert integrate_master(_SAW, (1, 0)).work == integrate_master(_SAW, (1.0, 0.0)).work
+
+
+# the four index sets share ``_shared.check_counts``: its fast path must see
+# every item as given, so a duplicate of another type, a bool or an
+# unhashable item is refused as it was item by item
+_SETS = [
+    ("anyons", 0, lambda v: Syndrome(v, "plaquette").anyons),
+    ("support", 0, lambda v: LogicalOperator(1, "Z-type", v).support),
+    ("edges", 0, lambda v: Correction(v, 3).edges),
+    ("state", None, lambda v: _as_error_set(KIT, v, "state")),
+]
+
+
+@pytest.mark.parametrize("name,least,make", _SETS, ids=[s[0] for s in _SETS])
+@pytest.mark.parametrize("items,bad", [([1, 1.0], 1.0), ([True], True), ([0, [1]], [1]),
+                                       ([2, -1], -1)], ids=["int-float", "bool", "list", "neg"])
+def test_index_sets_check_every_item_before_deduplication(name, least, make, items, bad):
+    if least is None and bad == -1:  # no bound here; the range check names the edge
+        message = "invalid edge index: -1"
+    else:
+        bound = "" if least is None else f" of at least {least}"
+        message = f"{name} must be an integer{bound}, got {bad!r}"
+    with pytest.raises(ValueError) as info:
+        make(items)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("make", [s[2] for s in _SETS], ids=[s[0] for s in _SETS])
+def test_index_sets_convert_numpy_integers(make):
+    for items in ([np.int64(2), 0], np.array([2, 0, 2]), (i for i in (0, 2, 0))):
+        got = make(items)
+        assert got == {0, 2} and type(got) is frozenset
+        assert all(type(i) is int for i in got)
