@@ -58,6 +58,7 @@ EOF
   # live per process and must not depend on how trajectories are chunked
   configs)
     out="$(mktemp -d)"
+    trap 'rm -rf "$out"' EXIT
     for config in configs/*.json; do
       echo "== $config"
       name="$out/$(basename "$config" .json)"
@@ -90,6 +91,7 @@ EOF
   # adaptive solver
   cold-start)
     out="$(mktemp -d)"
+    trap 'rm -rf "$out"' EXIT
     for run in "ising_lifetime n_traj=5" "kitaev_lifetime n_traj=4" "szilard_scan" \
                "cycle_scan" "fluctuation n_traj=50" "toolkit_check n_samples=200"; do
       set -- $run
@@ -110,6 +112,7 @@ EOF
   # only here; run.py exits 0 either way, so its last line must read correct
   bench)
     out="$(mktemp -d)"
+    trap 'rm -rf "$out"' EXIT
     for workload in ising-passage toric-memory exact-ledgers; do
       echo "== $workload"
       python perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 \

@@ -11,23 +11,21 @@ The exact pairing is a dynamic program over subset masks: the lowest
 unpaired anyon is paired with each partner in turn and the rest is solved the
 same way.  Which masks that rule reaches depends on the anyon count k alone,
 so ``_plan(k)`` lists them once per k, children first (232 masks at k = 12),
-and a decode is one flat loop over the plan.  In a traced toric-memory pass
-of the benchmark (``perfbench/run.py --trace 1``, one core of a 2-core VM,
-``decoder.decode.us_per_call.*``) a decode costs about 0.30 ms at k = 12,
-0.10 ms at k = 8-10 and 0.04 ms at k <= 6.  Distances are plain nested lists,
-the geodesic walks are cached and each walk reads one cached row of
-distances to its target, so the inner loops touch no numpy scalars.  A
-geodesic steps across the edges of the lattice's own incidence tables
-(``plaquette_edges``/``edge_plaquettes``, or the star pair), so the edge
-numbering is written only in ``lattice``.
+and a decode is one flat loop over the plan.
+
+One distance rule serves the pairing and the geodesic walks: stabilizer
+s = y L + x is min(|dx|, L - |dx|) + min(|dy|, L - |dy|) steps from b on the
+L x L torus.  ``_distances_to(b, L)`` caches that rule as one row of plain
+ints per target; the pair costs of a decode are read off its anyons' rows,
+and each walk reads its target's row.  A geodesic steps across the edges of
+the lattice's own incidence tables (``plaquette_edges``/``edge_plaquettes``,
+or the star pair), so the edge numbering is written only in ``lattice``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._shared import check_count, check_counts
 from .lattice import (LogicalOperator, SpinConfiguration, Syndrome, build_model,
@@ -91,21 +89,19 @@ def _geodesic_edges(a: int, b: int, L: int, sector: str) -> tuple:
     return tuple(path)
 
 
-def _distance_matrix(rows, cols, L: int) -> list:
-    """Torus distances from each stabilizer index of ``rows`` to each of
-    ``cols``, as nested int lists."""
-    y, x = np.divmod(np.array(rows), L)
-    v, u = np.divmod(np.array(cols), L)
-    dx = np.abs(x[:, None] - u)
-    dy = np.abs(y[:, None] - v)
-    return (np.minimum(dx, L - dx) + np.minimum(dy, L - dy)).tolist()
-
-
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=1024)
 def _distances_to(b: int, L: int) -> list:
-    """Torus distance from every stabilizer to ``b``: one row of L^2 ints,
-    cached for a bounded number of targets (never the L^2 x L^2 table)."""
-    return _distance_matrix([b], np.arange(L * L), L)[0]
+    """Torus distance from every stabilizer to ``b``: one row of L^2 ints.
+
+    Rows are cached for at most 1024 targets, which holds every row of the
+    L = 8 and L = 16 tori (64 + 256) when one process decodes both in turn.
+    """
+    def axis(c0):
+        return [min(abs(c - c0), L - abs(c - c0)) for c in range(L)]
+
+    y, x = divmod(b, L)
+    along_x = axis(x)
+    return [dy + dx for dy in axis(y) for dx in along_x]
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,10 +146,9 @@ def _pair_exact(anyons: list, dist):
     of the 2048 even masks at k = 12, with 1076 options, against (2k-1)!! =
     10395 pairings by enumeration.  :func:`_plan` lists them children first,
     so the solve is one flat loop over the plan, with no recursion and no
-    memo dict: a 12-anyon decode takes about 0.30 ms against 0.47 ms for
-    the recursive form (``decoder.decode.us_per_call.k12`` of a traced
-    toric-memory benchmark pass, 2-core VM).  Costs are exact integer sums,
-    so neither the minimum nor the tie-break depends on evaluation order.
+    memo dict.  Costs are sums of the integer torus distances
+    min(|dx|, L - |dx|) + min(|dy|, L - |dy|) of :func:`_distances_to`, so
+    neither the minimum nor the tie-break depends on evaluation order.
 
     Args:
         anyons: stabilizer indices, in the order ``dist`` is indexed.
@@ -209,7 +204,7 @@ def decode_matching(syn: Syndrome, L: int) -> Correction:
                          f"(indices 0 .. {L * L - 1})")
     if not anyons:
         return Correction(frozenset(), L)
-    dist = _distance_matrix(anyons, anyons, L)
+    dist = [[row[b] for b in anyons] for row in [_distances_to(a, L) for a in anyons]]
     if len(anyons) <= EXACT_LIMIT:
         pairs, method = _pair_exact(anyons, dist), "exact"
     else:
@@ -237,13 +232,11 @@ def dressed_logical(outcomes, op: LogicalOperator, L: int) -> int:
         raise ValueError("dressed readout tracks Z-type loops in this frame")
     if not isinstance(outcomes, SpinConfiguration):
         outcomes = SpinConfiguration(outcomes)  # rejects anything but +-1
-    values = outcomes.spins
-    if values.size != 2 * L * L:
-        raise ValueError(f"need outcomes for all {2 * L * L} qubits, got {values.size}")
+    if outcomes.n != 2 * L * L:
+        raise ValueError(f"need outcomes for all {2 * L * L} qubits, got {outcomes.n}")
     model = build_model("Kitaev2D", L=L)
-    error = frozenset(np.flatnonzero(values < 0).tolist())
-    bare = logical_bare(model, error, op)
-    corr = decode_matching(syndrome(model, error, "plaquette"), L)
+    bare = logical_bare(model, outcomes, op)
+    corr = decode_matching(syndrome(model, outcomes, "plaquette"), L)
     return bare * crossing_sign(corr.edges, op)
 
 

@@ -527,8 +527,12 @@ def first_passage(model: LatticeModel, params: SimulationParams, predicate=None,
 
     Raises:
         ValueError: for Kitaev2D without a predicate, a predicate already
-            true in the initial state, or a bad ``seed`` or ``workers``.
+            true in the initial state, a ``probe_cadence`` (first passage
+            never probes), or a bad ``seed`` or ``workers``.
     """
+    if params.probe_cadence is not None:
+        raise ValueError(f"probe_cadence must be None: first passage never probes, "
+                         f"got {params.probe_cadence!r}")
     if predicate is None and model.kind == "Kitaev2D":
         raise ValueError("Kitaev2D needs an explicit predicate: the default "
                          "(magnetization sign) does not apply to the toric code")

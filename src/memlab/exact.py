@@ -34,6 +34,9 @@ from .lattice import LatticeModel, ising_energies
 
 MAX_STATES = 1 << 20
 DENSE_LIMIT = 512  # below it LAPACK, from it on eigsh: the faster one
+# smallest gap the eigensolvers resolve, relative to the largest exit rate:
+# a few hundred ulps, so roundoff of the zero eigenvalue stays below it
+GAP_RESOLUTION = 2.0 ** 10 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,11 +365,32 @@ def spectral_gap(G: GeneratorMatrix) -> float:
     A Kitaev2D generator from :func:`build_generator` is solved block by
     block through :class:`StarBlocks`, without its full matrix; any other
     generator, including a hand-built Kitaev2D one, is solved whole.
+
+    Raises:
+        ValueError: the gap is below the eigensolver's resolution,
+            ``GAP_RESOLUTION`` times the largest exit rate, or a Gibbs weight
+            underflows to 0; the digits would be roundoff.
+        RuntimeError: the rates break detailed balance.
     """
     if isinstance(G, _KitaevGenerator):
-        return StarBlocks(G.model, G.beta).gap()
-    S, d = _symmetrized(G)
-    return float(max(-_top_eigen(S, 2, v0=d)[0], 0.0))
+        blocks = StarBlocks(G.model, G.beta)
+        pi, scale = np.exp(-G.beta * blocks.energies), blocks._scale  # the clean code has E = 0
+    else:
+        pi, scale = G.gibbs(), np.abs(G.matrix.diagonal()).max()
+    limit = GAP_RESOLUTION * scale
+    unresolved = ValueError(f"spectral gap at beta={G.beta!r} is below the eigensolver's "
+                            f"resolution {limit:.3g} ({GAP_RESOLUTION:.3g} x the largest "
+                            f"exit rate)")
+    if not pi.min() > 0:
+        raise unresolved
+    if isinstance(G, _KitaevGenerator):
+        gap = blocks.gap()
+    else:
+        S, d = _symmetrized(G)
+        gap = -_top_eigen(S, 2, v0=d)[0]
+    if not gap >= limit:  # a NaN fails too
+        raise unresolved
+    return float(gap)
 
 
 # ---------------------------------------------------------------------------

@@ -564,6 +564,14 @@ def test_first_passage_rejects_bad_workers(workers):
         first_passage(build_model("Ising1D", N=4), params, seed=0, workers=workers)
 
 
+@pytest.mark.parametrize("kind", ["IsingMeanField", "Ising1D"])
+def test_first_passage_rejects_a_probe_cadence(kind):
+    """First passage never probes, so a cadence would be silently ignored."""
+    params = SimulationParams(beta=1.0, t_max=1.0, n_traj=2, probe_cadence=0.5)
+    with pytest.raises(ValueError, match="probe_cadence"):
+        first_passage(build_model(kind, N=4), params, seed=0)
+
+
 def test_first_passage_rejects_satisfied_predicate():
     model = build_model("IsingMeanField", N=4)
     params = SimulationParams(beta=1.0, t_max=1.0)
@@ -796,6 +804,7 @@ def test_numpy_integer_seeds_equal_python_ints():
     b = simulate_trajectory(model, params, seed=7)
     assert type(a.seed) is int and a.seed == b.seed == 7
     assert a.events == b.events and a.probes == b.probes
+    params = SimulationParams(beta=0.5, t_max=5.0, n_traj=3)
     assert (first_passage(model, params, seed=np.int64(4)).times.tolist()
             == first_passage(model, params, seed=4).times.tolist())
 

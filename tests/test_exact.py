@@ -283,6 +283,43 @@ def test_irreversible_rates_are_rejected_by_the_blocks(monkeypatch):
         spectral_gap(build_generator(model, 1.0))
 
 
+def _mean_field_chain_gap(N, beta, J=1.0):
+    """Gap of the lumped birth-death chain in the number k of down spins,
+    symmetrized, from the heat-bath rates of dE = (2J/N)(s M - 1)."""
+    c = 2.0 * J / N
+    up = [(N - k) * heat_bath(beta * c * (N - 2 * k - 1)) for k in range(N + 1)]
+    down = [k * heat_bath(beta * c * (2 * k - N - 1)) for k in range(N + 1)]
+    off = np.sqrt(np.multiply(up[:-1], down[1:]))
+    A = -np.diag(np.add(up, down)) + np.diag(off, 1) + np.diag(off, -1)
+    return -np.linalg.eigvalsh(A)[-2]
+
+
+def test_a_small_resolved_gap_is_kept():
+    """5.07e-12 at N = 6, beta = 10, above the resolution of 1.36e-12."""
+    gap = spectral_gap(build_generator(build_model("IsingMeanField", N=6), 10.0))
+    assert abs(gap - _mean_field_chain_gap(6, 10.0)) < 1e-3 * gap
+
+
+@pytest.mark.parametrize("kind,dims,beta", [
+    ("IsingMeanField", {"N": 6}, 20.0),  # the solve reads 2.4e-16; the chain's gap is 5.2e-25
+    ("IsingMeanField", {"N": 6}, 30.0),
+    ("Ising1D", {"N": 6}, 30.0),
+    ("Ising1D", {"N": 6}, 100.0),  # a Gibbs weight underflows to 0
+    ("Ising1D", {"N": 6}, 200.0),
+    ("Kitaev2D", {"L": 2}, 30.0),
+])
+def test_a_gap_below_the_resolution_is_refused(kind, dims, beta):
+    G = build_generator(build_model(kind, **dims), beta)
+    with pytest.raises(ValueError, match=rf"beta={beta!r} is below the eigensolver's resolution"):
+        spectral_gap(G)
+
+
+def test_a_nan_gap_is_refused(monkeypatch):
+    monkeypatch.setattr(exact, "_top_eigen", lambda S, k, v0=None: np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="resolution"):
+        spectral_gap(build_generator(build_model("Ising1D", N=3), 1.0))
+
+
 # ---------------------------------------------------------------------------
 # star-character blocks of the toric-code generator
 
