@@ -50,7 +50,8 @@ EOF
     ;;
   # every shipped config, at one, two and three workers: the CSV bodies
   # must match (three workers split fluctuation's 2000 trajectories
-  # 666/667/667, so chunk boundaries fall unevenly).  Every ensemble
+  # 666/667/667, so chunk boundaries fall unevenly), and the one-worker
+  # body must equal the published one under results/.  Every ensemble
   # reaches its sampler in lists of at most 1024 tapes: 1100 lifetimes
   # cross that list at one worker and split 366/367/367 at three, once
   # for the mean-field walk, once for the ring's one-at-a-time loop and
@@ -63,6 +64,7 @@ EOF
       echo "== $config"
       name="$out/$(basename "$config" .json)"
       "${memlab[@]}" run "$config" --workers 1 --override "output=$name.w1.csv"
+      cmp "$name.w1.csv" "results/$(basename "$config" .json).csv"
       for workers in 2 3; do
         "${memlab[@]}" run "$config" --workers "$workers" --override "output=$name.w$workers.csv"
         cmp "$name.w1.csv" "$name.w$workers.csv"

@@ -47,7 +47,7 @@ class GeneratorMatrix:
 
     Attributes:
         matrix: (dim, dim) CSR matrix.
-        energies: per-state energies defining the Gibbs weights.
+        energies: finite per-state energies defining the Gibbs weights.
         beta: inverse temperature the rates were built at.
         kind: model kind string.
         size: N (Ising kinds) or L (Kitaev2D).
@@ -67,6 +67,8 @@ class GeneratorMatrix:
         if np.shape(self.energies) != m.shape[:1]:
             raise ValueError(f"energies must have shape {m.shape[:1]}, "
                              f"got {np.shape(self.energies)}")
+        if not np.isfinite(self.energies).all():
+            raise ValueError("energies must be finite real numbers")
 
     @property
     def dimension(self) -> int:
@@ -174,29 +176,40 @@ def build_generator(model: LatticeModel, beta: float) -> GeneratorMatrix:
     return GeneratorMatrix(*_assemble(model, beta), beta, model.kind, int(model.N))
 
 
-def _symmetric_part(S, scale: float):
-    """(S + S^T) / 2 of a Gibbs-symmetrized generator, which must be symmetric already."""
+def _gibbs_scaled(rate, row, col, energies, beta: float) -> np.ndarray:
+    """rate * e^{beta (E_row - E_col) / 2}: the entries of S = D^-1 G D,
+    D = diag(e^{-beta E / 2}), from those of G.  A zero rate gives 0 without
+    the factor, which overflows only where a reversible rate underflowed."""
+    out = np.zeros(rate.shape)
+    on = np.flatnonzero(rate)
+    out[on] = rate[on] * np.exp(0.5 * beta * (energies[row[on]] - energies[col[on]]))
+    return out
+
+
+def _symmetric_csr(vals, rows, cols, exits: np.ndarray):
+    """(S + S^T) / 2 as CSR from the COO entries of S, which must be symmetric
+    to 1e-9 of the largest of the exit rates ``exits`` (a NaN fails)."""
+    import scipy.sparse as sp
+
+    S = sp.coo_matrix((vals, (rows, cols)), shape=(exits.size, exits.size)).tocsr()
     asym = abs(S - S.T).max()
-    if asym > 1e-9 * scale:
+    if not asym <= 1e-9 * (exits.max() or 1.0):
         raise RuntimeError(f"generator is not reversible: symmetrization residual {asym:g}")
     return (S + S.T) * 0.5
 
 
 def _symmetrized(G: GeneratorMatrix):
-    import scipy.sparse as sp
-
-    d = np.sqrt(G.gibbs())
-    S = sp.diags(1.0 / d) @ G.matrix @ sp.diags(d)
-    return _symmetric_part(S, np.abs(G.matrix.diagonal()).max() or 1.0), d
+    """S of any generator, built or hand-built, from every stored entry."""
+    m = G.matrix.tocoo()
+    return _symmetric_csr(_gibbs_scaled(m.data, m.row, m.col, G.energies, G.beta), m.row, m.col,
+                          np.abs(G.matrix.diagonal()))
 
 
 def _top_eigen(S, k: int, v0=None):
-    """The k largest eigenvalues of a symmetric S, ascending.
-
-    LAPACK strictly below ``DENSE_LIMIT`` states, ``eigsh`` at or above it,
-    started from ``v0`` or else from a fixed vector, so repeated calls give
-    the same digits.
-    """
+    """The k largest eigenvalues of a symmetric S, ascending: LAPACK strictly
+    below ``DENSE_LIMIT`` states, else ``eigsh`` from ``v0`` or a fixed vector,
+    so repeated calls give the same digits.  ``eigsh`` (ARPACK) applies S to
+    its start vector first, so it loses a null vector that S decouples."""
     if S.shape[0] < DENSE_LIMIT:
         return np.linalg.eigvalsh(S.toarray())[-k:]
     import scipy.sparse.linalg as spla
@@ -219,9 +232,9 @@ class StarBlocks:
     Coset representatives are the edge sets that avoid the pivot edges of the
     star masks in reduced echelon form.  Flipping edge e maps representative
     r to r ^ ``flip[e]`` up to the star combination ``combo[e]`` (nonzero
-    only for pivot edges), so block chi has entry
-    rate * sqrt(pi_r / pi_r') * (-1)^|combo[e] & chi| at (r', r) and minus
-    the exit rate of r on the diagonal.
+    only for pivot edges), so block chi has the :func:`_gibbs_scaled` entry
+    of the step times (-1)^|combo[e] & chi| at (r', r), and minus the exit
+    rate of r on the diagonal; the entries are formed once per instance.
 
     Attributes:
         model: the Kitaev2D lattice.
@@ -267,19 +280,12 @@ class StarBlocks:
 
         keys, self.energies = _flip_keys(model, self.reps)
         rates = _rates(model, self.beta, keys)
-        n = self.reps.size
-        src = np.arange(n, dtype=np.int64)
-        rows, vals, exit_rate = [], [], np.zeros(n)
-        for e in range(n_e):
-            dst = self._index(self.reps ^ self.flip[e])
-            rate = rates[:, e]
-            exit_rate += rate
-            rows.append(dst)
-            vals.append(rate * np.exp(0.5 * self.beta * (self.energies[dst] - self.energies)))
-        self._rows = np.concatenate(rows + [src])
+        src = np.arange(self.reps.size, dtype=np.int64)
+        self._exit = sum(rates.T)  # each state's exit rate, summed edge by edge
+        self._rows = np.concatenate([self._index(self.reps ^ f) for f in self.flip] + [src])
         self._cols = np.concatenate([np.tile(src, n_e), src])
-        self._vals = np.concatenate(vals + [-exit_rate])
-        self._scale = exit_rate.max() or 1.0
+        self._vals = _gibbs_scaled(np.concatenate([rates.T.ravel(), -self._exit]),
+                                   self._rows, self._cols, self.energies, self.beta)
 
     def _index(self, reps: np.ndarray) -> np.ndarray:
         """Row index of each representative (its bits on the free edges)."""
@@ -295,18 +301,14 @@ class StarBlocks:
             RuntimeError: the rates break detailed balance, so the block
                 is not symmetric.
         """
-        import scipy.sparse as sp
-
         n_s = self.model.L * self.model.L
         c = check_count("chi", chi, 0)
         if c >> n_s or c.bit_count() % 2:
             raise ValueError(f"chi must be an even star bitmask below 2^{n_s}, got {chi!r}")
         # bitwise_count returns uint8: cast before 1 - 2 * count or -1 wraps to 255
         odd = np.bitwise_count(self.combo & c).astype(np.int64) & 1
-        n = self.reps.size
-        sign = np.concatenate([np.repeat(1 - 2 * odd, n), np.ones(n, dtype=np.int64)])
-        B = sp.coo_matrix((self._vals * sign, (self._rows, self._cols)), shape=(n, n)).tocsr()
-        return _symmetric_part(B, self._scale)
+        sign = np.repeat(np.append(1 - 2 * odd, 1), self.reps.size)  # the diagonal last
+        return _symmetric_csr(self._vals * sign, self._rows, self._cols, self._exit)
 
     def orbits(self) -> list:
         """Characters grouped under the 8L^2 symmetries of the square torus,
@@ -354,42 +356,40 @@ def stationary_distribution(G: GeneratorMatrix) -> np.ndarray:
     _symmetrized(G)
     pi = G.gibbs()
     resid = np.abs(G.matrix @ pi).max()
-    if resid > 1e-8:
+    if not resid <= 1e-8:  # a NaN fails too
         raise RuntimeError(f"Gibbs vector is not stationary: residual {resid:g}")
     return pi
 
 
 def spectral_gap(G: GeneratorMatrix) -> float:
-    """|second-largest eigenvalue| of the generator via Gibbs symmetrization.
+    """|second-largest eigenvalue| of the generator, from the symmetric S that
+    :func:`_gibbs_scaled` forms entry by entry.
 
     A Kitaev2D generator from :func:`build_generator` is solved block by
     block through :class:`StarBlocks`, without its full matrix; any other
-    generator, including a hand-built Kitaev2D one, is solved whole.
+    generator, including a hand-built Kitaev2D one, is solved whole from
+    sqrt(Gibbs), the top eigenvector.  Nothing is solved when a slow state
+    bounds the gap below the limit, where eigsh would lose its null vector.
 
     Raises:
         ValueError: the gap is below the eigensolver's resolution,
             ``GAP_RESOLUTION`` times the largest exit rate, or a Gibbs weight
-            underflows to 0; the digits would be roundoff.
+            of a whole solve underflows to 0; the digits would be roundoff.
         RuntimeError: the rates break detailed balance.
     """
-    if isinstance(G, _KitaevGenerator):
-        blocks = StarBlocks(G.model, G.beta)
-        pi, scale = np.exp(-G.beta * blocks.energies), blocks._scale  # the clean code has E = 0
+    blocks = StarBlocks(G.model, G.beta) if isinstance(G, _KitaevGenerator) else None
+    if blocks:
+        exits = slow = blocks._exit  # no state holds half the Gibbs weight
     else:
-        pi, scale = G.gibbs(), np.abs(G.matrix.diagonal()).max()
-    limit = GAP_RESOLUTION * scale
-    unresolved = ValueError(f"spectral gap at beta={G.beta!r} is below the eigensolver's "
-                            f"resolution {limit:.3g} ({GAP_RESOLUTION:.3g} x the largest "
-                            f"exit rate)")
-    if not pi.min() > 0:
-        raise unresolved
-    if isinstance(G, _KitaevGenerator):
-        gap = blocks.gap()
-    else:
-        S, d = _symmetrized(G)
-        gap = -_top_eigen(S, 2, v0=d)[0]
+        pi, exits = G.gibbs(), np.abs(G.matrix.diagonal())
+        slow = exits[pi <= 0.5] if pi.min() > 0 else np.zeros(1)  # sqrt(pi) starts eigsh
+    limit, gap = GAP_RESOLUTION * exits.max(), math.nan
+    # 1 at a state x, 0 elsewhere: gap <= exit(x) / (1 - pi(x)) <= 2 exit(x) if pi(x) <= 1/2
+    if 2.0 * slow.min(initial=math.inf) > limit:
+        gap = blocks.gap() if blocks else -_top_eigen(_symmetrized(G), 2, v0=np.sqrt(pi))[0]
     if not gap >= limit:  # a NaN fails too
-        raise unresolved
+        raise ValueError(f"spectral gap at beta={G.beta!r} is below the eigensolver's resolution "
+                         f"{limit:.3g} ({GAP_RESOLUTION:.3g} x the largest exit rate)")
     return float(gap)
 
 

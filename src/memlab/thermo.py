@@ -244,7 +244,8 @@ def _sigma_lockstep(schedule: ProtocolSchedule, p_init, p_fin, rates, tapes) -> 
         xf = was.ravel()[p[f]]
         fwd, bwd = np.where(xf, down[f], up[f]), np.where(xf, up[f], down[f])
         if (bwd <= 0.0).any():
-            raise ValueError("zero backward rate: schedule is irreversible by construction")
+            raise ValueError(f"zero backward rate: e^(-beta |splitting|) underflows to 0 at "
+                             f"beta={beta!r}, so a flip's ln(forward / backward) is infinite")
         # each row's flip terms, added in time order
         np.add.at(sigma, p[f] // BLOCK, list(map(math.log, (fwd / bwd).tolist())))
         first = 0

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from memlab import (
     GeneratorMatrix,
@@ -312,6 +312,61 @@ def test_a_gap_below_the_resolution_is_refused(kind, dims, beta):
     G = build_generator(build_model(kind, **dims), beta)
     with pytest.raises(ValueError, match=rf"beta={beta!r} is below the eigensolver's resolution"):
         spectral_gap(G)
+
+
+@pytest.mark.parametrize("kind,dims,beta", [
+    ("Ising1D", {"N": 9}, 40.0),  # a solve reads 0.1206, missing the ground states
+    ("Ising2D", {"L": 3}, 20.0),  # a solve reads 1.0
+    ("Kitaev2D", {"L": 3}, 60.0),  # the block solves read 1.0554
+    ("Kitaev2D", {"L": 3, "move_rate": 0.0}, 400.0),  # the block solves read 1.0
+])
+def test_a_gap_that_a_slow_state_bounds_below_the_resolution_is_refused(kind, dims, beta):
+    """A state x bounds the gap by 2 exit(x) where pi(x) <= 1/2; below the
+    resolution nothing is solved, since eigsh would miss x's null vector."""
+    G = build_generator(build_model(kind, **dims), beta)
+    with pytest.raises(ValueError, match=rf"beta={beta!r} is below the eigensolver's resolution"):
+        spectral_gap(G)
+
+
+_SWEEP_MODELS = [build_model("Ising1D", N=6), build_model("Ising2D", L=2),
+                 build_model("Ising2D", L=3), build_model("IsingMeanField", N=8),
+                 build_model("Kitaev2D", L=2), build_model("Kitaev2D", L=2, move_rate=0.0)]
+
+
+@settings(max_examples=25, deadline=None)
+@example(beta=40.0)
+@example(beta=50.0)
+@example(beta=200.0)
+@example(beta=372.0)
+@example(beta=709.0)
+@example(beta=710.0)
+@example(beta=800.0)
+@example(beta=1e4)
+@given(beta=st.floats(0.0, 1e4))
+def test_every_beta_gives_finite_checked_values_or_names_beta(beta):
+    """Under warnings-as-errors, each exact entry point returns finite values
+    that passed its own checks, or raises a ValueError naming beta."""
+    for model in _SWEEP_MODELS:
+        G = build_generator(model, beta)
+        calls = [lambda: stationary_distribution(G), lambda: spectral_gap(G)]
+        if model.kind == "Kitaev2D":
+            calls.append(lambda: StarBlocks(model, beta).block(0).toarray())
+        for call in calls:
+            try:
+                values = call()
+            except ValueError as err:
+                assert "beta" in str(err), (model.kind, beta, err)
+            else:
+                assert np.isfinite(values).all(), (model.kind, beta)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_energies_are_rejected(bad):
+    G = build_generator(build_model("Ising1D", N=3), 1.0)
+    energies = G.energies.copy()
+    energies[2] = bad
+    with pytest.raises(ValueError, match="^energies must be finite"):
+        GeneratorMatrix(G.matrix, energies, G.beta, G.kind, G.size)
 
 
 def test_a_nan_gap_is_refused(monkeypatch):

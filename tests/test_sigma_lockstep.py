@@ -73,6 +73,13 @@ def test_zero_backward_rate_is_still_refused():
         entropy_production_samples(schedule, 3, seed=1, p0=(0.0, 1.0))
 
 
+def test_an_underflowed_backward_rate_names_beta():
+    """A reversible sawtooth at beta = 800: e^{-beta |splitting|} underflows
+    to 0 on the uphill flips, so the refusal names beta."""
+    with pytest.raises(ValueError, match=r"^zero backward rate: .* at beta=800\.0"):
+        entropy_production_samples(sawtooth_schedule(3, 1.0, 2.0, beta=800.0), 10)
+
+
 @pytest.mark.parametrize("p0", [("0.5", "0.5"), (True, False), (10**400, 0),
                                 (math.nan, 0.5), (1.5, -0.5)],
                          ids=["strings", "bools", "10**400", "nan", "outside-0-1"])
