@@ -2,7 +2,7 @@
 # The body of each CI step that runs the tests or the program end to end,
 # runnable offline from a checkout:
 #
-#   scripts/ci.sh tier1 | criterion4 | demos | readme | configs | cold-start | bench
+#   scripts/ci.sh tier1 | criterion4 | demos | readme | configs | cold-start | perfbench | bench
 #
 # A step exits non-zero at its first failed check.  It calls the `memlab`
 # console script when that is on PATH and `python -m memlab` otherwise, and
@@ -109,6 +109,10 @@ EOF
       fi
     done
     ;;
+  # the benchmark's own tests
+  perfbench)
+    python -m pytest perfbench -q
+    ;;
   # one traced pass of each benchmark workload: the tracer reads the
   # signatures of the functions it wraps, so a change to one of them shows
   # only here; run.py exits 0 either way, so its last line must read correct
@@ -123,7 +127,7 @@ EOF
     done
     ;;
   *)
-    echo "usage: scripts/ci.sh tier1|criterion4|demos|readme|configs|cold-start|bench" >&2
+    echo "usage: scripts/ci.sh tier1|criterion4|demos|readme|configs|cold-start|perfbench|bench" >&2
     exit 2
     ;;
 esac

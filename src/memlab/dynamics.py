@@ -287,7 +287,7 @@ class _KitaevSampler(_Sampler):
         return changes
 
     def state_view(self) -> frozenset:
-        return frozenset(sorted(self.errors))
+        return frozenset(self.errors)
 
     final_state = state_view
 

@@ -417,6 +417,8 @@ class Segment:
             check_real(name, getattr(self, name), inf=True)
         if not self.t1 > self.t0:
             raise ValueError("segment needs t1 > t0")
+        if not isinstance(self.coupled, (bool, np.bool_)):  # "no" would read as coupled
+            raise ValueError(f"coupled must be a bool, got {self.coupled!r}")
 
     @functools.cached_property
     def slopes(self) -> tuple:

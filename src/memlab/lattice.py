@@ -13,7 +13,8 @@ For ``Kitaev2D`` the state of interest is an *error set*: the set of edges
 flipped relative to the all-up reference frame.  By convention the flips are
 X-type, so they excite plaquette stabilizers; the star sector behaves
 identically under lattice duality and is available through the ``sector``
-arguments without a separate code path.
+arguments without a separate code path.  Every geometry table is read off one
+periodic neighbour table; :func:`_kitaev_tables` states the torus rule.
 """
 
 from __future__ import annotations
@@ -159,32 +160,21 @@ def _neighbours(idx: np.ndarray) -> np.ndarray:
 def _kitaev_tables(L: int):
     """Incidence tables for the L x L torus, built once per L.
 
-    Edges: horizontal h(x, y) = y*L + x joins vertices (x,y)-(x+1,y);
-    vertical v(x, y) = L^2 + y*L + x joins (x,y)-(x,y+1).
-    Plaquette p(x, y) = y*L + x is the face with corners (x,y)..(x+1,y+1);
-    star s(x, y) = y*L + x is the vertex (x, y).
+    Site (x, y) is s = y*L + x, with :func:`_neighbours` row (y-1, y+1, x-1,
+    x+1); plaquette s is the face with corners (x,y)..(x+1,y+1), star s the
+    vertex (x, y).  Horizontal edge h = s joins (x,y)-(x+1,y) and borders
+    plaquettes (s, y-1) and stars (s, x+1); vertical edge v = L^2 + s joins
+    (x,y)-(x,y+1) and borders plaquettes (s, x-1) and stars (s, y+1).  Each
+    stabilizer lists its four edges in ascending order.
     """
-    n_e = 2 * L * L
-    edge_plaq = np.empty((n_e, 2), dtype=np.int64)
-    edge_star = np.empty((n_e, 2), dtype=np.int64)
-    for y in range(L):
-        for x in range(L):
-            h = y * L + x
-            v = L * L + y * L + x
-            edge_plaq[h] = (y * L + x, ((y - 1) % L) * L + x)
-            edge_plaq[v] = (y * L + x, y * L + (x - 1) % L)
-            edge_star[h] = (y * L + x, y * L + (x + 1) % L)
-            edge_star[v] = (y * L + x, ((y + 1) % L) * L + x)
-    plaq_edges = [[] for _ in range(L * L)]
-    star_edges = [[] for _ in range(L * L)]
-    for e in range(n_e):
-        for p in edge_plaq[e]:
-            plaq_edges[p].append(e)
-        for s in edge_star[e]:
-            star_edges[s].append(e)
-    return tuple(_read_only(t) for t in (edge_plaq, edge_star,
-                                         np.array(plaq_edges, dtype=np.int64),
-                                         np.array(star_edges, dtype=np.int64)))
+    sites = np.arange(L * L, dtype=np.int64)
+    nb, this = _neighbours(sites.reshape(L, L)), np.tile(sites, 2)
+    edge_plaq = np.stack((this, nb[:, [0, 2]].T.ravel()), axis=1)
+    edge_star = np.stack((this, nb[:, [3, 1]].T.ravel()), axis=1)
+    # entry 2e + c of a table names edge e; a stable sort keeps edges ascending
+    plaq_edges, star_edges = (np.argsort(t.ravel(), kind="stable").reshape(L * L, 4) // 2
+                              for t in (edge_plaq, edge_star))
+    return tuple(_read_only(t) for t in (edge_plaq, edge_star, plaq_edges, star_edges))
 
 
 def build_model(kind: str, N: int | None = None, L: int | None = None,
@@ -257,11 +247,8 @@ def syndrome(model: LatticeModel, error, sector: str = "plaquette") -> Syndrome:
         raise ValueError(f"unknown sector: {sector!r}")
     edges = _as_error_set(model, error, "error")
     table = model.edge_plaquettes if sector == "plaquette" else model.edge_stars
-    counts = np.zeros(model.L * model.L, dtype=np.int64)
-    for e in edges:
-        counts[table[e, 0]] += 1
-        counts[table[e, 1]] += 1
-    return Syndrome(frozenset(np.flatnonzero(counts % 2 == 1).tolist()), sector)
+    counts = np.bincount(table[list(edges)].ravel(), minlength=model.L * model.L)
+    return Syndrome(frozenset(np.flatnonzero(counts % 2).tolist()), sector)
 
 
 def energy(model: LatticeModel, config) -> float:
@@ -307,27 +294,20 @@ def block_flip_delta(model: LatticeModel, k: int) -> float:
 def logical_operator(model: LatticeModel, mu: int, sector: str = "Z-type") -> LogicalOperator:
     """A minimal-support logical loop of the given winding direction and type.
 
-    Z-type loops are primal cycles (row of horizontal edges for mu=1, column
-    of vertical edges for mu=2); X-type loops are the dual cycles conjugate to
-    them (column of horizontal edges for mu=1, row of vertical edges for mu=2),
-    so that X^mu and Z^mu share exactly one edge.
+    Z-type loops are primal cycles (row y = 0 of horizontal edges for mu=1,
+    column x = 0 of vertical edges for mu=2); X-type loops are the dual
+    cycles conjugate to them (column x = 0 of horizontal edges for mu=1, row
+    y = 0 of vertical edges for mu=2), so that X^mu and Z^mu share exactly
+    one edge.
     """
     if model.kind != "Kitaev2D":
         raise ValueError("logical operators are defined for Kitaev2D models")
-    L = model.L
-    if sector == "Z-type":
-        if mu == 1:      # winds in x: horizontal edges of row y=0
-            support = {0 * L + x for x in range(L)}
-        else:            # winds in y: vertical edges of column x=0
-            support = {L * L + y * L + 0 for y in range(L)}
-    elif sector == "X-type":
-        if mu == 1:      # dual loop crossing Z^1: horizontal edges of column x=0
-            support = {y * L + 0 for y in range(L)}
-        else:            # dual loop crossing Z^2: vertical edges of row y=0
-            support = {L * L + 0 * L + x for x in range(L)}
-    else:
+    if sector not in ("Z-type", "X-type"):
         raise ValueError(f"unknown sector: {sector!r}")
-    return LogicalOperator(mu, sector, frozenset(support))
+    L = model.L
+    line = range(L) if (sector == "Z-type") == (mu == 1) else range(0, L * L, L)
+    first = L * L if mu == 2 else 0  # the vertical edges follow the horizontal ones
+    return LogicalOperator(mu, sector, frozenset(first + e for e in line))
 
 
 def logical_bare(model: LatticeModel, error, op: LogicalOperator) -> int:

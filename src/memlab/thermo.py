@@ -48,6 +48,8 @@ class MemoryModel:
     def __post_init__(self):
         if self.source not in ("ideal", "derived-from-lifetime"):
             raise ValueError(f"unknown memory source: {self.source!r}")
+        if not isinstance(self.stable, (bool, np.bool_)):  # "no" would read as stable
+            raise ValueError(f"stable must be a bool, got {self.stable!r}")
         p = check_real("error_probability", self.error_probability, least=0, most=1)
         if self.source == "derived-from-lifetime" and p > 0.5 + 1e-12:
             raise ValueError("lifetime-derived error probability cannot exceed 1/2")

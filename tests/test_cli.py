@@ -196,6 +196,17 @@ def test_unknown_experiment_rejected(tmp_path, capsys):
     assert "teleportation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config,named", [
+    ({"model": "Ising1D", "output": "x.csv"}, "missing required key 'experiment'"),
+    ([{"experiment": "gap"}], "config must be a JSON object"),
+], ids=["no experiment", "a list"])
+def test_config_without_an_experiment_object_is_named(tmp_path, capsys, config, named):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_malformed_json_and_missing_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

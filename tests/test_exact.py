@@ -561,6 +561,22 @@ def test_schedule_validation():
         ProtocolSchedule(segments=(seg, after), jumps=(second, first))
 
 
+@pytest.mark.parametrize("bad", ["no", "", 1, 0, None])
+def test_coupled_must_be_a_bool(bad):
+    # "no" is truthy: read as a flag it was solved, and ledgered, as coupled
+    with pytest.raises(ValueError, match="coupled must be a bool"):
+        Segment(0.0, 1.0, (0.0, 0.0), (0.0, 1.0), coupled=bad)
+    frozen = Segment(0.0, 1.0, (0.0, 0.0), (0.0, 1.0), coupled=np.False_)
+    sol = integrate_master(ProtocolSchedule((frozen,), gamma=1.0, beta=1.0), (0.7, 0.3))
+    assert sol.segments[0].label == "decoupled"
+    assert sol.segments[0].heat == 0.0
+
+
+def test_star_blocks_need_the_toric_code():
+    with pytest.raises(ValueError, match="star blocks need a Kitaev2D model"):
+        StarBlocks(build_model("Ising1D", N=4), 1.0)
+
+
 def test_implicit_discontinuity_rejected():
     # second segment starts at eps1 = 5 while the first ended at 2: a hidden
     # quench, which must be spelled out as a Jump instead

@@ -298,3 +298,43 @@ def test_logical_operator_validation():
         logical_operator(model, 1, sector="Y-type")
     with pytest.raises(ValueError):
         logical_operator(build_model("Ising2D", L=2), 1)
+
+
+def test_unknown_sectors_are_named():
+    with pytest.raises(ValueError, match="unknown sector: 'edge'"):
+        Syndrome(frozenset(), "edge")
+    with pytest.raises(ValueError, match="unknown sector: 'Y-type'"):
+        LogicalOperator(1, "Y-type", frozenset())
+
+
+# --- the toric-code tables ----------------------------------------------------
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+def test_toric_code_tables_are_pinned(L):
+    """All four incidence tables and the four logical loops, entry for entry,
+    against independent walks of the L x L torus."""
+    model = build_model("Kitaev2D", L=L)
+    tables = (model.edge_plaquettes, model.edge_stars, model.plaquette_edges, model.star_edges)
+    assert [t.dtype for t in tables] == [np.int64] * 4
+    assert model.plaquette_edges.tolist() == [sorted(es) for es in plaquette_edge_sets(L)]
+    assert model.star_edges.tolist() == [sorted(es) for es in star_edge_sets(L)]
+
+    def site(x, y):
+        return (y % L) * L + x % L
+
+    # h(x, y) = y*L + x, then v(x, y) = L^2 + y*L + x; each row is (this, other)
+    cells = [(x, y) for y in range(L) for x in range(L)]
+    assert model.edge_plaquettes.tolist() == (
+        [[site(x, y), site(x, y - 1)] for x, y in cells]
+        + [[site(x, y), site(x - 1, y)] for x, y in cells])
+    assert model.edge_stars.tolist() == (
+        [[site(x, y), site(x + 1, y)] for x, y in cells]
+        + [[site(x, y), site(x, y + 1)] for x, y in cells])
+    row = {site(x, 0) for x in range(L)}
+    column = {site(0, y) for y in range(L)}
+    vertical = L * L
+    assert {(mu, sector): logical_operator(model, mu, sector).support
+            for mu in (1, 2) for sector in ("Z-type", "X-type")} == {
+        (1, "Z-type"): row, (2, "Z-type"): {vertical + e for e in column},
+        (1, "X-type"): column, (2, "X-type"): {vertical + e for e in row}}

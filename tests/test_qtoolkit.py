@@ -114,6 +114,13 @@ def test_channel_validation():
         QuantumChannel((np.zeros((0, 0)),))
 
 
+def test_vectors_are_neither_states_nor_kraus_operators():
+    with pytest.raises(ValueError, match="Kraus operators must be matrices"):
+        QuantumChannel([np.ones(2)])
+    with pytest.raises(ValueError, match="density matrix must be square"):
+        DensityMatrix(np.full(2, 0.5))
+
+
 def test_encoder_channel_dimensions():
     _, _, encoder = repetition_code_channels()
     assert encoder.dim_in == 2
@@ -267,6 +274,12 @@ def test_unitary_with_inverse_recovery_passes():
     assert report.passed
 
 
+def test_isometry_check_of_no_states_passes_with_no_pairs():
+    noise, recovery, _ = repetition_code_channels()
+    assert correctable_isometry_check(noise, recovery, []) == IsometryReport(
+        True, (), 0, 0.0, True)
+
+
 def test_flip_probability_range():
     with pytest.raises(ValueError, match="1/3"):
         repetition_code_channels(p_flip=0.4)
@@ -313,6 +326,11 @@ def test_fannes_slack_nonnegative_in_window():
 def test_fannes_window_is_enforced():
     with pytest.raises(ValueError, match="window"):
         fannes_check(_diag(1.0, 0.0), _diag(0.0, 1.0), 2)
+
+
+def test_fannes_check_needs_one_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fannes_check(_diag(1.0, 0.0), _diag(1.0, 0.0, 0.0), 3)
 
 
 def test_erasure_balance_verdicts():

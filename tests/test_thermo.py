@@ -108,6 +108,18 @@ def test_memory_model_validation():
     MemoryModel(0.7)  # an ideal register may be arbitrarily wrong
 
 
+@pytest.mark.parametrize("bad", ["no", "", 1, 0, None])
+def test_stable_must_be_a_bool(bad):
+    # "no" is truthy: read as a flag it made a stable register, read out for free
+    with pytest.raises(ValueError, match="stable must be a bool"):
+        MemoryModel(0.1, stable=bad)
+    with pytest.raises(ValueError, match="stable must be a bool"):
+        MemoryModel.from_lifetime(1.0, 4.0, stable=bad)
+    unstable = memory_engine_cycle(MemoryModel(0.1, stable=False), 5.0, 10.0, 1.0)
+    assert memory_engine_cycle(MemoryModel(0.1, stable=np.False_), 5.0, 10.0,
+                               1.0).measurement_cost == unstable.measurement_cost > 0.0
+
+
 def test_memory_from_lifetime():
     assert MemoryModel.from_lifetime(0.0, 10.0).error_probability == 0.0
     assert np.isclose(MemoryModel.from_lifetime(1e6, 1.0).error_probability, 0.5)
