@@ -10,8 +10,11 @@ pass takes over and the result is flagged.
 The exact pairing is a dynamic program over subset masks: the lowest
 unpaired anyon is paired with each partner in turn and the rest is solved the
 same way.  Which masks that rule reaches depends on the anyon count k alone,
-so ``_plan(k)`` lists them once per k, children first (232 masks at k = 12),
-and a decode is one flat loop over the plan.
+so ``_plan(k)`` lists them once per k as index arrays grouped by pair count
+(232 masks at k = 12).  A decode fills the costs of a whole level from the
+level below with a few array operations, then reads the picks off the k/2
+masks of the traceback.  The greedy pass reads each anyon's cached distance
+row and builds no matrix.
 
 One distance rule serves the pairing and the geodesic walks: stabilizer
 s = y L + x is min(|dx|, L - |dx|) + min(|dy|, L - |dy|) steps from b on the
@@ -26,6 +29,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._shared import check_count, check_counts
 from .lattice import (LogicalOperator, SpinConfiguration, Syndrome, build_model,
@@ -51,6 +56,8 @@ class Correction:
     def __post_init__(self):
         object.__setattr__(self, "edges", check_counts("edges", self.edges, least=0))
         object.__setattr__(self, "L", check_count("L", self.L, 2))
+        if self.method not in ("exact", "greedy"):
+            raise ValueError(f"method must be 'exact' or 'greedy', got {self.method!r}")
 
     @property
     def weight(self) -> int:
@@ -104,36 +111,46 @@ def _distances_to(b: int, L: int) -> list:
     return [dy + dx for dy in axis(y) for dx in along_x]
 
 
+def _frozen(values: list) -> np.ndarray:
+    """A read-only index array, so a cached plan cannot be edited in place."""
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _plan(k: int) -> tuple:
-    """The subset dynamic program of :func:`_pair_exact` for k anyons.
+    """The subset dynamic program of :func:`_pair_exact` for k anyons, by level.
 
-    One entry per subset mask that the "pair the lowest anyon" rule reaches
-    from the full mask, children before parents, so the full mask is last.
-    Entry 0 is the empty mask, ``None``.  Any other entry is ``(i, options)``:
-    ``i`` is the mask's lowest anyon, and ``options`` lists, per partner ``b``
-    of ``i`` in ascending order, the pair ``(b, index of the mask without i
-    and b)``.  It depends on k alone: 232 masks and 1076 options at k = 12.
+    A mask of 2p anyons is solved from masks of 2p - 2, so the masks that the
+    "pair the lowest anyon" rule reaches from the full mask are grouped by
+    pair count p.  Entry p - 1 holds the level of p pairs as three read-only
+    index arrays ``(options, children, starts)``: per mask, one option per
+    partner ``b`` of its lowest anyon ``i`` in ascending order, stored as the
+    flat index ``i * k + b`` of the distance matrix, the position of the mask
+    without ``i`` and ``b`` in the level below, and where the mask's 2p - 1
+    options start.  Every child of level 1 is the empty mask, at position 0 of
+    a level 0 that has no entry; the last level is the full mask alone.  It
+    depends on k alone: 232 masks and 1076 options at k = 12.
     """
-    index = {0: 0}
-    plan = [None]
-
-    def visit(mask):
-        if mask not in index:
-            low = mask & -mask
-            rest = mask ^ low
-            options = []
+    plan = []
+    level = [(1 << k) - 1]  # the full mask
+    while level[0]:
+        below = {}  # the masks of the level below, in order of first reach
+        options, children, starts = [], [], []
+        for mask in level:
+            starts.append(len(options))
+            rest = mask & (mask - 1)  # without its lowest anyon
+            i = (mask ^ rest).bit_length() - 1
             j = rest
             while j:
                 bit = j & -j
-                options.append((bit.bit_length() - 1, visit(rest ^ bit)))
+                options.append(i * k + bit.bit_length() - 1)
+                children.append(below.setdefault(rest ^ bit, len(below)))
                 j ^= bit
-            index[mask] = len(plan)
-            plan.append((low.bit_length() - 1, tuple(options)))
-        return index[mask]
-
-    visit((1 << k) - 1)
-    return tuple(plan)
+        plan.append((_frozen(options), _frozen(children), _frozen(starts)))
+        level = list(below)
+    return tuple(reversed(plan))
 
 
 def _pair_exact(anyons: list, dist):
@@ -144,43 +161,57 @@ def _pair_exact(anyons: list, dist):
     ``dist[i][b] + best(mask without i, b)``.  Only the subsets that this
     "pair the lowest anyon" rule reaches from the full mask are solved: 232
     of the 2048 even masks at k = 12, with 1076 options, against (2k-1)!! =
-    10395 pairings by enumeration.  :func:`_plan` lists them children first,
-    so the solve is one flat loop over the plan, with no recursion and no
-    memo dict.  Costs are sums of the integer torus distances
-    min(|dx|, L - |dx|) + min(|dy|, L - |dy|) of :func:`_distances_to`, so
-    neither the minimum nor the tie-break depends on evaluation order.
+    10395 pairings by enumeration.  :func:`_plan` groups them by pair count,
+    and a level's costs are one gather of its options' distances, one add of
+    its children's costs and one ``np.minimum.reduceat`` over each mask's
+    options; level 1, whose masks are single pairs, is the gather alone.  The
+    pick is then recovered on the k/2 masks of the traceback only, from the
+    full mask down: ``argmin`` returns the first partner that attains the
+    mask's cost, which is the tie-break above.  Costs are sums of the integer
+    torus distances min(|dx|, L - |dx|) + min(|dy|, L - |dy|) of
+    :func:`_distances_to`, so neither the minimum nor the tie-break depends
+    on evaluation order.
 
     Args:
         anyons: stabilizer indices, in the order ``dist`` is indexed.
-        dist: k x k distances as nested lists.
+        dist: k x k distances, as nested lists or an array.
     """
-    plan = _plan(len(anyons))
-    cost, pick = [0], [None]  # per plan entry, in plan order
-    for i, options in plan[1:]:
-        row = dist[i]
-        cands = [row[b] + cost[c] for b, c in options]
-        best = min(cands)
-        cost.append(best)
-        pick.append(cands.index(best))  # the first strict minimum
+    k = len(anyons)
+    if not k:
+        return []
+    plan = _plan(k)
+    flat = np.ravel(dist)
+    cost = flat[plan[0][0]]  # level 1: a mask is one pair, its one option its cost
+    cands = [cost]
+    for options, children, starts in plan[1:]:
+        cands.append(flat[options] + cost[children])
+        cost = np.minimum.reduceat(cands[-1], starts)
     pairs = []
-    m = len(plan) - 1
-    while m:
-        i, options = plan[m]
-        b, m = options[pick[m]]
+    m = 0  # the full mask
+    for width, (options, children, starts), cand in zip(
+            range(k - 1, 0, -2), reversed(plan), reversed(cands)):
+        lo = starts[m]
+        o = lo + cand[lo:lo + width].argmin()  # the first option at the minimum
+        i, b = divmod(int(options[o]), k)
         pairs.append((anyons[i], anyons[b]))
+        m = children[o]
     return pairs
 
 
-def _pair_greedy(anyons: list, dist: list):
-    """Nearest-neighbour pairing: repeatedly match the first unpaired anyon."""
-    todo = list(range(len(anyons)))
+def _pair_greedy(anyons: list, L: int):
+    """Nearest-neighbour pairing: repeatedly match the first unpaired anyon.
+
+    Each anyon's costs are read off its cached :func:`_distances_to` row, so no
+    k x k matrix is built.
+    """
+    todo = list(anyons)
     pairs = []
     while todo:
-        i = todo.pop(0)
-        row = dist[i]
-        j_best = min(todo, key=row.__getitem__)  # todo ascends: ties go to the lowest j
-        todo.remove(j_best)
-        pairs.append((anyons[i], anyons[j_best]))
+        a = todo.pop(0)
+        row = _distances_to(a, L)
+        b = min(todo, key=row.__getitem__)  # todo ascends: ties go to the lowest b
+        todo.remove(b)
+        pairs.append((a, b))
     return pairs
 
 
@@ -204,11 +235,12 @@ def decode_matching(syn: Syndrome, L: int) -> Correction:
                          f"(indices 0 .. {L * L - 1})")
     if not anyons:
         return Correction(frozenset(), L)
-    dist = [[row[b] for b in anyons] for row in [_distances_to(a, L) for a in anyons]]
     if len(anyons) <= EXACT_LIMIT:
+        rows = [_distances_to(a, L) for a in anyons]
+        dist = np.array([row[b] for row in rows for b in anyons]).reshape(len(anyons), -1)
         pairs, method = _pair_exact(anyons, dist), "exact"
     else:
-        pairs, method = _pair_greedy(anyons, dist), "greedy"
+        pairs, method = _pair_greedy(anyons, L), "greedy"
     edges = set()
     for a, b in pairs:  # anyons are sorted, so a < b
         edges.symmetric_difference_update(_geodesic_edges(a, b, L, syn.sector))

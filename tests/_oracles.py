@@ -400,6 +400,23 @@ def recursive_pair_exact(anyons: list, dist):
     return pairs
 
 
+def matrix_pair_greedy(anyons: list, dist: list):
+    """The decoder's former greedy pairing, kept verbatim: it reads a k x k
+    matrix where the decoder now reads each anyon's cached distance row.
+
+    Nearest-neighbour pairing: repeatedly match the first unpaired anyon.
+    """
+    todo = list(range(len(anyons)))
+    pairs = []
+    while todo:
+        i = todo.pop(0)
+        row = dist[i]
+        j_best = min(todo, key=row.__getitem__)  # todo ascends: ties go to the lowest j
+        todo.remove(j_best)
+        pairs.append((anyons[i], anyons[j_best]))
+    return pairs
+
+
 def torus_dist(a, b, L):
     dx = abs(a[0] - b[0])
     dy = abs(a[1] - b[1])

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memlab.decoder import (EXACT_LIMIT, Correction, _geodesic_edges, _pair_exact, _plan,
-                            crossing_sign, decode_matching, dressed_logical,
-                            is_logical_failure)
+from memlab.decoder import (EXACT_LIMIT, Correction, _geodesic_edges, _pair_exact,
+                            _pair_greedy, _plan, crossing_sign, decode_matching,
+                            dressed_logical, is_logical_failure)
 from memlab.lattice import (Syndrome, build_model, logical_operator, syndrome)
 
-from _oracles import (boundary_group, homology_coefficients,
+from _oracles import (boundary_group, homology_coefficients, matrix_pair_greedy,
                       min_pairing_weight, recursive_pair_exact, torus_dist)
 
 
@@ -66,6 +66,23 @@ def test_correction_always_reproduces_the_syndrome(L):
         assert syndrome(model, corr.edges) == syn
 
 
+@pytest.mark.parametrize("L", [2, 3, 5, 8])
+@pytest.mark.parametrize("sector", ["plaquette", "star"])
+def test_correction_reproduces_the_syndrome_of_either_sector(L, sector):
+    """Star syndromes too, on both pairing paths once L^2 leaves room for
+    more than 12 anyons."""
+    rng = np.random.default_rng(20 + L)
+    model = build_model("Kitaev2D", L=L)
+    methods = set()
+    for _ in range(60):
+        err = random_error(rng, L, int(rng.integers(0, 2 * L * L + 1)))
+        syn = syndrome(model, err, sector)
+        corr = decode_matching(syn, L)
+        methods.add(corr.method)
+        assert syndrome(model, corr.edges, sector) == syn
+    assert "greedy" in methods if L * L > EXACT_LIMIT else methods == {"exact"}
+
+
 def test_exact_pairing_matches_brute_force_minimum():
     """Subset DP equals the (2k-1)!! enumeration up to the exact limit, 12 anyons."""
     rng = np.random.default_rng(5)
@@ -96,11 +113,55 @@ def test_planned_pairing_equals_the_recursive_one(case):
     assert _pair_exact(anyons, dist) == recursive_pair_exact(anyons, dist)
 
 
+def _torus_matrix(anyons, L):
+    return [[torus_dist((a % L, a // L), (b % L, b // L), L) for b in anyons]
+            for a in anyons]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([8, 16]).flatmap(lambda L: st.tuples(
+    st.just(L), st.lists(st.integers(0, L * L - 1), unique=True, max_size=EXACT_LIMIT))))
+def test_planned_pairing_equals_the_recursive_one_on_larger_tori(case):
+    L, anyons = case
+    anyons = sorted(anyons[:len(anyons) - len(anyons) % 2])
+    dist = _torus_matrix(anyons, L)
+    assert _pair_exact(anyons, dist) == recursive_pair_exact(anyons, dist)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from([5, 8, 16]).flatmap(lambda L: st.tuples(
+    st.just(L), st.lists(st.integers(0, L * L - 1), unique=True,
+                         min_size=14, max_size=min(50, L * L)))))
+def test_row_greedy_equals_the_matrix_greedy(case):
+    """Same pairs, tie-breaks included, for 14 <= k <= 50 anyons."""
+    L, anyons = case
+    anyons = sorted(anyons[:len(anyons) - len(anyons) % 2])
+    assert _pair_greedy(anyons, L) == matrix_pair_greedy(anyons, _torus_matrix(anyons, L))
+
+
 def test_plan_size_at_the_exact_limit():
     plan = _plan(12)
-    assert plan[0] is None
-    assert len(plan) - 1 == 232
-    assert sum(len(options) for _, options in plan[1:]) == 1076
+    assert len(plan) == 6  # one level per pair count
+    masks = [len(starts) for _, _, starts in plan]
+    assert masks[-1] == 1  # the full mask
+    assert sum(masks) == 232
+    assert sum(len(options) for options, _, _ in plan) == 1076
+    for p, (options, children, starts) in enumerate(plan, 1):
+        # 2p - 1 options per mask, each reading a mask of the level below
+        assert len(options) == len(children) == (2 * p - 1) * masks[p - 1]
+        assert starts.tolist() == list(range(0, len(options), 2 * p - 1))
+        assert children.min() >= 0
+        assert children.max() < (masks[p - 2] if p > 1 else 1)
+        for array in (options, children, starts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
+@pytest.mark.parametrize("method", ["whatever", "Exact", None])
+def test_correction_method_is_exact_or_greedy(method):
+    assert Correction([1, 2], 3, "greedy").method == "greedy"
+    with pytest.raises(ValueError, match="^method must be 'exact' or 'greedy'"):
+        Correction([1, 2], 3, method)
 
 
 def test_greedy_fallback_above_the_exact_limit():
