@@ -87,6 +87,14 @@ EOF
         --override "output=$out/Kitaev2D.1100.w$workers.csv"
     done
     cmp "$out/Kitaev2D.1100.w1.csv" "$out/Kitaev2D.1100.w3.csv"
+    # a three-word seed (2**64 + 5) through the tapes' hash, at chunk
+    # offsets 0, 366 and 733 and across the 1024-tape list at one worker
+    for workers in 1 3; do
+      "${memlab[@]}" run configs/fluctuation.json --workers "$workers" \
+        --override seed=18446744073709551621 --override n_traj=1100 \
+        --override "output=$out/fluctuation.1100.w$workers.csv"
+    done
+    cmp "$out/fluctuation.1100.w1.csv" "$out/fluctuation.1100.w3.csv"
     ;;
   # a Monte Carlo lifetime run must not pay for importing scipy, and the
   # ledgers (a panel-quadrature master solve) must not bring back an

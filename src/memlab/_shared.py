@@ -17,11 +17,13 @@ the tape is the trajectory's own ``numpy.random.Generator``.  A seed is an
 integer >= 0.  Trajectory i of an ensemble with master seed s reads
 ``default_rng(SeedSequence(s, spawn_key=(i,)))``, so results never depend on
 how many workers ran them; a lone recorded trajectory reads
-``default_rng(s)``.  A tape is drawn ``BLOCK`` triples (e, u1, u2) at a time,
-first ``standard_exponential(BLOCK)``, then ``random((BLOCK, 2))``: an
-exponential and two uniforms per triple.  Each sampler reads its tapes one
-way.  The lattice samplers read one triple per event (``dynamics`` gives that
-rule) through :func:`triples`.  The two-level entropy-production sampler
+``default_rng(s)``.  The tapes of a list of consecutive trajectories are
+derived together (:func:`_tapes`) and equal that definition state for state.
+A tape is drawn ``BLOCK`` triples (e, u1, u2) at a time, first
+``standard_exponential(BLOCK)``, then ``random((BLOCK, 2))``: an exponential
+and two uniforms per triple.  Each sampler reads its tapes one way.  The
+lattice samplers read one triple per event (``dynamics`` gives that rule)
+through :func:`triples`.  The two-level entropy-production sampler
 (``thermo``) reads them as follows: x_0 = 0 iff u1 of the first triple <
 p_init[0]; each coupled step starts its clock at the step's start and every
 thinning proposal reads the next triple: t += e / gamma, the step ends when t
@@ -38,7 +40,8 @@ import math
 import numbers
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 
 def heat_bath(x: float) -> float:
@@ -142,13 +145,81 @@ def each(one, *args) -> list:
 
 _ROWS = 1024  # tapes per batch call: bounds the lockstep block arrays' memory
 
+# SeedSequence's hash (numpy NEP 19) on 32-bit words, in Python ints or uint64 arrays
+_M32, _MULT_A, _MULT_B = 0xFFFFFFFF, 0x931E8875, 0x58F38DED
+
+
+def _consts(const, n, mult=_MULT_A):
+    """The n hash constants from ``const`` on, as a uint64 array."""
+    return np.array([const * pow(mult, k, 1 << 32) & _M32 for k in range(n)], dtype=np.uint64)
+
+
+def _hashmix(value, const, mult=_MULT_A):
+    """SeedSequence's hashmix of ``value`` by the hash constant ``const``, and
+    the next constant."""
+    const_next = const * mult & _M32
+    value = (value ^ const) * const_next & _M32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of the pool word ``x`` with the hashed word ``y``."""
+    r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+    return r ^ r >> 16
+
+
+class _State(ISeedSequence):
+    """Hands PCG64 the words ``SeedSequence.generate_state(4, uint64)`` would."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+_STATE_CONSTS = _consts(0x8B51F9DD, 8, _MULT_B)  # generate_state's, one per 32-bit word
+
+
+def _tapes(master_seed: int, lo: int, hi: int) -> list:
+    """The tapes of trajectories lo..hi-1 (hi <= 2**32) of the master seed, each
+    equal state for state to ``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``.
+
+    SeedSequence mixes its entropy words into a pool of four: the seed's words,
+    zero-padded to four since a spawn key is present, then the key's one word
+    i into each pool word.  The hash constants advance by the same steps
+    whatever the words, so that last step and the state hash run on all the
+    indices together, a column per constant.
+    """
+    words = [master_seed >> s & _M32 for s in range(0, master_seed.bit_length() or 1, 32)]
+    words += [0] * (4 - len(words))
+    pool, const = [], 0x43B0D7E5
+    for w in words[:4]:
+        h, const = _hashmix(w, const)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for w in words[4:]:
+        for dst in range(4):
+            h, const = _hashmix(w, const)
+            pool[dst] = _mix(pool[dst], h)
+    # a row per index: the key mixed into each pool word, then the eight state
+    # words (pool words 0-3 twice), paired low word first into four uint64s
+    keys = _hashmix(np.arange(lo, hi, dtype=np.uint64)[:, None], _consts(const, 4))[0]
+    pools = _mix(np.array(pool, dtype=np.uint64), keys)
+    state = _hashmix(np.tile(pools, 2), _STATE_CONSTS, _MULT_B)[0]
+    state = state[:, 0::2] | state[:, 1::2] << 32
+    return [Generator(PCG64(_State(row))) for row in state]
+
 
 def _chunk(args):
     batch, common, master_seed, lo, hi = args
     out = []
     for start in range(lo, hi, _ROWS):
-        out += batch(*common, [default_rng(SeedSequence(master_seed, spawn_key=(i,)))
-                               for i in range(start, min(start + _ROWS, hi))])
+        out += batch(*common, _tapes(master_seed, start, min(start + _ROWS, hi)))
     return out
 
 
@@ -165,10 +236,14 @@ def run_chunks(batch, common: tuple, master_seed, n_traj: int, workers: int) -> 
     the result is the same for any worker count.
 
     Raises:
-        ValueError: ``master_seed`` < 0, ``workers`` < 1, or either not an integer.
+        ValueError: ``master_seed`` < 0, ``workers`` < 1, either not an
+            integer, or ``n_traj`` above 2**32 (an index of 2**32 or more
+            would make a two-word spawn key).
     """
-    check_count("seed", master_seed, least=0)
-    check_count("workers", workers)
+    master_seed = check_count("seed", master_seed, least=0)
+    workers = check_count("workers", workers)
+    if n_traj > 1 << 32:
+        raise ValueError(f"n_traj must be at most 2**32, got {n_traj!r}")
     if workers == 1:
         return _chunk((batch, common, master_seed, 0, n_traj))
     from multiprocessing import Pool

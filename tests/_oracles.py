@@ -519,10 +519,15 @@ def master_dop853(schedule, p0, rates="heat-bath"):
     return np.array(ts), np.array(qs), ledger, p1
 
 
+def reference_tape(seed, i):
+    """Trajectory i's tape for master seed ``seed`` by the stream's definition
+    in the ``_shared`` docstring, one SeedSequence per tape."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
 def sigma_samples_by_rule(schedule, n_traj, seed, p0, rates="heat-bath"):
     """Entropy-production samples rebuilt by the draw rule of the ``_shared``
-    docstring, trajectory i straight from
-    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``.
+    docstring, trajectory i straight from :func:`reference_tape`.
 
     The rates are the library's ``two_level_rates`` and p_fin its
     ``integrate_master``, so agreement by ``==`` checks the stream and the
@@ -534,7 +539,7 @@ def sigma_samples_by_rule(schedule, n_traj, seed, p0, rates="heat-bath"):
     p_fin = integrate_master(schedule, p0, rates=rates).p_final
     samples = []
     for i in range(n_traj):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+        rng = reference_tape(seed, i)
         exps, unis = [], []
 
         def triple():

@@ -12,9 +12,11 @@ from memlab import (
     build_model,
     classify_flip,
     energy,
+    entropy_production_samples,
     first_passage,
     kitaev_memory_lifetime,
     magnetization_nonpositive,
+    sawtooth_schedule,
     simulate_trajectory,
     syndrome,
 )
@@ -807,6 +809,14 @@ def test_numpy_integer_seeds_equal_python_ints():
     params = SimulationParams(beta=0.5, t_max=5.0, n_traj=3)
     assert (first_passage(model, params, seed=np.int64(4)).times.tolist()
             == first_passage(model, params, seed=4).times.tolist())
+    # the tapes split a seed into 32-bit words: a numpy seed must reach them as an int
+    params = SimulationParams(beta=0.7, t_max=3.0, n_traj=3)
+    schedule = sawtooth_schedule(2, 1.0, 2.0)
+    for seed in (np.int64(2**62 + 9), np.uint64(2**64 - 3)):
+        assert (kitaev_memory_lifetime(3, params, seed=seed).times.tolist()
+                == kitaev_memory_lifetime(3, params, seed=int(seed)).times.tolist())
+        assert (entropy_production_samples(schedule, 5, seed=seed).samples.tolist()
+                == entropy_production_samples(schedule, 5, seed=int(seed)).samples.tolist())
 
 
 def test_unknown_decoder_rejected():
